@@ -53,7 +53,7 @@ struct CellResult {
 
 CellResult run_cell(const Severity& sv, std::uint64_t seed) {
   sim::Simulation simulation;
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.seed = seed;
@@ -120,7 +120,7 @@ CellResult run_cell(const Severity& sv, std::uint64_t seed) {
 /// microseconds, or a negative value if the failsafe never engaged.
 double run_targeted_failsafe(CellResult& out) {
   sim::Simulation simulation;
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.controller_config.heartbeat_interval = sim::milliseconds(2);

@@ -32,7 +32,7 @@ struct TrialResult {
 TrialResult run_trial(double channel_loss, std::uint64_t seed) {
   TrialResult r;
   sim::Simulation simulation;
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.controller_config.channel.loss_prob = channel_loss;

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     simulation.set_telemetry(&telemetry);
     telemetry.enable_tracing();
   }
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   workload::Testbed bed(simulation, graph, cfg);

@@ -29,7 +29,7 @@ namespace {
 double run_trial(controller::RerouteMechanism mechanism, std::uint64_t seed,
                  int src_a, int dst_a, int src_b, int dst_b) {
   sim::Simulation simulation;
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.controller_config.seed = seed;

@@ -181,7 +181,7 @@ double fat_tree_end_to_end(bool telemetry, std::uint64_t* events,
   sim::Simulation simulation;
   obs::Telemetry tel;
   if (telemetry) simulation.set_telemetry(&tel);
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::Testbed bed(simulation, graph, workload::TestbedConfig{});
   for (int i = 0; i < 8; ++i) {

@@ -16,7 +16,7 @@ using namespace planck;
 
 int main() {
   sim::Simulation simulation;
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig config;
   workload::Testbed bed(simulation, graph, config);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
   sim::Simulation simulation;
-  const net::TopologyGraph graph = net::make_fat_tree_16(
+  const net::TopologyGraph graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig config;
   config.collector_config.sample_ring_capacity = 4096;

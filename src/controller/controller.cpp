@@ -85,7 +85,7 @@ void Controller::install_routes() {
   std::sort(sorted_collector_nodes_.begin(), sorted_collector_nodes_.end());
 
   install_switch_rules();
-  push_route_views();
+  configure_collectors();
   install_host_arp();
   for (int node : sorted_switch_nodes_) {
     SwitchAttachment& att = switches_.at(node);
@@ -113,7 +113,7 @@ void Controller::install_switch_rules() {
     for (int d = 0; d < n; ++d) {
       if (s == d) continue;
       for (int t = 0; t < routing_.num_trees(); ++t) {
-        const net::RoutePath& p = routing_.path(s, d, t);
+        const net::RoutePath p = routing_.path(s, d, t);
         const net::MacAddress routing_mac = net::host_mac(d, t);
         for (std::size_t i = 0; i < p.hops.size(); ++i) {
           const net::PathHop& hop = p.hops[i];
@@ -133,27 +133,15 @@ void Controller::install_switch_rules() {
   }
 }
 
-void Controller::push_route_views() {
-  std::unordered_map<int, net::SwitchRouteView> views;
-  const int n = routing_.num_hosts();
-  for (int s = 0; s < n; ++s) {
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      for (int t = 0; t < routing_.num_trees(); ++t) {
-        const net::RoutePath& p = routing_.path(s, d, t);
-        const net::MacAddress dst_mac = net::host_mac(d, t);
-        const net::MacAddress src_mac = net::host_mac(s, 0);
-        for (const net::PathHop& hop : p.hops) {
-          net::SwitchRouteView& view = views[hop.switch_node];
-          view.out_port_by_dst[dst_mac] = hop.out_port;
-          view.in_port_by_pair[net::MacPair{src_mac, dst_mac}] = hop.in_port;
-        }
-      }
-    }
-  }
+void Controller::configure_collectors() {
   for (int node : sorted_collector_nodes_) {
     core::Collector* collector = collectors_.at(node);
-    collector->update_route_view(views[node]);
+    // Routing is immutable once built, so the collector's partition may
+    // call it directly.
+    collector->set_port_oracle(
+        [&routing = routing_, node](net::MacAddress src, net::MacAddress dst) {
+          return routing.ports_at(node, src, dst);
+        });
     for (int port = 0; port < graph_.num_ports(node); ++port) {
       if (graph_.wired(node, port)) {
         collector->set_link_capacity(
@@ -188,7 +176,7 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
   tree_assignment_[key] = tree;
 
   // Ingress switch: the first hop of the source's base path.
-  const net::RoutePath& base = routing_.path(src_host, dst_host, 0);
+  const net::RoutePath base = routing_.path(src_host, dst_host, 0);
   assert(!base.hops.empty());
   const int ingress_node = base.hops.front().switch_node;
   const int ingress_in_port = base.hops.front().in_port;
@@ -628,24 +616,15 @@ void Controller::query_link_utilization(int switch_node, int out_port,
     return;
   }
   core::Collector* collector = it->second;
-  if (!on_failure) {
-    // Legacy fire-and-forget path: a lost leg silently swallows the query.
-    channel_.send([this, collector, out_port, reply = std::move(reply)] {
-      if (!collector->online()) return;  // a dead process never answers
-      const double util = collector->link_utilization_bps(out_port);
-      channel_.send([reply, util] { reply(util); });
-    });
-    return;
-  }
-  // Failure-aware path: both legs stay fire-and-forget (the low-latency
-  // API must not grow retries), but a deadline timer fires the failure
-  // callback when no reply landed — loss, duplicate-then-loss, or a dead
-  // collector all surface the same way. Exactly one of reply/on_failure
-  // runs, once.
+  // Both legs stay fire-and-forget (the low-latency API must not grow
+  // retries). The answered guard makes a duplicated reply fire once. With
+  // `on_failure`, a deadline timer fires the failure callback when no reply
+  // landed — loss, duplicate-then-loss, or a dead collector all surface the
+  // same way — so exactly one of reply/on_failure runs, once.
   auto answered = std::make_shared<bool>(false);
   channel_.send([this, collector, out_port, reply = std::move(reply),
                  answered] {
-    if (!collector->online()) return;
+    if (!collector->online()) return;  // a dead process never answers
     const double util = collector->link_utilization_bps(out_port);
     channel_.send([reply, util, answered] {
       if (*answered) return;  // duplicate delivery, or past the deadline
@@ -653,6 +632,7 @@ void Controller::query_link_utilization(int switch_node, int out_port,
       reply(util);
     });
   });
+  if (!on_failure) return;
   sim_.schedule(config_.query_timeout,
                 [this, answered, on_failure = std::move(on_failure)] {
                   if (*answered) return;

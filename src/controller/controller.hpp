@@ -90,10 +90,10 @@ class Controller {
   void attach_collector(int graph_node, core::Collector* collector);
   void attach_host(int host_index, tcp::Host* host);
 
-  /// Computes all routing trees and pushes state everywhere: MAC rules
+  /// Pushes routing state everywhere (§4.1): MAC rules for every tree
   /// (including shadow trees and egress rewrites), mirror configuration,
-  /// host ARP entries for the base tree, and the collectors' route views
-  /// and link capacities (§4.1).
+  /// host ARP entries for the base tree, and each collector's link
+  /// capacities plus a port oracle that asks Routing::ports_at on demand.
   void install_routes();
 
   const Routing& routing() const { return routing_; }
@@ -119,11 +119,11 @@ class Controller {
 
   /// Forwards a statistics query to the right collector; the reply arrives
   /// after a control-channel round trip. This is the drop-in low-latency
-  /// statistics API of §3.3. Both legs are fire-and-forget: without
-  /// `on_failure` a lost message silently swallows the query (legacy
-  /// behaviour); with it, a reply missing after `config.query_timeout` —
-  /// or an unattached/offline collector — fires the failure callback
-  /// exactly once instead.
+  /// statistics API of §3.3. Both legs are fire-and-forget and `reply`
+  /// runs at most once, even when the channel duplicates it. Without
+  /// `on_failure` a lost message silently swallows the query; with it, a
+  /// reply missing after `config.query_timeout` — or an unattached/offline
+  /// collector — fires the failure callback exactly once instead.
   void query_link_utilization(int switch_node, int out_port,
                               std::function<void(double)> reply,
                               std::function<void()> on_failure = nullptr);
@@ -192,7 +192,8 @@ class Controller {
   };
 
   void install_switch_rules();
-  void push_route_views();
+  /// Gives every collector its switch's port oracle and link capacities.
+  void configure_collectors();
   void install_host_arp();
   void register_metrics();
 

@@ -21,50 +21,43 @@ Routing::Routing(const net::TopologyGraph& graph)
           "Routing needs a graph built by net::make_fat_tree, "
           "net::make_leaf_spine, or net::make_star");
   }
-
-  paths_.resize(static_cast<std::size_t>(num_hosts_) *
-                static_cast<std::size_t>(num_hosts_) *
-                static_cast<std::size_t>(num_trees_));
-  for (int s = 0; s < num_hosts_; ++s) {
-    for (int d = 0; d < num_hosts_; ++d) {
-      for (int t = 0; t < num_trees_; ++t) {
-        auto& slot =
-            paths_[(static_cast<std::size_t>(s) *
-                        static_cast<std::size_t>(num_hosts_) +
-                    static_cast<std::size_t>(d)) *
-                       static_cast<std::size_t>(num_trees_) +
-                   static_cast<std::size_t>(t)];
-        if (s == d) {
-          slot = net::RoutePath{s, d, t, {}};
-        } else {
-          switch (shape.kind) {
-            case net::FabricKind::kFatTree:
-              slot = compute_fat_tree_path(s, d, t);
-              break;
-            case net::FabricKind::kLeafSpine:
-              slot = compute_leaf_spine_path(s, d, t);
-              break;
-            default:
-              slot = compute_star_path(s, d);
-              break;
-          }
-          slot.tree = t;
-        }
-      }
-    }
-  }
 }
 
-const net::RoutePath& Routing::path(int src_host, int dst_host,
-                                    int tree) const {
+net::RoutePath Routing::path(int src_host, int dst_host, int tree) const {
   assert(src_host >= 0 && src_host < num_hosts_);
   assert(dst_host >= 0 && dst_host < num_hosts_);
   assert(tree >= 0 && tree < num_trees_);
-  return paths_[(static_cast<std::size_t>(src_host) *
-                     static_cast<std::size_t>(num_hosts_) +
-                 static_cast<std::size_t>(dst_host)) *
-                    static_cast<std::size_t>(num_trees_) +
-                static_cast<std::size_t>(tree)];
+  if (src_host == dst_host) return net::RoutePath{src_host, dst_host, tree, {}};
+  switch (graph_.shape().kind) {
+    case net::FabricKind::kFatTree:
+      return compute_fat_tree_path(src_host, dst_host, tree);
+    case net::FabricKind::kLeafSpine:
+      return compute_leaf_spine_path(src_host, dst_host, tree);
+    default:
+      return compute_star_path(src_host, dst_host);
+  }
+}
+
+net::SwitchPorts Routing::ports_at(int switch_node, net::MacAddress src_mac,
+                                   net::MacAddress dst_mac) const {
+  // Hosts send from their base MAC; the destination MAC alone names the
+  // tree (a shadow MAC encodes tree >= 1).
+  if (net::is_shadow_mac(src_mac)) return {};
+  const int src = net::host_id_of_mac(src_mac);
+  int tree = 0;
+  int dst = -1;
+  if (!net::is_shadow_mac(dst_mac, &tree, &dst)) {
+    dst = net::host_id_of_mac(dst_mac);
+  }
+  if (src < 0 || src >= num_hosts_ || dst < 0 || dst >= num_hosts_ ||
+      tree >= num_trees_) {
+    return {};
+  }
+  const net::RoutePath p = path(src, dst, tree);
+  for (const net::PathHop& hop : p.hops) {
+    if (hop.switch_node == switch_node) return {hop.in_port, hop.out_port};
+  }
+  return {};
 }
 
 net::RoutePath Routing::compute_fat_tree_path(int src, int dst,
@@ -74,6 +67,7 @@ net::RoutePath Routing::compute_fat_tree_path(int src, int dst,
   p.src_host = src;
   p.dst_host = dst;
   p.tree = tree;
+  p.hops.reserve(5);  // edge-agg-core-agg-edge at most
 
   const int ps = sh.pod_of_host(src);
   const int pd = sh.pod_of_host(dst);
@@ -117,6 +111,7 @@ net::RoutePath Routing::compute_leaf_spine_path(int src, int dst,
   p.src_host = src;
   p.dst_host = dst;
   p.tree = tree;
+  p.hops.reserve(3);  // leaf-spine-leaf at most
 
   const int ls = sh.leaf_of_ls_host(src);
   const int ld = sh.leaf_of_ls_host(dst);
@@ -149,16 +144,6 @@ net::RoutePath Routing::compute_star_path(int src, int dst) const {
   // Star wiring: host h occupies switch port h.
   p.hops.push_back({sw, src, dst});
   return p;
-}
-
-std::vector<net::DirectedLink> Routing::links_on_path(
-    const net::RoutePath& p) const {
-  std::vector<net::DirectedLink> links;
-  links.reserve(p.hops.size());
-  for (const net::PathHop& hop : p.hops) {
-    links.push_back(net::DirectedLink{hop.switch_node, hop.out_port});
-  }
-  return links;
 }
 
 }  // namespace planck::controller

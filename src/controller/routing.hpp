@@ -1,24 +1,29 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "net/addresses.hpp"
 #include "net/route_info.hpp"
 #include "net/topology.hpp"
 
 namespace planck::controller {
 
-/// Offline multipath route computation (§6.2): PAST-style per-address
-/// spanning trees. On a k-ary fat-tree each core switch defines one
-/// spanning tree, giving up to (k/2)^2 pre-installable paths per
-/// destination (the base tree plus shadow-MAC trees, capped by the
-/// fabric's provisioned-trees knob). On a leaf-spine each spine defines a
-/// tree; on a star topology there is a single trivial tree.
+/// Multipath route computation (§6.2): PAST-style per-address spanning
+/// trees. On a k-ary fat-tree each core switch defines one spanning tree,
+/// giving up to (k/2)^2 pre-installable paths per destination (the base
+/// tree plus shadow-MAC trees, capped by the fabric's provisioned-trees
+/// knob). On a leaf-spine each spine defines a tree; on a star topology
+/// there is a single trivial tree.
+///
+/// Every answer is computed on demand in closed form from the graph's
+/// TopologyShape: Routing holds no per-host or per-pair state, and it is
+/// immutable after construction, so collectors on data partitions may
+/// query it concurrently.
 class Routing {
  public:
-  /// Computes all trees for `graph`. The graph must carry a TopologyShape
-  /// from one of the net::make_* builders (fat-tree, leaf-spine, or star);
-  /// hand-wired graphs are rejected.
+  /// The graph must carry a TopologyShape from one of the net::make_*
+  /// builders (fat-tree, leaf-spine, or star); hand-wired graphs are
+  /// rejected.
   explicit Routing(const net::TopologyGraph& graph);
 
   /// Tree indices are *relative to the destination*: tree 0 (the base
@@ -42,13 +47,14 @@ class Routing {
 
   /// The path from src to dst (host indices) on `tree`. Paths between a
   /// host and itself are empty.
-  const net::RoutePath& path(int src_host, int dst_host, int tree) const;
+  net::RoutePath path(int src_host, int dst_host, int tree) const;
 
-  /// All switch nodes a path crosses share these links; used by TE for
-  /// bottleneck computation. Directed links along the path, in order,
-  /// including the final switch->host hop and excluding host->switch (hosts
-  /// are the senders' own NICs).
-  std::vector<net::DirectedLink> links_on_path(const net::RoutePath& p) const;
+  /// The ports a frame from `src_mac` (a host's base MAC) to `dst_mac` (a
+  /// base or shadow MAC, which names the destination and the tree) uses at
+  /// `switch_node` (§3.2.1). {-1, -1} when the path does not cross that
+  /// switch or either MAC names no routed host.
+  net::SwitchPorts ports_at(int switch_node, net::MacAddress src_mac,
+                            net::MacAddress dst_mac) const;
 
   const net::TopologyGraph& graph() const { return graph_; }
 
@@ -60,8 +66,6 @@ class Routing {
   const net::TopologyGraph& graph_;
   int num_trees_ = 1;
   int num_hosts_ = 0;
-  // paths_[ (src * num_hosts + dst) * num_trees + tree ]
-  std::vector<net::RoutePath> paths_;
 };
 
 }  // namespace planck::controller

@@ -116,24 +116,26 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
   }
 
   FlowRecord& rec = flows_.upsert(packet.flow_key(), sim_.now());
-  rec.src_mac = packet.src_mac;
-  rec.dst_mac = packet.dst_mac;
+  // Port inference (§3.2.1) depends on the MAC pair alone, so it runs only
+  // for a new record or when the pair changed (a reroute onto another
+  // tree); otherwise the record already holds the oracle's answer.
+  if (rec.samples == 0 || rec.src_mac != packet.src_mac ||
+      rec.dst_mac != packet.dst_mac) {
+    rec.src_mac = packet.src_mac;
+    rec.dst_mac = packet.dst_mac;
+    const net::SwitchPorts ports = port_oracle_(packet.src_mac, packet.dst_mac);
+    rec.in_port = ports.in;
+    if (ports.out != rec.out_port) {
+      // The flow moved to a different link: fully unwind its contribution
+      // from the old port before it starts contributing to the new one.
+      release_contribution(rec.out_port, rec.contributing_bps);
+      rec.contributing_bps = 0.0;
+      rec.out_port = ports.out;
+    }
+  }
   ++rec.samples;
   rec.sample_bytes += packet.payload;
-
-  // Port inference from the controller-shared forwarding view (§3.2.1).
-  const int out = route_view_.out_port(packet.dst_mac);
-  const int in = route_view_.in_port(packet.src_mac, packet.dst_mac);
-  if (out < 0) ++inference_misses_;
-  rec.in_port = in;
-  if (out != rec.out_port) {
-    // The flow moved to a different link (reroute / dst_mac tree change):
-    // fully unwind its contribution from the old port before it starts
-    // contributing to the new one.
-    release_contribution(rec.out_port, rec.contributing_bps);
-    rec.contributing_bps = 0.0;
-    rec.out_port = out;
-  }
+  if (rec.out_port < 0) ++inference_misses_;
 
   if (packet.payload == 0) return;  // pure ACKs carry no byte-count delta
 

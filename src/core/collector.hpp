@@ -131,9 +131,20 @@ class Collector : public net::Node {
   void handle_packet(const net::Packet& packet, int in_port) override;
 
   // --- control-plane inputs (§3.3) ---------------------------------------
-  /// Replaces the forwarding view used for in/out-port inference.
+  /// Installs the in/out-port inference (§3.2.1). It runs when a flow
+  /// record is new or its (src, dst) MAC pair changed; the record keeps
+  /// the answer, so install the oracle before samples arrive. Without
+  /// one, every port is unknown (-1).
+  void set_port_oracle(net::PortOracle oracle) {
+    port_oracle_ = std::move(oracle);
+  }
+  /// Installs an oracle that answers from a hand-built table, for callers
+  /// without a Routing (unit tests, microbenchmarks).
   void update_route_view(net::SwitchRouteView view) {
-    route_view_ = std::move(view);
+    set_port_oracle([view = std::move(view)](net::MacAddress src,
+                                             net::MacAddress dst) {
+      return net::SwitchPorts{view.in_port(src, dst), view.out_port(dst)};
+    });
   }
   /// Declares the capacity of the link on `out_port` (needed to judge
   /// congestion).
@@ -181,6 +192,7 @@ class Collector : public net::Node {
   // --- statistics ---------------------------------------------------------
   std::uint64_t samples_received() const { return samples_received_; }
   std::uint64_t events_fired() const { return events_fired_; }
+  /// Samples counted while their flow's output port was unknown.
   std::uint64_t inference_misses() const { return inference_misses_; }
   std::uint64_t samples_dropped_offline() const {
     return samples_dropped_offline_;
@@ -249,7 +261,9 @@ class Collector : public net::Node {
   int switch_node_;
   CollectorConfig config_;
 
-  net::SwitchRouteView route_view_;
+  net::PortOracle port_oracle_ = [](net::MacAddress, net::MacAddress) {
+    return net::SwitchPorts{};
+  };
   FlowTable flows_;
 
   // Incrementally maintained: sum of fresh flow-rate estimates per output

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -62,8 +63,23 @@ struct MacPairHash {
   }
 };
 
-/// The forwarding view of one switch, as shared by the controller with the
-/// collectors (§3.2.1, §4.1). Because the network routes on destination
+/// The input and output port a frame uses at one switch; -1 when unknown.
+struct SwitchPorts {
+  int in = -1;
+  int out = -1;
+
+  friend bool operator==(const SwitchPorts&, const SwitchPorts&) = default;
+};
+
+/// Port inference for one switch (§3.2.1): the ports a frame with this
+/// source MAC and routing (possibly shadow) destination MAC uses there.
+/// Collectors call it from their own partition, so it may only read
+/// immutable state.
+using PortOracle = std::function<SwitchPorts(MacAddress src, MacAddress dst)>;
+
+/// A hand-built forwarding table for one switch, for callers that have no
+/// Routing (unit tests, microbenchmarks); Collector::update_route_view
+/// turns it into a PortOracle. Because the network routes on destination
 /// MAC, the output port is a function of dst MAC alone and the input port
 /// a function of the (src, dst) MAC pair.
 struct SwitchRouteView {

@@ -210,10 +210,6 @@ TopologyGraph make_leaf_spine(int leaves, int spines, int hosts_per_leaf,
   return g;
 }
 
-TopologyGraph make_fat_tree_16(const LinkSpec& spec) {
-  return make_fat_tree(4, spec);
-}
-
 TopologyGraph make_star(int num_hosts, const LinkSpec& spec) {
   check_addressable(num_hosts, "star");
   TopologyGraph g;

@@ -215,39 +215,7 @@ TopologyGraph make_leaf_spine(int leaves, int spines, int hosts_per_leaf,
                               const LinkSpec& fabric_spec,
                               int provisioned_trees = 0);
 
-/// The paper's testbed topology (§7.1): the k=4 instance of
-/// make_fat_tree — 16 hosts, 4 pods of {2 edge, 2 agg} switches plus 4
-/// cores. Kept as a compatibility shim; new code should call
-/// make_fat_tree(4, spec).
-TopologyGraph make_fat_tree_16(const LinkSpec& spec);
-
 /// Non-blocking "Optimal" topology (§7.1): all hosts on one big switch.
 TopologyGraph make_star(int num_hosts, const LinkSpec& spec);
-
-/// Legacy structural constants for the 16-host testbed, expressed via the
-/// k=4 shape. Compatibility shim only — consumers should read
-/// graph.shape() instead.
-namespace fat_tree {
-inline constexpr int kNumHosts = 16;
-inline constexpr int kNumPods = 4;
-inline constexpr int kEdgePerPod = 2;
-inline constexpr int kAggPerPod = 2;
-inline constexpr int kNumCore = 4;
-inline constexpr int kNumSwitches = 20;
-
-constexpr int pod_of_host(int host) { return host / 4; }
-constexpr int edge_of_host(int host) { return (host % 4) / 2; }
-
-/// Switch indices (dense, in add order): edges first (pod-major), then
-/// aggs (pod-major), then cores.
-constexpr int edge_switch_index(int pod, int e) { return pod * 2 + e; }
-constexpr int agg_switch_index(int pod, int a) { return 8 + pod * 2 + a; }
-constexpr int core_switch_index(int c) { return 16 + c; }
-
-/// Aggregation switch index within a pod that reaches core c.
-constexpr int agg_for_core(int c) { return c / 2; }
-/// Agg uplink port that reaches core c.
-constexpr int agg_port_for_core(int c) { return 2 + (c % 2); }
-}  // namespace fat_tree
 
 }  // namespace planck::net

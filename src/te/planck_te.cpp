@@ -107,7 +107,7 @@ void PlanckTe::greedy_route_flow(KnownFlow& flow, bool failover) {
 
   for (int tree = 0; tree < routing.num_trees(); ++tree) {
     if (tree == flow.tree) continue;
-    const net::RoutePath& path =
+    const net::RoutePath path =
         routing.path(flow.src_host, flow.dst_host, tree);
     // Never reroute onto equipment the controller believes dead.
     if (!controller_.path_alive(path)) continue;
@@ -145,7 +145,7 @@ void PlanckTe::handle_link_down() {
     // The controller may already have failed this flow over; its
     // assignment is authoritative.
     flow.tree = controller_.tree_of(key);
-    const net::RoutePath& path =
+    const net::RoutePath path =
         routing.path(flow.src_host, flow.dst_host, flow.tree);
     if (controller_.path_alive(path)) continue;
     greedy_route_flow(flow, /*failover=*/true);

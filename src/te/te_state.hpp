@@ -60,7 +60,7 @@ class TeState {
         loads;
     for (const auto& [key, flow] : flows_) {
       if (exclude != nullptr && key == *exclude) continue;
-      const net::RoutePath& path =
+      const net::RoutePath path =
           routing_.path(flow.src_host, flow.dst_host, flow.tree);
       for (const net::PathHop& hop : path.hops) {
         loads[net::DirectedLink{hop.switch_node, hop.out_port}] += flow.rate_bps;

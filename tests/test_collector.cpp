@@ -101,6 +101,29 @@ TEST(Collector, InferenceMatchesOracleMetadata) {
   EXPECT_EQ(rec->out_port, p.oracle_out_port);
 }
 
+TEST(Collector, OracleRunsOncePerFlowAndOnMacChange) {
+  Fixture f;
+  int calls = 0;
+  f.collector.set_port_oracle(
+      [&calls](net::MacAddress, net::MacAddress dst) {
+        ++calls;
+        return dst == net::host_mac(1, 2) ? net::SwitchPorts{0, 3}
+                                          : net::SwitchPorts{0, 1};
+      });
+  f.feed(6e9, sim::milliseconds(1), /*tree=*/0);
+  EXPECT_GT(f.collector.samples_received(), 100u);
+  EXPECT_EQ(calls, 1);
+  // The flow's dst MAC moves to shadow tree 2: inferred once more.
+  f.seqs_[2] = f.seqs_[0];
+  f.feed(6e9, sim::milliseconds(1), /*tree=*/2);
+  EXPECT_EQ(calls, 2);
+  const FlowRecord* rec =
+      f.collector.flow_table().find(make_data(0, 1, 0).flow_key());
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->out_port, 3);
+  EXPECT_EQ(f.collector.inference_misses(), 0u);
+}
+
 TEST(Collector, CountsInferenceMissWithoutRouteInfo) {
   Fixture f;
   Packet p = make_data(5, 9, 0);  // no view entry for this pair

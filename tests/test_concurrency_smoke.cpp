@@ -116,7 +116,7 @@ TEST(ConcurrencySmoke, TracerEmissionRacesReader) {
 /// One full testbed run on a private Simulation; returns its digest.
 std::uint64_t run_partition(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.seed = seed;
@@ -157,7 +157,7 @@ TEST(ConcurrencySmoke, ParallelIndependentSimulationsStayDeterministic) {
 /// One sharded-engine run over a k=4 fat-tree with pod-crossing flows;
 /// returns the engine digest.
 std::uint64_t run_sharded(std::uint64_t seed, int threads) {
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   const net::PartitionMap map = net::make_partition_map(graph);
   sim::ParallelEngine engine(map.num_partitions, map.lookahead(), threads);

@@ -1,5 +1,5 @@
 // Tests for the SDN controller (§3.3, §4.1): route/rule installation,
-// mirror configuration, collector route views, ARP- and OpenFlow-based
+// mirror configuration, collector port oracles, ARP- and OpenFlow-based
 // rerouting end to end, event relaying, and the statistics query API.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,7 @@ namespace {
 
 struct FatTreeBed {
   explicit FatTreeBed(workload::TestbedConfig cfg = {})
-      : graph(net::make_fat_tree_16(
+      : graph(net::make_fat_tree(4,
             net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, cfg) {}
 

@@ -47,7 +47,7 @@ struct RunResult {
 /// completions.
 RunResult run_fig15(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;
@@ -78,7 +78,7 @@ RunResult run_fig15(std::uint64_t seed) {
 /// the controller's link-status view, failovers, and completions.
 RunResult run_faulted(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;
@@ -128,7 +128,7 @@ RunResult run_faulted(std::uint64_t seed) {
 /// shadow tree.
 RunResult run_te_failover(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;

@@ -192,7 +192,7 @@ TEST(SwitchEpoch, CrashDiscardsStagingAndSoftState) {
 
 struct FatTree {
   explicit FatTree(TestbedConfig cfg = {})
-      : graph(net::make_fat_tree_16(
+      : graph(net::make_fat_tree(4,
             net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, cfg) {}
 
@@ -370,6 +370,21 @@ TEST(EpochControl, QuerySuccessSuppressesFailureCallback) {
   EXPECT_EQ(replies, 1);
   EXPECT_EQ(failures, 0);
   EXPECT_EQ(f.bed.controller().query_timeouts(), 0u);
+}
+
+TEST(EpochControl, QueryReplyFiresOnceUnderDuplication) {
+  TestbedConfig cfg;
+  cfg.controller_config.channel.dup_prob = 1.0;  // every leg arrives twice
+  cfg.controller_config.heartbeat_interval = 0;  // isolate the query path
+  FatTree f(cfg);
+  const net::PathHop hop = f.bed.controller().routing().path(0, 4, 0).hops[0];
+
+  int replies = 0;
+  f.bed.controller().query_link_utilization(hop.switch_node, hop.out_port,
+                                            [&](double) { ++replies; });
+  f.sim.run_until(sim::seconds(1));
+  EXPECT_GE(f.bed.controller().channel().messages_duplicated(), 2u);
+  EXPECT_EQ(replies, 1);
 }
 
 TEST(EpochControl, QueryOfflineCollectorFailsFast) {
@@ -575,7 +590,7 @@ ChaosResult run_epoch_chaos(std::uint64_t seed, bool with_telemetry) {
   sim::Simulation sim;
   obs::Telemetry telemetry;
   if (with_telemetry) sim.set_telemetry(&telemetry);
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;

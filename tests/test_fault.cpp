@@ -24,7 +24,7 @@ using workload::TestbedConfig;
 
 struct FatTree {
   explicit FatTree(TestbedConfig cfg = {})
-      : graph(net::make_fat_tree_16(
+      : graph(net::make_fat_tree(4,
             net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, cfg) {}
 
@@ -358,7 +358,7 @@ TEST(Chaos, AllFlowsCompleteUnderRandomFaults) {
   for (const std::uint64_t seed : {7ULL, 21ULL, 1234ULL}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     sim::Simulation sim;
-    const auto graph = net::make_fat_tree_16(
+    const auto graph = net::make_fat_tree(4,
         net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
     Testbed bed(sim, graph, TestbedConfig{});
     te::PlanckTe te(sim, bed.controller(), te::PlanckTeConfig{});

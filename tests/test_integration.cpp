@@ -23,7 +23,7 @@ using workload::TestbedConfig;
 
 struct FatTree {
   explicit FatTree(TestbedConfig cfg = {})
-      : graph(net::make_fat_tree_16(
+      : graph(net::make_fat_tree(4,
             net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, cfg) {}
 

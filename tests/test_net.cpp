@@ -280,14 +280,14 @@ TEST(Topology, StarShape) {
 }
 
 TEST(Topology, FatTreeCounts) {
-  const TopologyGraph g = make_fat_tree_16(LinkSpec{});
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
   EXPECT_EQ(g.num_hosts(), 16);
   EXPECT_EQ(g.num_switches(), 20);
   EXPECT_EQ(g.num_nodes(), 36);
 }
 
 TEST(Topology, FatTreeAllDataPortsWired) {
-  const TopologyGraph g = make_fat_tree_16(LinkSpec{});
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
   for (int sw : g.switches()) {
     for (int p = 0; p < g.num_ports(sw); ++p) {
       EXPECT_TRUE(g.wired(sw, p)) << "switch node " << sw << " port " << p;
@@ -297,7 +297,7 @@ TEST(Topology, FatTreeAllDataPortsWired) {
 }
 
 TEST(Topology, FatTreeWiringIsSymmetric) {
-  const TopologyGraph g = make_fat_tree_16(LinkSpec{});
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
   for (int n = 0; n < g.num_nodes(); ++n) {
     for (int p = 0; p < g.num_ports(n); ++p) {
       if (!g.wired(n, p)) continue;
@@ -310,7 +310,7 @@ TEST(Topology, FatTreeWiringIsSymmetric) {
 }
 
 TEST(Topology, FatTreeHostPlacement) {
-  const TopologyGraph g = make_fat_tree_16(LinkSpec{});
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
   const TopologyShape& sh = g.shape();
   for (int h = 0; h < g.num_hosts(); ++h) {
     const PortRef up = g.peer(g.host_node(h), 0);
@@ -322,7 +322,7 @@ TEST(Topology, FatTreeHostPlacement) {
 }
 
 TEST(Topology, FatTreeCoreReachesEveryPod) {
-  const TopologyGraph g = make_fat_tree_16(LinkSpec{});
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
   const TopologyShape& sh = g.shape();
   for (int c = 0; c < sh.num_core; ++c) {
     const int core = g.switch_node(sh.core_switch_index(c));
@@ -337,8 +337,8 @@ TEST(Topology, FatTreeCoreReachesEveryPod) {
 }
 
 TEST(Topology, ShapeDescribesLegacyFatTree) {
-  // The k=4 shim must advertise exactly the 16-host testbed's structure.
-  const TopologyGraph g = make_fat_tree_16(LinkSpec{});
+  // k=4 must advertise exactly the paper's 16-host testbed structure.
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
   const TopologyShape& sh = g.shape();
   EXPECT_EQ(sh.kind, FabricKind::kFatTree);
   EXPECT_EQ(sh.k, 4);
@@ -431,7 +431,7 @@ TEST(Topology, LinkSpecStored) {
 }
 
 TEST(Topology, HostAndSwitchIndices) {
-  const TopologyGraph g = make_fat_tree_16(LinkSpec{});
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
   for (int h = 0; h < g.num_hosts(); ++h) {
     EXPECT_EQ(g.host_index(g.host_node(h)), h);
     EXPECT_TRUE(g.is_host(g.host_node(h)));

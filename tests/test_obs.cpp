@@ -175,7 +175,7 @@ TracedRun run_fig15_traced(std::uint64_t seed, bool tracing) {
   obs::Telemetry tel;
   sim.set_telemetry(&tel);  // before the testbed: components register here
   if (tracing) tel.enable_tracing();
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.seed = seed;
@@ -203,7 +203,7 @@ TracedRun run_fig15_traced(std::uint64_t seed, bool tracing) {
 /// Same scenario with no Telemetry at all — the digest reference.
 std::uint64_t run_fig15_bare(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.seed = seed;
@@ -250,7 +250,7 @@ TEST(Telemetry, TwoInstancesExportIndependentByteIdenticalJson) {
   // instead each must serialize byte-identically to a solo same-seed run.
   const TracedRun solo = run_fig15_traced(3, /*tracing=*/false);
 
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.seed = 3;

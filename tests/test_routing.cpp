@@ -1,6 +1,7 @@
 // Tests for multipath routing (§6.2): PAST spanning trees on the fat-tree,
 // shadow-tree alternates, path validity against the physical wiring,
-// destination-consistency (a tree is a tree), and path diversity.
+// destination-consistency (a tree is a tree), path diversity, and the
+// per-switch port oracle (ports_at) against the tables it replaced.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@ namespace {
 using net::TopologyGraph;
 
 struct Fixture {
-  Fixture() : graph(net::make_fat_tree_16(net::LinkSpec{})), routing(graph) {}
+  Fixture() : graph(net::make_fat_tree(4, net::LinkSpec{})), routing(graph) {}
   TopologyGraph graph;
   Routing routing;
 };
@@ -87,6 +88,63 @@ void check_path_physical(const TopologyGraph& g, const net::RoutePath& p) {
   EXPECT_EQ(last.node, dst_node);
 }
 
+/// The per-switch tables the controller once precomputed for its
+/// collectors, rebuilt here only as the reference for Routing::ports_at:
+/// every switch on the path of (base-MAC source, routing MAC) maps the
+/// routing MAC to its out port and the MAC pair to its in port.
+std::map<int, net::SwitchRouteView> reference_views(const Routing& routing) {
+  std::map<int, net::SwitchRouteView> views;
+  const int n = routing.num_hosts();
+  for (int s = 0; s < n; ++s) {
+    for (int d = 0; d < n; ++d) {
+      if (s == d) continue;
+      for (int t = 0; t < routing.num_trees(); ++t) {
+        const net::MacAddress dst_mac = net::host_mac(d, t);
+        const net::MacAddress src_mac = net::host_mac(s, 0);
+        for (const net::PathHop& hop : routing.path(s, d, t).hops) {
+          net::SwitchRouteView& view = views[hop.switch_node];
+          view.out_port_by_dst[dst_mac] = hop.out_port;
+          view.in_port_by_pair[net::MacPair{src_mac, dst_mac}] = hop.in_port;
+        }
+      }
+    }
+  }
+  return views;
+}
+
+/// ports_at agrees with the reference tables at every switch, for every
+/// base-MAC source and routing MAC, and answers {-1, -1} wherever the
+/// tables held no entry for the MAC pair.
+void check_ports_match_reference(const TopologyGraph& g,
+                                 const Routing& routing) {
+  const std::map<int, net::SwitchRouteView> views = reference_views(routing);
+  const net::SwitchRouteView empty;
+  const int n = routing.num_hosts();
+  for (int sw : g.switches()) {
+    const auto view_it = views.find(sw);
+    const net::SwitchRouteView& view =
+        view_it == views.end() ? empty : view_it->second;
+    for (int s = 0; s < n; ++s) {
+      const net::MacAddress src_mac = net::host_mac(s, 0);
+      for (int d = 0; d < n; ++d) {
+        for (int t = 0; t < routing.num_trees(); ++t) {
+          const net::MacAddress dst_mac = net::host_mac(d, t);
+          const auto it = view.in_port_by_pair.find({src_mac, dst_mac});
+          const net::SwitchPorts want =
+              it == view.in_port_by_pair.end()
+                  ? net::SwitchPorts{}
+                  : net::SwitchPorts{it->second, view.out_port(dst_mac)};
+          const net::SwitchPorts got = routing.ports_at(sw, src_mac, dst_mac);
+          ASSERT_TRUE(got == want)
+              << "switch " << sw << " s=" << s << " d=" << d << " t=" << t
+              << ": got {" << got.in << ", " << got.out << "}, want {"
+              << want.in << ", " << want.out << "}";
+        }
+      }
+    }
+  }
+}
+
 TEST(Routing, AllPathsArePhysicallyValid) {
   Fixture f;
   for (int s = 0; s < 16; ++s) {
@@ -150,15 +208,15 @@ TEST(Routing, AdjacentTreePairsAreLinkDisjointAcrossAggGroups) {
         continue;
       }
       for (int t = 0; t < 2; ++t) {
+        // A hop's directed link is its (switch, out port).
         std::set<std::pair<int, int>> links_a;
-        for (const auto& l :
-             f.routing.links_on_path(f.routing.path(s, d, t))) {
-          links_a.insert({l.node, l.port});
+        for (const net::PathHop& hop : f.routing.path(s, d, t).hops) {
+          links_a.insert({hop.switch_node, hop.out_port});
         }
         int shared = 0;
-        for (const auto& l :
-             f.routing.links_on_path(f.routing.path(s, d, t + 2))) {
-          shared += static_cast<int>(links_a.count({l.node, l.port}));
+        for (const net::PathHop& hop : f.routing.path(s, d, t + 2).hops) {
+          shared += static_cast<int>(
+              links_a.count({hop.switch_node, hop.out_port}));
         }
         // Only the final egress-switch -> host link can coincide.
         EXPECT_LE(shared, 1) << "s=" << s << " d=" << d << " t=" << t;
@@ -172,17 +230,6 @@ TEST(Routing, BaseCoreSpreadsDestinations) {
   std::set<int> cores;
   for (int d = 0; d < 16; ++d) cores.insert(Routing::base_core(d, 4));
   EXPECT_EQ(cores.size(), 4u);
-}
-
-TEST(Routing, LinksOnPathMatchesHops) {
-  Fixture f;
-  const net::RoutePath& p = f.routing.path(0, 15, 1);
-  const auto links = f.routing.links_on_path(p);
-  ASSERT_EQ(links.size(), p.hops.size());
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    EXPECT_EQ(links[i].node, p.hops[i].switch_node);
-    EXPECT_EQ(links[i].port, p.hops[i].out_port);
-  }
 }
 
 TEST(Routing, SamePodPathsAvoidCore) {
@@ -313,23 +360,22 @@ TEST_P(FatTreeRadixTest, TreesAreDestinationConsistent) {
 }
 
 TEST_P(FatTreeRadixTest, LinksOnPathMatchesGraphWiring) {
+  // The directed link a hop feeds, (switch, out port), is a real cable.
   const int n = routing.num_hosts();
   for (int s = 0; s < n; s += 7) {
     for (int d = 0; d < n; d += 3) {
       if (s == d) continue;
       for (int t = 0; t < routing.num_trees(); ++t) {
-        const net::RoutePath& p = routing.path(s, d, t);
-        const auto links = routing.links_on_path(p);
-        ASSERT_EQ(links.size(), p.hops.size());
-        for (std::size_t i = 0; i < links.size(); ++i) {
-          EXPECT_EQ(links[i].node, p.hops[i].switch_node);
-          EXPECT_EQ(links[i].port, p.hops[i].out_port);
-          // Every reported link must be a real, wired cable.
-          EXPECT_TRUE(graph.wired(links[i].node, links[i].port));
+        for (const net::PathHop& hop : routing.path(s, d, t).hops) {
+          EXPECT_TRUE(graph.wired(hop.switch_node, hop.out_port));
         }
       }
     }
   }
+}
+
+TEST_P(FatTreeRadixTest, PortsAtMatchesReferenceTables) {
+  check_ports_match_reference(graph, routing);
 }
 
 INSTANTIATE_TEST_SUITE_P(Radix, FatTreeRadixTest, ::testing::Values(4, 6, 8));
@@ -399,6 +445,46 @@ TEST(RoutingLeafSpine, TreesAreDestinationConsistent) {
       }
     }
   }
+}
+
+TEST(RoutingLeafSpine, PortsAtMatchesReferenceTables) {
+  LeafSpineFixture f;
+  check_ports_match_reference(f.graph, f.routing);
+}
+
+// ---------------------------------------------------------------------------
+// Port oracle (ports_at) edge cases
+// ---------------------------------------------------------------------------
+
+TEST(RoutingPorts, StarMatchesReferenceTables) {
+  const TopologyGraph g = net::make_star(8, net::LinkSpec{});
+  const Routing r(g);
+  check_ports_match_reference(g, r);
+}
+
+TEST(RoutingPorts, MissesAnswerUnknown) {
+  Fixture f;
+  const net::PathHop first = f.routing.path(0, 15, 1).hops.front();
+  const int sw = first.switch_node;
+  const net::MacAddress dst = net::host_mac(15, 1);
+  const net::SwitchPorts none;
+  ASSERT_EQ(f.routing.ports_at(sw, net::host_mac(0), dst),
+            (net::SwitchPorts{first.in_port, first.out_port}));
+  // Hosts send from their base MAC: a shadow or foreign source is unknown.
+  EXPECT_EQ(f.routing.ports_at(sw, net::host_mac(0, 1), dst), none);
+  EXPECT_EQ(f.routing.ports_at(sw, net::kMacNone, dst), none);
+  EXPECT_EQ(f.routing.ports_at(sw, net::kMacBroadcast, dst), none);
+  EXPECT_EQ(f.routing.ports_at(sw, net::host_mac(0), net::kMacBroadcast),
+            none);
+  // Addressable hosts past num_hosts(), as source or destination.
+  EXPECT_EQ(f.routing.ports_at(sw, net::host_mac(16), dst), none);
+  EXPECT_EQ(f.routing.ports_at(sw, net::host_mac(0), net::host_mac(16, 1)),
+            none);
+  // A valid shadow MAC for a tree past num_trees().
+  EXPECT_EQ(f.routing.ports_at(sw, net::host_mac(0), net::host_mac(15, 4)),
+            none);
+  // A host's own MAC: the empty self path crosses no switch.
+  EXPECT_EQ(f.routing.ports_at(sw, net::host_mac(0), net::host_mac(0)), none);
 }
 
 TEST(RoutingProvisioning, TreeKnobCapsShadowTrees) {

@@ -17,7 +17,7 @@ namespace {
 
 struct Fixture {
   Fixture()
-      : graph(net::make_fat_tree_16(
+      : graph(net::make_fat_tree(4,
             net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         routing(graph) {}
 
@@ -75,8 +75,8 @@ TEST(TeState, OverlappingFlowsSum) {
   state.upsert(b.key) = b;
   const auto loads = state.link_loads();
   // The shared edge(0,0) uplink carries both.
-  const net::PathHop& up = f.routing.path(0, 4, 0).hops.front();
-  const net::PathHop& up_b = f.routing.path(1, 5, 0).hops.front();
+  const net::PathHop up = f.routing.path(0, 4, 0).hops.front();
+  const net::PathHop up_b = f.routing.path(1, 5, 0).hops.front();
   ASSERT_EQ(up.switch_node, up_b.switch_node);
   if (up.out_port == up_b.out_port) {
     EXPECT_DOUBLE_EQ(
@@ -122,7 +122,7 @@ TEST(TeState, RemoveOldFlows) {
 
 struct TeFixture {
   TeFixture()
-      : graph(net::make_fat_tree_16(
+      : graph(net::make_fat_tree(4,
             net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, workload::TestbedConfig{}),
         te(sim, bed.controller(), PlanckTeConfig{}) {}
@@ -380,7 +380,7 @@ TEST(DemandEstimation, EmptyInput) {
 
 TEST(PollTe, SeparatesCollidingFlowsAfterPoll) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.enable_planck = false;
@@ -417,7 +417,7 @@ TEST(PollTe, SeparatesCollidingFlowsAfterPoll) {
 
 TEST(PollTe, NoRerouteWithoutCongestion) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
+  const auto graph = net::make_fat_tree(4,
       net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.enable_planck = false;

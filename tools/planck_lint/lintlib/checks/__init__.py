@@ -42,9 +42,6 @@ PATH_EXEMPTIONS = {
     # The one sanctioned flip site: RuleTable::commit_staged (the epoch
     # commit path, DESIGN.md section 10).
     "bank-swap": ["src/switchsim/rule_table.hpp"],
-    # The compat shim itself defines (and the k=4 builder validates) the
-    # legacy constants.
-    "topology-constants": ["src/net/topology.hpp", "src/net/topology.cpp"],
     # src/obs IS the shared plane: the macro layer and the Telemetry
     # accessors legitimately hold what is a cross-partition handle
     # everywhere else. Its own thread-safety is enforced by guarded-field
@@ -125,7 +122,6 @@ def registry():
         ("time-unit", determinism.check_time_unit),
         ("raw-cast", determinism.check_raw_cast),
         ("trace-wall-clock", determinism.check_trace_wall_clock),
-        ("topology-constants", determinism.check_topology_constants),
         ("raw-unit-field", units.check_raw_unit_field),
         ("unit-mixing", units.check_unit_mixing),
         ("unpaired-enqueue", units.check_unpaired_enqueue),

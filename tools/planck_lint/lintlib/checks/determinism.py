@@ -1,8 +1,8 @@
 """Determinism checks: wall-clock, unordered-iteration, pointer-key,
-time-unit, raw-cast, trace-wall-clock, topology-constants (DESIGN.md
-section 7). Ported from the single-file seed linter onto the shared IR —
-unordered-iteration now reuses the program-wide taint fixpoint instead of
-re-extracting every function."""
+time-unit, raw-cast, trace-wall-clock (DESIGN.md section 7). Ported from
+the single-file seed linter onto the shared IR — unordered-iteration now
+reuses the program-wide taint fixpoint instead of re-extracting every
+function."""
 
 import os
 import re
@@ -231,24 +231,3 @@ def check_trace_wall_clock(ctx):
                             f"diverge (no exemptions — this fires in bench/ "
                             f"too)")
                     break
-
-
-# --------------------------------------------------------------------------
-# topology-constants
-# --------------------------------------------------------------------------
-
-# Matches the legacy namespace itself (`fat_tree::kNumHosts`,
-# `using namespace net::fat_tree`) but not the builder identifiers
-# (`make_fat_tree`, `make_fat_tree_16`): no word boundary follows the
-# `make_` prefix.
-TOPOLOGY_CONSTANT_RE = re.compile(r"\bfat_tree\b")
-
-
-def check_topology_constants(ctx):
-    for sf in ctx.files:
-        for m in TOPOLOGY_CONSTANT_RE.finditer(sf.code):
-            ctx.add(sf, m.start(), "topology-constants",
-                    "legacy fat_tree:: fabric constant: structural facts "
-                    "must come from graph.shape() (TopologyShape), which "
-                    "holds at every radix; the k=4 compat shim lives in "
-                    "src/net/topology.hpp")
