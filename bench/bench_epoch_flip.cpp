@@ -45,7 +45,6 @@ struct CellResult {
   std::uint64_t resyncs = 0;
   std::uint64_t failed_reroutes = 0;
   std::uint64_t bank_flips = 0;    // switch-side epoch commits
-  std::uint64_t bank_aborts = 0;
   std::uint64_t events_shed = 0;
   double max_blackhole_us = 0.0;
   int completed = 0;
@@ -103,7 +102,6 @@ CellResult run_cell(const Severity& sv, std::uint64_t seed) {
   r.max_blackhole_us = sim::to_microseconds(ctrl.max_blackhole_observed());
   for (int i = 0; i < bed.num_switches(); ++i) {
     r.bank_flips += bed.switch_by_index(i)->epochs_committed();
-    r.bank_aborts += bed.switch_by_index(i)->epochs_aborted();
   }
   for (const auto& collector : bed.collectors()) {
     r.events_shed += collector->events_shed();
@@ -172,7 +170,7 @@ void report_cell(bench::JsonReport& rep, const std::string& name,
                  const CellResult& r, bool digest_stable) {
   std::printf(
       "%-18s opened %3llu  committed %3llu  fallbacks %2llu  stale %2llu  "
-      "resyncs %2llu  flips %4llu  aborts %2llu  shed %3llu  "
+      "resyncs %2llu  flips %4llu  shed %3llu  "
       "max-blackhole %7.0f us  flows %d/6  digest %s\n",
       name.c_str(), static_cast<unsigned long long>(r.opened),
       static_cast<unsigned long long>(r.committed),
@@ -180,7 +178,6 @@ void report_cell(bench::JsonReport& rep, const std::string& name,
       static_cast<unsigned long long>(r.stale_commits),
       static_cast<unsigned long long>(r.resyncs),
       static_cast<unsigned long long>(r.bank_flips),
-      static_cast<unsigned long long>(r.bank_aborts),
       static_cast<unsigned long long>(r.events_shed), r.max_blackhole_us,
       r.completed, digest_stable ? "stable" : "UNSTABLE");
   obs::MetricRegistry& m = rep.metrics();
@@ -192,7 +189,6 @@ void report_cell(bench::JsonReport& rep, const std::string& name,
   m.gauge(name, "failed_reroutes")
       .set(static_cast<double>(r.failed_reroutes));
   m.gauge(name, "bank_flips").set(static_cast<double>(r.bank_flips));
-  m.gauge(name, "bank_aborts").set(static_cast<double>(r.bank_aborts));
   m.gauge(name, "events_shed").set(static_cast<double>(r.events_shed));
   m.gauge(name, "max_blackhole_us").set(r.max_blackhole_us);
   m.gauge(name, "flows_completed").set(static_cast<double>(r.completed));

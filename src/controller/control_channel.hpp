@@ -6,7 +6,6 @@
 
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace planck::controller {
@@ -84,8 +83,6 @@ class ControlChannel {
  private:
   // Single-writer by design: the channel lives on the controller's
   // partition; RPC state advances only from event-loop callbacks.
-  PLANCK_PARTITION_OWNED;
-
   struct RpcState;
 
   /// Registers this channel's gauges with the telemetry plane, if one is

@@ -13,7 +13,6 @@
 #include "net/packet.hpp"
 #include "net/route_info.hpp"
 #include "sim/simulation.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/timer.hpp"
 
 namespace planck::obs {
@@ -223,7 +222,6 @@ class Collector : public net::Node {
  private:
   // Single-writer by design: one collector runs on one partition
   // (its switch's); nothing here is touched cross-thread.
-  PLANCK_PARTITION_OWNED;
 
   /// Per-port utilization aggregate. `flows` counts the records currently
   /// contributing a nonzero rate; when it returns to zero, `bps` is

@@ -7,7 +7,6 @@
 
 #include "core/rate_estimator.hpp"
 #include "net/packet.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace planck::core {
@@ -107,8 +106,6 @@ class FlowTable {
  private:
   // Single-writer by design: owned by one collector, mutated only
   // from its sample/housekeeping path.
-  PLANCK_PARTITION_OWNED;
-
   EstimatorConfig estimator_config_;
   std::unordered_map<net::FlowKey, FlowRecord, net::FlowKeyHash> flows_;
 };

@@ -6,7 +6,6 @@
 
 #include "net/packet.hpp"
 #include "sim/inline_function.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace planck::sim {
@@ -104,7 +103,6 @@ class EventQueue {
   // Single-writer by design: the wheel and its slab belong to one
   // engine thread; cross-partition sends must go through a mailbox,
   // never this queue (DESIGN.md section 12).
-  PLANCK_PARTITION_OWNED;
 
   // --- geometry -----------------------------------------------------------
   static constexpr std::uint32_t kNil = 0xffffffffu;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "sim/contract.hpp"
 
 namespace planck::sim {
 
@@ -31,6 +32,9 @@ ParallelEngine::ParallelEngine(int data_partitions, Duration lookahead,
 
 void ParallelEngine::enqueue(int src, Simulation& dst, Time when,
                              EventQueue::Callback cb) {
+  PLANCK_CONTRACT(when >= bound_,
+                  "conservative lookahead: a cross-partition event lands at "
+                  "or past the current window bound");
   CrossEvent ev;
   ev.dst = &dst;
   ev.when = when;
@@ -42,6 +46,9 @@ void ParallelEngine::enqueue_packet(int src, Simulation& dst, Time when,
                                     void* target, std::uint32_t aux,
                                     EventQueue::PacketFn fn,
                                     const net::Packet& packet) {
+  PLANCK_CONTRACT(when >= bound_,
+                  "conservative lookahead: a cross-partition event lands at "
+                  "or past the current window bound");
   CrossEvent ev;
   ev.dst = &dst;
   ev.when = when;

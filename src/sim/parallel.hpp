@@ -8,7 +8,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace planck::obs {
@@ -48,7 +47,8 @@ namespace planck::sim {
 /// and host state directly (their effects land at the window bound — the
 /// lookahead grid — rather than mid-window, which is deterministic and
 /// documented). Data-plane code talks *to* the control partition only
-/// through post(), whose barrier merge clamps deliveries to the bound.
+/// through post(), at least one lookahead ahead like every cross-partition
+/// event.
 ///
 /// Threads: run_until() drives the data partitions on `threads` worker
 /// threads (static round-robin partition assignment; the calling thread
@@ -118,7 +118,9 @@ class ParallelEngine {
   /// Appends a cross-partition event to partition `src`'s outbox. Single
   /// writer per outbox: the thread currently running partition `src`
   /// (workers never share a partition inside a window, and the barrier
-  /// orders outbox writes before the merge reads them).
+  /// orders outbox writes before the merge reads them). `when` must not
+  /// precede the current window bound — the destination may already have
+  /// run that far. PLANCK_CONTRACT checks it in contract builds.
   void enqueue(int src, Simulation& dst, Time when, EventQueue::Callback cb);
   void enqueue_packet(int src, Simulation& dst, Time when, void* target,
                       std::uint32_t aux, EventQueue::PacketFn fn,
@@ -130,8 +132,6 @@ class ParallelEngine {
   // below is written either before threads exist or inside the barrier's
   // serial completion phase, whose end synchronizes-with each worker's
   // next window.
-  PLANCK_PARTITION_OWNED;
-
   static constexpr Time kNever = std::numeric_limits<Time>::max();
 
   struct CrossEvent {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/event_queue.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace planck::obs {
@@ -79,11 +78,11 @@ class Simulation {
   /// clock. Same-partition (or unsharded) calls degrade to a plain
   /// schedule; cross-partition calls ride the engine's mailbox and are
   /// merged into `dst` at the next lookahead barrier (deterministically:
-  /// source partition id, then FIFO). For data->data traffic the delay
-  /// must be >= the engine's conservative lookahead or delivery lands in
-  /// the destination's past (it is then clamped to the barrier bound —
-  /// still deterministic, but time-skewed; data->control posts rely on
-  /// exactly that clamp).
+  /// source partition id, then FIFO). A cross-partition delay must be at
+  /// least the engine's conservative lookahead (cross_lookahead()), so the
+  /// event lands at or past the current window bound; no post relies on
+  /// the barrier merge clamping a late event forward. Posting below the
+  /// bound is a contract violation (ParallelEngine::enqueue).
   void post(Simulation& dst, Duration delay, EventQueue::Callback cb);
 
   /// Typed cross-partition packet delivery: the boundary-link flavor of
@@ -157,8 +156,6 @@ class Simulation {
   // Single-writer by design: one Simulation is one partition's event
   // core; only telemetry_ points at shared state, and installing it
   // is a pre-run, single-threaded operation (set_telemetry above).
-  PLANCK_PARTITION_OWNED;
-
   void fold_digest() {
     digest_ = (digest_ ^ static_cast<std::uint64_t>(now_)) * kFnvPrime;
     digest_ = (digest_ ^ queue_.size()) * kFnvPrime;

@@ -7,7 +7,6 @@
 #include "net/addresses.hpp"
 #include "net/packet.hpp"
 #include "sim/contract.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/units.hpp"
 
 namespace planck::switchsim {
@@ -41,9 +40,7 @@ struct RuleCounters {
 /// epoch E is assembled in the *staging* bank (a copy of the active one).
 /// commit_staged(E) flips the banks atomically, so a partially-installed
 /// program is never served — the paper's rule-by-rule TCAM updates are the
-/// transient-loop hazard this removes. planck-lint's bank-swap check
-/// enforces that the flip primitive is only reachable through the commit
-/// path here.
+/// transient-loop hazard this removes.
 ///
 /// The direct mutators (set_mac_rule, set_flow_rule, ...) write the active
 /// bank in place. They model out-of-band configuration (testbed setup,
@@ -143,12 +140,6 @@ class RuleTable {
     staged().flow_table.erase(key);
     return true;
   }
-  bool stage_mac_rule(std::uint64_t epoch, net::MacAddress dst,
-                      RuleActions actions) {
-    if (!staging_ || staged_epoch_ != epoch) return false;
-    staged().mac_table[dst].actions = actions;
-    return true;
-  }
 
   /// Atomically flips the staged program live. Returns false (no flip)
   /// unless `epoch` is exactly the staged program; a duplicate commit of
@@ -159,20 +150,13 @@ class RuleTable {
     PLANCK_CONTRACT(epoch > committed_epoch_,
                     "per-switch epoch monotonicity: a committed route "
                     "program's epoch must exceed its predecessor's");
-    swap_banks();
+    active_ = 1 - active_;
     committed_epoch_ = epoch;
     staging_ = false;
     staged_epoch_ = 0;
     return true;
   }
 
-  /// Discards the staged program for `epoch` (failsafe: partial install,
-  /// commit timeout, or crash). No-op for any other epoch.
-  bool abort_staged(std::uint64_t epoch) {
-    if (!staging_ || staged_epoch_ != epoch) return false;
-    discard_staging();
-    return true;
-  }
   /// Unconditionally discards whatever is staged (switch crash: staging
   /// lives in DRAM, only committed banks survive like flash config).
   void discard_staging() {
@@ -187,8 +171,6 @@ class RuleTable {
  private:
   // Single-writer by design: rule churn comes only from the owning
   // switch's control-plane callbacks on its partition.
-  PLANCK_PARTITION_OWNED;
-
   struct Bank {
     std::unordered_map<net::MacAddress, MacEntry> mac_table;
     std::unordered_map<net::FlowKey, FlowEntry, net::FlowKeyHash> flow_table;
@@ -197,10 +179,6 @@ class RuleTable {
   Bank& active() { return banks_[active_]; }
   const Bank& active() const { return banks_[active_]; }
   Bank& staged() { return banks_[1 - active_]; }
-
-  /// The bank flip. Only commit_staged may call this — enforced by
-  /// planck-lint's bank-swap check, which flags any other caller.
-  void swap_banks() { active_ = 1 - active_; }
 
   Bank banks_[2];
   int active_ = 0;

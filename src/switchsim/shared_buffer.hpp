@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/contract.hpp"
-#include "sim/thread_annotations.hpp"
 #include "sim/units.hpp"
 
 namespace planck::switchsim {
@@ -148,8 +147,6 @@ class SharedBuffer {
  private:
   // Single-writer by design: buffer accounting is mutated only by
   // the owning switch's enqueue/dequeue path.
-  PLANCK_PARTITION_OWNED;
-
   sim::Bytes shared_part(sim::Bytes q) const {
     const sim::Bytes over = q - config_.per_port_reserve;
     return over > sim::Bytes{0} ? over : sim::Bytes{0};

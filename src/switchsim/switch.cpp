@@ -39,8 +39,6 @@ void Switch::register_metrics() {
   });
   reg.gauge(comp, "epochs_committed",
             [this] { return static_cast<double>(epochs_committed_); });
-  reg.gauge(comp, "epochs_aborted",
-            [this] { return static_cast<double>(epochs_aborted_); });
   for (int port = 0; port < num_ports(); ++port) {
     const std::string prefix = "port" + std::to_string(port);
     reg.gauge(comp, prefix + ".drops", [this, port] {
@@ -153,18 +151,6 @@ bool Switch::finish_commit(std::uint64_t epoch) {
   commit_requested_ = false;
   ++epochs_committed_;
   PLANCK_TRACE_ARGS(sim_, "switch." + name_, "epoch_commit",
-                    obs::argf("\"epoch\":%llu",
-                              static_cast<unsigned long long>(epoch)));
-  return true;
-}
-
-bool Switch::abort_epoch(std::uint64_t epoch) {
-  if (!online_) return false;
-  if (!rules_.abort_staged(epoch)) return false;
-  staged_pending_installs_ = 0;
-  commit_requested_ = false;
-  ++epochs_aborted_;
-  PLANCK_TRACE_ARGS(sim_, "switch." + name_, "epoch_abort",
                     obs::argf("\"epoch\":%llu",
                               static_cast<unsigned long long>(epoch)));
   return true;

@@ -122,13 +122,10 @@ class Switch : public net::Node {
   /// the controller's RPC retries and eventually falls back to last-good —
   /// while offline or when `epoch` is not the staged program.
   bool commit_epoch(std::uint64_t epoch);
-  /// Failsafe abort of a staged-but-uncommitted program.
-  bool abort_epoch(std::uint64_t epoch);
 
   std::uint64_t committed_epoch() const { return rules_.committed_epoch(); }
-  /// Programs flipped live / discarded before commit, for the benches.
+  /// Programs flipped live, for the benches.
   std::uint64_t epochs_committed() const { return epochs_committed_; }
-  std::uint64_t epochs_aborted() const { return epochs_aborted_; }
 
   /// Enables mirroring of all forwarded traffic to `monitor_port`
   /// (-1 disables). Applies the monitor buffer cap to that port.
@@ -233,7 +230,6 @@ class Switch : public net::Node {
   int staged_pending_installs_ = 0;
   bool commit_requested_ = false;
   std::uint64_t epochs_committed_ = 0;
-  std::uint64_t epochs_aborted_ = 0;
   PortStatusHandler port_status_handler_;
   std::uint64_t fault_drops_ = 0;
 

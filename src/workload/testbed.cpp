@@ -1,7 +1,7 @@
 #include "workload/testbed.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "sim/parallel.hpp"
@@ -19,7 +19,22 @@ Testbed::Testbed(sim::ParallelEngine& engine, const net::PartitionMap& map,
                  const net::TopologyGraph& graph, const TestbedConfig& config)
     : sim_(engine.control()), engine_(&engine), pmap_(map), graph_(graph),
       config_(config), link_rng_(config.seed) {
-  assert(map.num_partitions == engine.data_partitions());
+  if (map.num_partitions != engine.data_partitions()) {
+    throw std::invalid_argument(
+        "Testbed: partition map has " + std::to_string(map.num_partitions) +
+        " data partitions, engine has " +
+        std::to_string(engine.data_partitions()));
+  }
+  // Every boundary delivery takes at least the map's minimum boundary
+  // propagation; an engine window wider than that could deliver into a
+  // partition's past.
+  if (map.cross_links > 0 &&
+      engine.lookahead() > map.min_cross_propagation) {
+    throw std::invalid_argument(
+        "Testbed: engine lookahead " + std::to_string(engine.lookahead()) +
+        " ns exceeds the map's minimum boundary propagation " +
+        std::to_string(map.min_cross_propagation) + " ns");
+  }
   build();
 }
 

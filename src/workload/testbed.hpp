@@ -58,9 +58,12 @@ class Testbed {
   /// Sharded flavor (DESIGN.md §14): every node's state is instantiated on
   /// the partition `map` assigns it, boundary cables are wired through the
   /// engine mailbox, and the controller/TE stack lives on the engine's
-  /// control partition (which sim() then returns). `map.num_partitions`
-  /// must equal `engine.data_partitions()`. With one data partition this
-  /// produces the same schedule as the plain constructor run sequentially.
+  /// control partition (which sim() then returns). Throws
+  /// std::invalid_argument unless `map.num_partitions` equals
+  /// `engine.data_partitions()` and, when the map has boundary links,
+  /// `engine.lookahead()` is at most `map.min_cross_propagation`. With one
+  /// data partition this produces the same schedule as the plain
+  /// constructor run sequentially.
   Testbed(sim::ParallelEngine& engine, const net::PartitionMap& map,
           const net::TopologyGraph& graph, const TestbedConfig& config);
 

@@ -289,6 +289,55 @@ TEST(Determinism, PartitionedEngineSameSeedIsStableAndSeedsDiverge) {
   EXPECT_NE(a.digest, c.digest);
 }
 
+/// The Figure-15 scenario under the sharded engine. Collectors fire on
+/// their switches' data partitions, so every congestion event reaches the
+/// controller and TE through a cross-partition post to the control
+/// partition.
+struct ShardedFig15Run {
+  std::uint64_t digest = 0;
+  int congestion_events = 0;
+  std::uint64_t reroutes = 0;
+  int flows_done = 0;
+};
+
+ShardedFig15Run run_sharded_fig15(std::uint64_t seed, int threads) {
+  const auto graph = net::make_fat_tree(4,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  sim::ParallelEngine engine(map.num_partitions, map.lookahead(), threads);
+  TestbedConfig cfg;
+  cfg.seed = seed;
+  Testbed bed(engine, map, graph, cfg);
+  te::PlanckTe te(engine.control(), bed.controller(), te::PlanckTeConfig{});
+
+  ShardedFig15Run out;
+  bed.controller().subscribe_congestion(
+      [&out](const core::CongestionEvent&) { ++out.congestion_events; });
+  // Both senders sit in pod 0, so their completions share one partition.
+  for (int i : {0, 1}) {
+    bed.host(i)->start_flow(net::host_ip(4 + i), 5001, 50 * 1024 * 1024,
+                            [&out](const tcp::FlowStats&) {
+                              ++out.flows_done;
+                            });
+  }
+  engine.run_until(sim::seconds(1));
+  out.digest = engine.determinism_digest();
+  out.reroutes = te.reroutes();
+  return out;
+}
+
+TEST(Determinism, PartitionedFig15CongestionReachesTheController) {
+  const ShardedFig15Run t1 = run_sharded_fig15(3, 1);
+  const ShardedFig15Run t2 = run_sharded_fig15(3, 2);
+  for (const ShardedFig15Run& r : {t1, t2}) {
+    EXPECT_GE(r.congestion_events, 1);
+    EXPECT_GE(r.reroutes, 1u);
+    EXPECT_EQ(r.flows_done, 2);
+  }
+  EXPECT_EQ(t1.digest, t2.digest);
+  report_digest("partitioned-fig15", t1.digest);
+}
+
 TEST(Determinism, PartitionedLeafSpineRunsAndIsThreadCountInvariant) {
   const auto build = [](int threads) {
     const auto graph = net::make_leaf_spine(

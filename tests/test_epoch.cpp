@@ -97,18 +97,8 @@ TEST(RuleTableEpoch, NewestProgramWinsStaging) {
   EXPECT_TRUE(rules.commit_staged(4));
 }
 
-TEST(RuleTableEpoch, AbortAndCrashDiscardStagedPrograms) {
+TEST(RuleTableEpoch, CrashDiscardsStagedProgram) {
   switchsim::RuleTable rules;
-  const net::FlowKey key = make_key(0, 1);
-
-  ASSERT_TRUE(rules.begin_staging(1));
-  ASSERT_TRUE(rules.stage_flow_rule(1, key, rewrite_to(1, 1)));
-  EXPECT_FALSE(rules.abort_staged(2));  // wrong epoch: no-op
-  ASSERT_TRUE(rules.abort_staged(1));
-  EXPECT_FALSE(rules.staging());
-  EXPECT_FALSE(rules.commit_staged(1));  // nothing to flip
-  EXPECT_EQ(rules.find_flow(key), nullptr);
-  EXPECT_EQ(rules.committed_epoch(), 0u);
 
   // Crash path: whatever is staged dies with the DRAM.
   ASSERT_TRUE(rules.begin_staging(2));
@@ -150,7 +140,6 @@ TEST(SwitchEpoch, CommitDeferredPastPendingInstalls) {
   EXPECT_EQ(sw.committed_epoch(), 2u);
   EXPECT_NE(sw.rules().find_flow(key), nullptr);
   EXPECT_EQ(sw.epochs_committed(), 1u);
-  EXPECT_EQ(sw.epochs_aborted(), 0u);
 
   // Duplicate commit of the live epoch still acks.
   EXPECT_TRUE(sw.commit_epoch(2));

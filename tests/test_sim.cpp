@@ -7,8 +7,10 @@
 #include <memory>
 #include <vector>
 
+#include "sim/contract.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inline_function.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
@@ -541,6 +543,39 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
+}
+
+// ---------------------------------------------------------------------------
+// ParallelEngine: cross-partition posts and the lookahead bound
+// ---------------------------------------------------------------------------
+
+TEST(ParallelEngine, PostAtTheLookaheadLandsOnTheDestination) {
+  ParallelEngine engine(2, microseconds(1), 1);
+  Simulation& src = engine.partition(0);
+  Simulation& dst = engine.partition(1);
+  Time delivered = -1;
+  src.schedule(microseconds(5), [&] {
+    src.post(dst, src.cross_lookahead(), [&] { delivered = dst.now(); });
+  });
+  engine.run_until(microseconds(20));
+  EXPECT_EQ(delivered, microseconds(6));
+}
+
+TEST(ParallelEngineDeathTest, PostBelowTheLookaheadViolatesTheContract) {
+#if PLANCK_CONTRACTS_ENABLED
+  const auto post_too_early = [] {
+    ParallelEngine engine(2, microseconds(1), 1);
+    Simulation& src = engine.partition(0);
+    Simulation& dst = engine.partition(1);
+    src.schedule(microseconds(5), [&] {
+      src.post(dst, src.cross_lookahead() / 2, [] {});
+    });
+    engine.run_until(microseconds(20));
+  };
+  EXPECT_DEATH(post_too_early(), "conservative lookahead");
+#else
+  GTEST_SKIP() << "PLANCK_CONTRACT is compiled out in this build";
+#endif
 }
 
 // Parameterized: the event queue keeps FIFO order at every timestamp for

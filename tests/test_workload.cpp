@@ -4,9 +4,13 @@
 
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "net/partition.hpp"
+#include "sim/parallel.hpp"
 #include "workload/experiment.hpp"
+#include "workload/testbed.hpp"
 #include "workload/workloads.hpp"
 
 namespace planck::workload {
@@ -119,6 +123,27 @@ TEST(Workloads, ShuffleOrdersDifferPerHost) {
     }
   }
   EXPECT_EQ(identical_pairs, 0);
+}
+
+// The sharded Testbed refuses an engine that does not match its partition
+// map instead of running a schedule that breaks the lookahead bound.
+TEST(ShardedTestbed, RejectsPartitionCountMismatch) {
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  sim::ParallelEngine engine(map.num_partitions - 1, map.lookahead(), 1);
+  EXPECT_THROW(Testbed(engine, map, graph, TestbedConfig{}),
+               std::invalid_argument);
+}
+
+TEST(ShardedTestbed, RejectsLookaheadWiderThanBoundaryPropagation) {
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  ASSERT_GT(map.cross_links, 0);
+  sim::ParallelEngine engine(map.num_partitions, 4 * map.lookahead(), 1);
+  EXPECT_THROW(Testbed(engine, map, graph, TestbedConfig{}),
+               std::invalid_argument);
 }
 
 TEST(Experiment, GraphSelectionByScheme) {

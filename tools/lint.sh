@@ -141,17 +141,6 @@ else
   record planck-lint FAIL
 fi
 
-# The ownership map is a whole-tree artifact; skip its golden check when
-# the run is scoped to a diff.
-if [ -z "$changed_base" ]; then
-  note "ownership-map golden"
-  if python3 tools/planck_lint/check_ownership_golden.py; then
-    record ownership-map PASS
-  else
-    record ownership-map FAIL
-  fi
-fi
-
 if [ "$fast" -eq 1 ]; then
   summarize
   exit "$status"

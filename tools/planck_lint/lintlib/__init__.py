@@ -1,17 +1,15 @@
 """planck-lint internals: shared IR + checks for the Planck static-analysis
-plane (DESIGN.md sections 7, 12, 13).
+plane (DESIGN.md sections 7, 12).
 
 Package layout:
 
   source.py     preprocessor-aware source model: comment/string/directive
                 stripping, line/column index, allowance parsing.
-  ir.py         per-file structural IR (functions with owner classes, class
-                records, lock-acquisition sites) built in one linear pass,
-                plus the whole-program view (call graph, taint fixpoints,
-                symbol table) every cross-file check consumes.
+  ir.py         per-file structural IR (functions, class records,
+                lock-acquisition sites) built in one linear pass, plus the
+                whole-program view (call graph, taint fixpoints) every
+                cross-file check consumes.
   cache.py      content-hash cache of the per-file IR (.lint-cache/).
-  ownership.py  component/partition-class model and the ownership-map-v1
-                artifact the sharded engine consumes.
   report.py     Finding (file:line:col) and planck-lint-findings-v1 JSON.
   checks/       one module per check family; checks/__init__.py holds the
                 registry, scopes and path exemptions.
@@ -22,4 +20,4 @@ deliberately conservative project lint, not a compiler.
 """
 
 # Bumped whenever the on-disk IR layout changes; invalidates .lint-cache.
-IR_VERSION = 4
+IR_VERSION = 5

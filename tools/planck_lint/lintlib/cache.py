@@ -71,10 +71,6 @@ class IRCache:
                 # Path-dependent fields are not part of the content key.
                 sf.path = relpath.replace(os.sep, "/")
                 ir.path = sf.path
-                for fn in ir.functions:
-                    fn.path = sf.path
-                for ci in ir.classes:
-                    ci.path = sf.path
                 sf.used_allowances = set()
                 sf.used_file_allowances = set()
                 self.hits += 1

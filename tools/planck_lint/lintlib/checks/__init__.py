@@ -9,10 +9,9 @@ the check bodies.
 
 from ..report import finding_at
 
-# The concurrency-readiness and partition checks gate the partitioned-
-# engine arc (DESIGN.md sections 12, 13); they police production sources
-# only — tests, benches and examples are driver programs that never run
-# inside a partition.
+# The concurrency-readiness checks (DESIGN.md section 12) police
+# production sources only — tests, benches and examples are driver
+# programs that never run inside a partition.
 CONCURRENCY_SCOPE = ["src/"]
 
 # The trees migrated to the strong unit types in src/sim/units.hpp; the
@@ -29,9 +28,6 @@ CHECK_SCOPE = {
     "mutable-global": CONCURRENCY_SCOPE,
     "guarded-field": CONCURRENCY_SCOPE,
     "partition-escape": CONCURRENCY_SCOPE,
-    "cross-partition-write": CONCURRENCY_SCOPE,
-    "lookahead-violation": CONCURRENCY_SCOPE,
-    "lock-order": CONCURRENCY_SCOPE,
     "blocking-in-partition": CONCURRENCY_SCOPE,
 }
 
@@ -39,9 +35,6 @@ CHECK_SCOPE = {
 # the check does not apply.
 PATH_EXEMPTIONS = {
     "wall-clock": ["src/sim/random.hpp", "bench/"],
-    # The one sanctioned flip site: RuleTable::commit_staged (the epoch
-    # commit path, DESIGN.md section 10).
-    "bank-swap": ["src/switchsim/rule_table.hpp"],
     # src/obs IS the shared plane: the macro layer and the Telemetry
     # accessors legitimately hold what is a cross-partition handle
     # everywhere else. Its own thread-safety is enforced by guarded-field
@@ -89,12 +82,11 @@ def suppressed(sf, lineno, check):
 
 class CheckContext:
     """Everything a check body needs: the scanned files, the program IR,
-    the ownership model, and the findings sink."""
+    and the findings sink."""
 
-    def __init__(self, files, program, model, findings):
+    def __init__(self, files, program, findings):
         self.files = files  # [SourceFile]
         self.program = program  # ProgramIR
-        self.model = model  # OwnershipModel
         self.findings = findings
 
     def add(self, sf, offset, check, message):
@@ -113,8 +105,7 @@ def all_checks():
 
 
 def registry():
-    from . import (determinism, units, concurrency, partition, lockorder,
-                   allowances)
+    from . import determinism, units, concurrency, allowances
     return [
         ("wall-clock", determinism.check_wall_clock),
         ("unordered-iteration", determinism.check_unordered_iteration),
@@ -125,14 +116,10 @@ def registry():
         ("raw-unit-field", units.check_raw_unit_field),
         ("unit-mixing", units.check_unit_mixing),
         ("unpaired-enqueue", units.check_unpaired_enqueue),
-        ("bank-swap", concurrency.check_bank_swap),
         ("mutable-global", concurrency.check_mutable_global),
         ("guarded-field", concurrency.check_guarded_field),
         ("partition-escape", concurrency.check_partition_escape),
-        ("cross-partition-write", partition.check_cross_partition_write),
-        ("lookahead-violation", partition.check_lookahead_violation),
-        ("blocking-in-partition", partition.check_blocking_in_partition),
-        ("lock-order", lockorder.check_lock_order),
+        ("blocking-in-partition", concurrency.check_blocking_in_partition),
         ("stale-allowance", allowances.check_stale_allowances),
     ]
 

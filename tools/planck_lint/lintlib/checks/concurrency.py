@@ -1,36 +1,10 @@
-"""Concurrency-readiness checks: bank-swap, mutable-global, guarded-field,
-partition-escape (DESIGN.md sections 10, 12). Ported onto the shared IR:
-brace classification comes from the structural scanner instead of a
-per-check quadratic pass."""
+"""Concurrency-readiness checks: mutable-global, guarded-field,
+partition-escape, blocking-in-partition (DESIGN.md section 12). Brace
+classification comes from the structural scanner in ir.py."""
 
 import re
 
-from ..ir import ScopeIndex, mask_nested_braces, match_paren
-
-# --------------------------------------------------------------------------
-# bank-swap
-# --------------------------------------------------------------------------
-
-# Qualified call sites only (obj.swap_banks() / p->swap_banks()): the
-# unqualified call and the declaration live in rule_table.hpp, which is
-# path-exempted as the one sanctioned flip site.
-BANK_SWAP_RE = re.compile(r"(?:\.|->)\s*swap_banks\s*\(")
-
-
-def check_bank_swap(ctx):
-    """RuleTable's bank flip is what makes a route-program epoch atomic:
-    the staged bank goes live all-at-once, only after the controller's
-    commit RPC is acked (DESIGN.md section 10). The flip primitive may
-    therefore only be reached through RuleTable::commit_staged in
-    src/switchsim/rule_table.hpp (path-exempted above); any other caller
-    could put a partially-installed program on the data path."""
-    for sf in ctx.files:
-        for m in BANK_SWAP_RE.finditer(sf.code):
-            ctx.add(sf, m.start(), "bank-swap",
-                    "RuleTable bank flips are reserved to the epoch commit "
-                    "path (RuleTable::commit_staged); stage rules and "
-                    "commit the epoch instead of swapping banks directly")
-
+from ..ir import ScopeIndex, mask_nested_braces
 
 # --------------------------------------------------------------------------
 # mutable-global
@@ -297,3 +271,58 @@ def check_partition_escape(ctx):
                         f"re-plumbing the shared plane from the event core "
                         f"races every other partition; install telemetry "
                         f"before the run starts")
+
+
+# --------------------------------------------------------------------------
+# blocking-in-partition
+# --------------------------------------------------------------------------
+
+BLOCKING_PATTERNS = [
+    (re.compile(r"\bstd::this_thread::sleep_(?:for|until)\b|"
+                r"(?<![\w:])(?:usleep|nanosleep)\s*\(|"
+                r"(?<![\w:.])sleep\s*\("),
+     "sleep", "a sleeping partition thread stalls every partition waiting "
+              "at the next lookahead barrier"),
+    (re.compile(r"\bstd::[io]?fstream\b|\bstd::(?:FILE|fopen|fread|fwrite|"
+                r"fprintf|fgets|fflush)\b|"
+                r"(?<![\w:])(?:fopen|fread|fwrite|fprintf|fgets|fflush)\s*\(|"
+                r"\bstd::cin\b|\bstd::getline\b"),
+     "file I/O", "disk latency inside the event loop destroys the "
+                 "millisecond control-loop budget; buffer in memory and "
+                 "flush between runs"),
+    (re.compile(r"\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b|"
+                r"\bcondition_variable\b|"
+                r"(?:\.|->)\s*wait(?:_for|_until)?\s*\("),
+     "blocking synchronization",
+     "event-loop code may only synchronize through the lock-disciplined "
+     "obs plane or the engine's boundary queues"),
+]
+
+MUTEX_ACQ_NOTE = ("sim::MutexLock acquisition outside src/obs/: partition "
+                  "code must not contend on locks in the event loop — the "
+                  "boundary queues and the obs plane are the sanctioned "
+                  "synchronization points")
+
+
+def check_blocking_in_partition(ctx):
+    """Blocking primitives in event-loop-reachable code (the taint walk
+    from the scheduling sinks). The obs plane is path-exempt: its short
+    lock scopes are the sanctioned shared-plane discipline, enforced by
+    guarded-field and Clang -Wthread-safety instead."""
+    paths = {sf.path for sf in ctx.files if sf.path.startswith("src/")}
+    tainted = ctx.program.taint("src-event-loop", paths)
+    for sf in ctx.scoped_files("blocking-in-partition"):
+        for fn in ctx.ir(sf).functions:
+            via = tainted.get(id(fn))
+            if not via:
+                continue
+            for pattern, what, why in BLOCKING_PATTERNS:
+                for m in pattern.finditer(fn.body):
+                    ctx.add(sf, fn.start + m.start(), "blocking-in-partition",
+                            f"{what} ('{m.group(0).strip()}') in "
+                            f"'{fn.name}' ({via}), which executes inside "
+                            f"the event loop: {why}")
+            for off, expr in fn.locks:
+                ctx.add(sf, fn.start + off, "blocking-in-partition",
+                        f"sim::MutexLock({expr}) in '{fn.name}' ({via}): "
+                        f"{MUTEX_ACQ_NOTE}")

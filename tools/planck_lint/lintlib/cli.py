@@ -1,9 +1,9 @@
-"""Driver: argument parsing, the check loop, selftest, and artifact export.
+"""Driver: argument parsing, the check loop, selftest, and JSON export.
 
 The per-file parse (SourceFile + FileIR) comes from the content-hash cache
-(lintlib/cache.py); the whole-program layers (ProgramIR call graph,
-OwnershipModel) are rebuilt from the cached per-file facts each run — they
-are cheap once parsing is amortized, and they must see the tree as a whole.
+(lintlib/cache.py); the whole-program call graph (ProgramIR) is rebuilt
+from the cached per-file facts each run — it is cheap once parsing is
+amortized, and it must see the tree as a whole.
 
 `--changed-only BASE` still parses the full default tree (the call-graph
 checks need every caller/callee, and the warm cache makes that cheap) but
@@ -17,7 +17,6 @@ import subprocess
 import sys
 import time
 
-from . import ownership
 from .cache import IRCache
 from .checks import all_checks, checks_registry, CheckContext, exempt, \
     suppressed
@@ -34,12 +33,10 @@ DEFAULT_PATHS = ["src", "examples", "tests", "bench"]
 EXPECT_RE = re.compile(r"//\s*EXPECT-LINT:\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)")
 
 
-def run_checks(root, paths, checks, cache, scanned_out=None,
-               program_out=None):
-    """Load + parse (through the cache), build the whole-program IR and
-    ownership model once, run every enabled check, then filter exemptions
-    and allowances and sort into the canonical (file, line, col, check)
-    order."""
+def run_checks(root, paths, checks, cache, scanned_out=None):
+    """Load + parse (through the cache), build the whole-program IR once,
+    run every enabled check, then filter exemptions and allowances and
+    sort into the canonical (file, line, col, check) order."""
     files, irs = [], {}
     for rel in collect_files(root, paths):
         sf, ir = cache.load(root, rel)
@@ -48,13 +45,10 @@ def run_checks(root, paths, checks, cache, scanned_out=None,
     if scanned_out is not None:
         scanned_out.extend(files)
 
-    program = ProgramIR(files, list(irs.values()))
-    model = ownership.OwnershipModel(program, files)
-    if program_out is not None:
-        program_out.append((program, model))
+    program = ProgramIR(list(irs.values()))
 
     findings = []
-    ctx = CheckContext(files, program, model, findings)
+    ctx = CheckContext(files, program, findings)
     for name, fn in checks_registry():
         if name == "stale-allowance" or name not in checks:
             continue
@@ -148,7 +142,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="planck-lint",
         description="determinism-and-invariant static analysis for the "
-                    "Planck repo (see DESIGN.md sections 7 and 13)",
+                    "Planck repo (see DESIGN.md section 7)",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="*", default=None,
                         help=f"files/dirs to lint (default: {DEFAULT_PATHS})")
@@ -159,10 +153,6 @@ def main(argv=None):
                         help="also write findings as planck-lint-findings-v1"
                              " JSON (written even when clean; CI uploads it"
                              " so counts are tracked PR-over-PR)")
-    parser.add_argument("--ownership-map", metavar="PATH", default=None,
-                        help="write the ownership-map-v1 JSON artifact "
-                             "(symbol -> owning component/partition class "
-                             "+ boundary-crossing edges)")
     parser.add_argument("--changed-only", metavar="BASE", default=None,
                         help="report findings only in files that differ "
                              "from the given git base ref (the full tree "
@@ -195,10 +185,10 @@ def main(argv=None):
 
     paths = args.paths or DEFAULT_PATHS
     cache = IRCache(args.repo_root, enabled=not args.no_cache)
-    scanned, program_box = [], []
+    scanned = []
     t0 = time.monotonic()
     findings = run_checks(args.repo_root, paths, checks, cache,
-                          scanned_out=scanned, program_out=program_box)
+                          scanned_out=scanned)
     elapsed = time.monotonic() - t0
 
     report_findings = findings
@@ -209,11 +199,6 @@ def main(argv=None):
     if args.json:
         write_findings_json(args.json, checks, report_findings, scanned,
                             cache_stats=cache.stats())
-    if args.ownership_map:
-        program, model = program_box[0]
-        ownership.write_ownership_map(
-            args.ownership_map,
-            ownership.build_ownership_map(model, program, scanned))
     if args.stats:
         st = cache.stats()
         print(f"planck-lint: {len(scanned)} files in {elapsed:.2f}s "

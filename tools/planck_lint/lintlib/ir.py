@@ -6,13 +6,9 @@ which made a full-tree run quadratic (~51 s on the PR-8 tree). This
 module scans each file once:
 
   * every brace is classified (namespace / class / function / other) from
-    a bounded statement head, with the enclosing namespace and class
-    tracked on a stack;
-  * function bodies get their owner class — from the enclosing class body
-    for inline definitions, from the `Cls::method` qualifier for
-    out-of-line ones — which the lock-order and lookahead checks key on;
+    a bounded statement head;
   * call names, scheduling sinks and sim::MutexLock acquisition sites are
-    collected per function.
+    collected per function body.
 
 ProgramIR then builds the whole-program view: a name-based call graph and
 memoized reachability fixpoints (event-loop taint, release-reachability),
@@ -43,7 +39,7 @@ MUTEX_LOCK_RE = re.compile(
 FUNC_TRAILER_RE = re.compile(r"(?:\s*(?:const|noexcept|override|final|mutable))*$")
 TRAILING_RETURN_RE = re.compile(r"->\s*[\w:<>&*\s]+$")
 NAMESPACE_HEAD_RE = re.compile(
-    r"(?:\binline\s+)?\bnamespace\b(?:\s+([\w:]+))?\s*$|\bextern\s*$")
+    r"(?:\binline\s+)?\bnamespace\b(?:\s+[\w:]+)?\s*$|\bextern\s*$")
 CLASS_STMT_RE = re.compile(r"\b(class|struct|union)\b")
 # The optional PLANCK_* group skips attribute macros between the keyword
 # and the name (class PLANCK_CAPABILITY("mutex") Mutex, ...).
@@ -51,41 +47,25 @@ CLASS_NAME_RE = re.compile(
     r"\b(?:class|struct|union)\s+(?:PLANCK_\w+\s*(?:\([^)]*\)\s*)?)?"
     r"([A-Za-z_]\w*)")
 NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_~]\w*)\s*$")
-OWNER_QUAL_RE = re.compile(r"([A-Za-z_]\w*)\s*::\s*$")
 
 
 @dataclass
 class Function:
     name: str
-    path: str
     start: int  # offset of body '{' in file code
     end: int  # offset of matching '}'
     body: str
-    owner: str = ""  # owning class ('' for free functions)
     has_sink: bool = False
     calls: set = field(default_factory=set)
     locks: list = field(default_factory=list)  # (offset-in-body, mutex expr)
-
-    @property
-    def qual(self):
-        return f"{self.owner}::{self.name}" if self.owner else self.name
 
 
 @dataclass
 class ClassInfo:
     name: str
-    path: str
     kind: str  # class | struct | union
-    namespace: str  # enclosing namespace chain, '::'-joined
-    enclosing: str  # enclosing class name, '' at namespace scope
-    decl: int  # offset of the statement head
     body_open: int
     body_close: int
-
-    @property
-    def qual(self):
-        parts = [p for p in (self.namespace, self.enclosing, self.name) if p]
-        return "::".join(parts)
 
 
 @dataclass
@@ -191,19 +171,18 @@ def _statement_head(code, brace, window=3000):
 
 def _classify_and_name(code, brace):
     """Classification of the '{' at `brace` plus the facts the scanner
-    needs: ('function', name, owner_qualifier), ('namespace', ns_name, ''),
+    needs: ('function', name, ''), ('namespace', '', ''),
     ('class', class_name, kind), or ('other', '', '')."""
     head, head_lo = _statement_head(code, brace)
     head = head.rstrip()
-    m = NAMESPACE_HEAD_RE.search(head)
-    if m:
-        return "namespace", (m.group(1) or ""), ""
+    if NAMESPACE_HEAD_RE.search(head):
+        return "namespace", "", ""
     stripped = FUNC_TRAILER_RE.sub("", head)
     stripped = TRAILING_RETURN_RE.sub("", stripped).rstrip()
     if stripped.endswith(")") or stripped.endswith("]"):
         # A ')' head is a function body, lambda, or control-flow block.
-        name, owner = _function_name(code, head_lo + len(stripped), brace)
-        return "function", name, owner
+        return "function", _function_name(code, head_lo + len(stripped),
+                                          brace), ""
     stmt = head  # the statement head this brace terminates
     if re.search(r"\benum\b", stmt):
         return "other", "", ""
@@ -220,14 +199,14 @@ def _classify_and_name(code, brace):
 
 
 def _function_name(code, head_end, brace):
-    """Resolve the identifier (and `Cls::` qualifier) in front of the '('
-    that matches the ')' closing the head. Returns ('', '') for lambdas,
-    control-flow blocks and casts."""
+    """Resolve the identifier in front of the '(' that matches the ')'
+    closing the head. Returns '' for lambdas, control-flow blocks and
+    casts."""
     # Reverse scan from head_end-1 (a ')' or ']') for the matching opener.
     close_ch = code[head_end - 1] if head_end > 0 else ")"
     open_ch = "(" if close_ch == ")" else "["
     if close_ch not in ")]":
-        return "", ""
+        return ""
     depth = 0
     open_idx = -1
     lo = max(0, brace - 6000)
@@ -241,17 +220,14 @@ def _function_name(code, head_end, brace):
                 open_idx = i
                 break
     if open_idx <= 0 or open_ch == "[":
-        return "", ""
+        return ""
     name_m = NAME_BEFORE_PAREN_RE.search(code, lo, open_idx)
     if not name_m or name_m.end() != _rstrip_end(code, open_idx, lo):
-        return "", ""
+        return ""
     name = name_m.group(1)
     if name in CONTROL_KEYWORDS:
-        return "", ""
-    owner_m = OWNER_QUAL_RE.search(code, lo, name_m.start())
-    owner = owner_m.group(1) if owner_m and \
-        owner_m.end() == _rstrip_end(code, name_m.start(), lo) else ""
-    return name, owner
+        return ""
+    return name
 
 
 def _rstrip_end(code, end, lo):
@@ -265,37 +241,20 @@ def build_file_ir(sf):
     """Single structural pass over a stripped file."""
     code = sf.code
     ir = FileIR(path=sf.path)
-    ns_stack = []  # namespace names ('' for anonymous/extern)
-    class_stack = []  # ClassInfo
-    ctx_stack = []  # parallels open braces: ('ns'|'class'|'other', payload)
     skip_until = -1
 
     for m in re.finditer(r"[{}]", code):
         i = m.start()
-        if i < skip_until:
-            continue
-        if code[i] == "}":
-            if ctx_stack:
-                kind, payload = ctx_stack.pop()
-                if kind == "namespace":
-                    for _ in range(payload):
-                        if ns_stack:
-                            ns_stack.pop()
-                elif kind == "class":
-                    if class_stack:
-                        class_stack.pop()
+        if i < skip_until or code[i] == "}":
             continue
         kind, name, extra = _classify_and_name(code, i)
         if kind == "function" and name:
             close = match_paren(code, i, "{", "}")
             if close < 0:
-                ctx_stack.append(("other", None))
                 ir.braces.append((i, -1, "function"))
                 continue
             body = code[i:close + 1]
-            owner = extra or (class_stack[-1].name if class_stack else "")
-            fn = Function(name=name, path=sf.path, start=i, end=close,
-                          body=body, owner=owner)
+            fn = Function(name=name, start=i, end=close, body=body)
             fn.has_sink = SINK_RE.search(body) is not None
             fn.calls = {c for c in CALL_NAME_RE.findall(body)
                         if c not in CONTROL_KEYWORDS}
@@ -305,26 +264,13 @@ def build_file_ir(sf):
             ir.braces.append((i, close, "function"))
             skip_until = close + 1
             continue
-        if kind == "namespace":
-            parts = [p for p in name.split("::") if p] or [""]
-            ns_stack.extend(parts)
-            ctx_stack.append(("namespace", len(parts)))
-            ir.braces.append((i, -1, "namespace"))
-            continue
         if kind == "class":
             close = match_paren(code, i, "{", "}")
-            info = ClassInfo(
-                name=name, path=sf.path, kind=extra,
-                namespace="::".join(n for n in ns_stack if n),
-                enclosing=class_stack[-1].name if class_stack else "",
-                decl=i, body_open=i, body_close=close)
-            ir.classes.append(info)
-            class_stack.append(info)
-            ctx_stack.append(("class", info))
+            ir.classes.append(ClassInfo(name=name, kind=extra, body_open=i,
+                                        body_close=close))
             ir.braces.append((i, close, "class"))
             continue
-        ctx_stack.append(("other", None))
-        ir.braces.append((i, -1, "other"))
+        ir.braces.append((i, -1, kind if kind == "namespace" else "other"))
 
     return ir
 
@@ -360,16 +306,10 @@ class ProgramIR:
     """Whole-program view over the scanned files: call graph + memoized
     reachability fixpoints."""
 
-    def __init__(self, files, file_irs):
-        self.files = files  # [SourceFile]
-        self.by_path = {sf.path: sf for sf in files}
+    def __init__(self, file_irs):
         self.irs = {ir.path: ir for ir in file_irs}
         self._taint_cache = {}
         self._reach_cache = {}
-        self.class_registry = {}
-        for ir in file_irs:
-            for ci in ir.classes:
-                self.class_registry.setdefault(ci.name, []).append(ci)
 
     def functions(self, paths=None):
         out = []

@@ -9,10 +9,8 @@ file:
                         raw bytes and comment/string/directive-masked code)
   lintlib/ir.py         structural scanner -> per-file function/class IR,
                         whole-program call graph + taint fixpoint
-  lintlib/ownership.py  partition-ownership model and the ownership-map-v1
-                        artifact
   lintlib/cache.py      content-hash IR cache (.lint-cache/)
-  lintlib/checks/       the check catalogue (DESIGN.md sections 7 and 13)
+  lintlib/checks/       the check catalogue (DESIGN.md section 7)
   lintlib/cli.py        driver, selftest, --changed-only, JSON export
 
 Run `planck_lint.py --list-checks` for the catalogue, `--selftest` for the

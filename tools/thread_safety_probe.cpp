@@ -5,17 +5,10 @@
 // out-of-line TU includes them. Never linked, never run; GCC builds skip
 // this file entirely (the stage is clang-gated).
 
-#include "controller/control_channel.hpp"
-#include "core/collector.hpp"
-#include "core/flow_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/simulation.hpp"
 #include "sim/thread_annotations.hpp"
-#include "switchsim/rule_table.hpp"
-#include "switchsim/shared_buffer.hpp"
 
 namespace planck::probe {
 
