@@ -228,12 +228,7 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
         });
   } else {
     ++openflow_reroutes_;
-    // Flow-mod under the banked-table protocol (DESIGN.md §10): stage the
-    // rule into the ingress switch's staging bank (TCAM install time is
-    // the dominant latency, Figure 16), then flip it live with a commit
-    // RPC. The flip is atomic and deferred past the install, so a
-    // partially-written program is never served; either RPC exhausting
-    // its retries aborts the program and falls back to last-good.
+    // Flow-mod: TCAM install time is the dominant latency (Figure 16).
     const sim::Duration install =
         config_.of_install_min +
         static_cast<sim::Duration>(rng_.uniform() *
@@ -242,34 +237,49 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
                                        config_.of_install_min));
     switchsim::RuleActions actions;
     actions.set_dst_mac = net::host_mac(dst_host, tree);
-    const net::FlowKey k = key;
-    run_on_switch(ingress_node, [this, ingress, ingress_node, k, actions,
-                                 install, epoch] {
-      channel_.call(
-          [ingress, epoch, k, actions, install] {
-            return ingress->stage_reroute(epoch, k, actions, install);
-          },
-          [this, ingress, ingress_node, k, epoch](bool staged) {
-            if (!staged) {
-              fail_epoch(k, epoch);
-              switch_op_done(ingress_node);
-              return;
-            }
-            channel_.call(
-                [ingress, epoch] { return ingress->commit_epoch(epoch); },
-                [this, ingress_node, k, epoch](bool committed) {
-                  if (committed) {
-                    acked_flow_rules_[ingress_node][k] = epoch;
-                    on_epoch_committed(k, epoch, ingress_node);
-                  } else {
-                    fail_epoch(k, epoch);
-                  }
-                  switch_op_done(ingress_node);
-                });
-          });
-    });
+    program_flow_rule(ingress_node, key, epoch, actions, install);
   }
   return epoch;
+}
+
+void Controller::program_flow_rule(
+    int node, const net::FlowKey& key, std::uint64_t epoch,
+    const std::optional<switchsim::RuleActions>& actions,
+    sim::Duration install) {
+  // Stage the edit into the switch's open program, then commit it with a
+  // second RPC (DESIGN.md §10). The commit waits for the install, so a
+  // partially-written program is never served; either RPC exhausting its
+  // retries aborts the program and falls back to last-good.
+  switchsim::Switch* sw = switches_.at(node).sw;
+  run_on_switch(node, [this, sw, node, key, epoch, actions, install] {
+    channel_.call(
+        [sw, epoch, key, actions, install] {
+          return sw->stage_flow_rule(epoch, key, actions, install);
+        },
+        [this, sw, node, key, epoch, installs = actions.has_value()](
+            bool staged) {
+          if (!staged) {
+            fail_epoch(key, epoch);
+            switch_op_done(node);
+            return;
+          }
+          channel_.call(
+              [sw, epoch] { return sw->commit_epoch(epoch); },
+              [this, node, key, epoch, installs](bool committed) {
+                if (committed) {
+                  if (installs) {
+                    acked_flow_rules_[node][key] = epoch;
+                  } else {
+                    acked_flow_rules_[node].erase(key);
+                  }
+                  on_epoch_committed(key, epoch, node);
+                } else {
+                  fail_epoch(key, epoch);
+                }
+                switch_op_done(node);
+              });
+        });
+  });
 }
 
 void Controller::run_on_switch(int node, std::function<void()> op) {
@@ -330,42 +340,14 @@ void Controller::maybe_reconcile_flow_rule(const net::FlowKey& key,
   if (rule_it == node_it->second.end()) return;
   if (rule_it->second >= epochs_.newest_epoch(key)) return;  // rule is newest
 
-  const auto sw_it = switches_.find(ingress_node);
-  if (sw_it == switches_.end()) return;
-  switchsim::Switch* ingress = sw_it->second.sw;
+  if (switches_.find(ingress_node) == switches_.end()) return;
   const std::uint64_t erase_epoch = epochs_.open(key, tree_of(key), tree_of(key));
-  const sim::Duration install = config_.of_install_min;
   PLANCK_TRACE_ARGS(sim_, "controller", "reconcile_erase",
                     obs::argf("\"stale\":%llu,\"epoch\":%llu",
                               static_cast<unsigned long long>(rule_it->second),
                               static_cast<unsigned long long>(erase_epoch)));
-  run_on_switch(ingress_node, [this, ingress, ingress_node, key, erase_epoch,
-                               install] {
-    channel_.call(
-        [ingress, erase_epoch, key, install] {
-          return ingress->stage_flow_erase(erase_epoch, key, install);
-        },
-        [this, ingress, ingress_node, key, erase_epoch](bool staged) {
-          if (!staged) {
-            fail_epoch(key, erase_epoch);
-            switch_op_done(ingress_node);
-            return;
-          }
-          channel_.call(
-              [ingress, erase_epoch] {
-                return ingress->commit_epoch(erase_epoch);
-              },
-              [this, ingress_node, key, erase_epoch](bool committed) {
-                if (committed) {
-                  acked_flow_rules_[ingress_node].erase(key);
-                  on_epoch_committed(key, erase_epoch, ingress_node);
-                } else {
-                  fail_epoch(key, erase_epoch);
-                }
-                switch_op_done(ingress_node);
-              });
-        });
-  });
+  program_flow_rule(ingress_node, key, erase_epoch, std::nullopt,
+                    config_.of_install_min);
 }
 
 void Controller::notify_port_status(int switch_node, int port, bool up) {

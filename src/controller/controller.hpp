@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -211,10 +212,18 @@ class Controller {
   // --- epoch'd control plane (DESIGN.md §10) ----------------------------
   /// Serializes route-program operations per switch: at most one
   /// stage/commit exchange is in flight against a switch at a time, so a
-  /// later program can never clobber an earlier one's staging bank
+  /// later program can never supersede an earlier one's open edit list
   /// mid-install. Ops queue FIFO and run when the slot frees.
   void run_on_switch(int node, std::function<void()> op);
   void switch_op_done(int node);
+  /// The one stage→commit RPC chain: through the per-switch queue, stages
+  /// a flow-rule edit (`actions` empty: erase) into `epoch`'s program on
+  /// switch `node` with a TCAM write of `install`, commits it, and on the
+  /// ack records or forgets the rule in acked_flow_rules_.
+  void program_flow_rule(int node, const net::FlowKey& key,
+                         std::uint64_t epoch,
+                         const std::optional<switchsim::RuleActions>& actions,
+                         sim::Duration install);
   /// End-to-end ack bookkeeping for `epoch`; reconciles the data plane
   /// when the acked program turned out stale.
   void on_epoch_committed(const net::FlowKey& key, std::uint64_t epoch,

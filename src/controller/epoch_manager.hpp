@@ -26,7 +26,7 @@ namespace planck::controller {
 ///
 /// Staleness is filtered at two points: `begin_apply` drops a program
 /// whose inject is about to run after a newer program was opened (the
-/// ARP-mechanism path, which touches no switch bank), and `commit`
+/// ARP-mechanism path, which touches no switch rule), and `commit`
 /// reports when the acked program is no longer the newest — the cue for
 /// the controller to reconcile the data plane (erase an obsolete flow
 /// rule that would outrank newer state).

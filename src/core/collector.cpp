@@ -100,9 +100,13 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
   ++samples_received_;
   last_sample_at_ = sim_.now();
 
-  if (ring_.size() >= config_.sample_ring_capacity) ring_.pop_front();
-  ring_.push_back(Sample{sim_.now(), packet});
-  if (sample_hook_) sample_hook_(ring_.back());
+  if (config_.sample_ring_capacity > 0) {
+    if (ring_.size() >= config_.sample_ring_capacity) ring_.pop_front();
+    ring_.push_back(Sample{sim_.now(), packet});
+    if (sample_hook_) sample_hook_(ring_.back());
+  } else if (sample_hook_) {
+    sample_hook_(Sample{sim_.now(), packet});  // no ring kept
+  }
 
   if (packet.proto == net::Protocol::kArp) return;
 

@@ -102,7 +102,8 @@ struct CollectorConfig {
   sim::Duration flow_idle_timeout = sim::seconds(1);
   /// Housekeeping sweep period (staleness + eviction).
   sim::Duration sweep_interval = sim::milliseconds(1);
-  /// Raw-sample ring capacity for the vantage-point application (§6.1).
+  /// Raw-sample ring capacity for the vantage-point application (§6.1);
+  /// 0 keeps no ring (the sample hook still sees every sample).
   std::size_t sample_ring_capacity = 4096;
 };
 

@@ -3,29 +3,16 @@
 /// PLANCK_TRACE / PLANCK_METRIC — the hot-path face of the telemetry
 /// plane (DESIGN.md §9).
 ///
-/// Build with -DPLANCK_OBS_ENABLED=0 (CMake: -DPLANCK_OBS=OFF) and every
-/// macro below expands to ((void)0): no branch, no argument evaluation,
-/// no code. With the default (enabled) build the macros are still cheap:
-/// a null check on the installed Telemetry, plus a tracing flag check for
-/// PLANCK_TRACE*, and argument expressions are evaluated only after both
-/// checks pass. bench_micro_eventqueue A/Bs the enabled-but-uninstalled
-/// configuration against the seed path.
+/// The macros are cheap: a null check on the installed Telemetry, plus a
+/// tracing flag check for PLANCK_TRACE*, and argument expressions are
+/// evaluated only after both checks pass. bench_micro_eventqueue A/Bs the
+/// uninstalled configuration against the seed path.
 ///
 /// All trace timestamps come from the Simulation the macro is handed —
 /// never a wall clock; planck-lint's trace-wall-clock check enforces this
 /// at every call site.
 
-#ifndef PLANCK_OBS_ENABLED
-#define PLANCK_OBS_ENABLED 1
-#endif
-
-#if PLANCK_OBS_ENABLED
-
 #include "obs/telemetry.hpp"
-
-namespace planck::obs {
-inline constexpr bool kEnabled = true;
-}  // namespace planck::obs
 
 /// Record an instant event on `component`'s trace track at sim-now.
 /// `sim_expr` is anything with .telemetry() and .now() (a Simulation).
@@ -69,18 +56,3 @@ inline constexpr bool kEnabled = true;
       planck_obs_metric_->op;                    \
     }                                            \
   } while (0)
-
-#else  // !PLANCK_OBS_ENABLED
-
-#include "obs/telemetry.hpp"
-
-namespace planck::obs {
-inline constexpr bool kEnabled = false;
-}  // namespace planck::obs
-
-#define PLANCK_TRACE(sim_expr, component, name) ((void)0)
-#define PLANCK_TRACE_ARGS(sim_expr, component, name, args_expr) ((void)0)
-#define PLANCK_TRACE_COUNTER(sim_expr, component, name, value_expr) ((void)0)
-#define PLANCK_METRIC(handle, op) ((void)0)
-
-#endif  // PLANCK_OBS_ENABLED

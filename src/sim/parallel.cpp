@@ -128,16 +128,16 @@ void ParallelEngine::serial_phase(Time deadline) {
   }
 }
 
-void ParallelEngine::run_sequential(Time deadline) {
-  while (!finished_) {
-    for (int pid = 0; pid < data_partitions(); ++pid) {
-      partition(pid).run_until(bound_);
-    }
-    serial_phase(deadline);
+void ParallelEngine::run_until(Time deadline) {
+  stop_seen_ = false;
+  finished_ = false;
+  flush_outboxes();  // setup-time posts, if any (normally empty)
+  closing_ = !prepare_window(deadline);
+  for (std::size_t pid = 0; pid < partitions_.size(); ++pid) {
+    events_at_window_start_[pid] = partitions_[pid]->events_executed();
   }
-}
-
-void ParallelEngine::run_threaded(Time deadline) {
+  // One window loop for every thread count: with a single worker no
+  // thread starts and the barrier runs serial_phase on the calling thread.
   const int workers = threads_;
   std::barrier barrier(workers,
                        [this, deadline]() noexcept { serial_phase(deadline); });
@@ -161,21 +161,6 @@ void ParallelEngine::run_threaded(Time deadline) {
   for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
   work(0);
   for (std::thread& t : pool) t.join();
-}
-
-void ParallelEngine::run_until(Time deadline) {
-  stop_seen_ = false;
-  finished_ = false;
-  flush_outboxes();  // setup-time posts, if any (normally empty)
-  closing_ = !prepare_window(deadline);
-  for (std::size_t pid = 0; pid < partitions_.size(); ++pid) {
-    events_at_window_start_[pid] = partitions_[pid]->events_executed();
-  }
-  if (threads_ <= 1 || data_partitions() == 1) {
-    run_sequential(deadline);
-  } else {
-    run_threaded(deadline);
-  }
 }
 
 std::uint64_t ParallelEngine::events_executed() const {

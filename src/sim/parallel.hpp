@@ -52,8 +52,8 @@ namespace planck::sim {
 ///
 /// Threads: run_until() drives the data partitions on `threads` worker
 /// threads (static round-robin partition assignment; the calling thread
-/// is worker 0). threads <= 1 executes the exact same window schedule
-/// sequentially — event-identical, same digest.
+/// is worker 0). One thread runs the same window loop with no thread
+/// started — event-identical, same digest.
 class ParallelEngine {
  public:
   /// `data_partitions` >= 1 topology partitions plus one control
@@ -155,8 +155,6 @@ class ParallelEngine {
   /// Merges every outbox into its destinations, source-partition-id
   /// order, FIFO within a source.
   void flush_outboxes();
-  void run_sequential(Time deadline);
-  void run_threaded(Time deadline);
 
   Duration lookahead_;
   int threads_;

@@ -3,11 +3,11 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "net/addresses.hpp"
 #include "net/packet.hpp"
 #include "sim/contract.hpp"
-#include "sim/units.hpp"
 
 namespace planck::switchsim {
 
@@ -23,166 +23,127 @@ struct RuleActions {
   std::optional<net::MacAddress> set_dst_mac;
 };
 
-/// Byte/packet counters, pollable by measurement baselines (§2.3: the
-/// "flow counters" that Hedera/DevoFlow-style systems read).
-struct RuleCounters {
-  sim::Packets packets{0};
-  sim::Bytes bytes{0};
-};
-
 /// The switch's match-action state: an exact-match L2 table (destination
 /// MAC, the PAST routing state) plus a higher-priority exact-match flow
 /// table (5-tuple, the OpenFlow reroute rules). Real switches use TCAMs;
 /// exact-match hash tables give identical semantics for this workload.
 ///
-/// The tables are double-banked (DESIGN.md §10): the data plane always
-/// reads the *active* bank, while a controller-versioned route program for
-/// epoch E is assembled in the *staging* bank (a copy of the active one).
-/// commit_staged(E) flips the banks atomically, so a partially-installed
-/// program is never served — the paper's rule-by-rule TCAM updates are the
-/// transient-loop hazard this removes.
+/// A controller-versioned route program for epoch E (DESIGN.md §10) is
+/// held as an ordered list of flow-rule edits, none of which the data
+/// plane sees. commit_staged(E) applies the whole list in one call, so no
+/// event — and therefore no packet — runs between two of its edits: a
+/// partially-installed program is never served. The paper's rule-by-rule
+/// TCAM updates are the transient-loop hazard this removes.
 ///
-/// The direct mutators (set_mac_rule, set_flow_rule, ...) write the active
-/// bank in place. They model out-of-band configuration (testbed setup,
-/// unit tests); the controller's runtime updates go through staging.
+/// The direct mutators (set_mac_rule, set_flow_rule, ...) write the live
+/// tables in place. They model out-of-band configuration (testbed setup,
+/// unit tests); the MAC program sits outside every route program, like
+/// flash config, so a direct MAC write made while a program is staged
+/// survives its commit. The controller's runtime updates go through
+/// staging.
 class RuleTable {
  public:
-  struct MacEntry {
-    RuleActions actions;
-    RuleCounters counters;
-  };
-  struct FlowEntry {
-    RuleActions actions;
-    RuleCounters counters;
-  };
-
   /// Installs/overwrites the L2 entry for `dst`.
   void set_mac_rule(net::MacAddress dst, RuleActions actions) {
-    active().mac_table[dst].actions = actions;
+    mac_table_[dst] = actions;
   }
   bool erase_mac_rule(net::MacAddress dst) {
-    return active().mac_table.erase(dst) > 0;
+    return mac_table_.erase(dst) > 0;
   }
 
   /// Installs/overwrites the flow entry for `key` (higher priority than
   /// any MAC entry).
   void set_flow_rule(const net::FlowKey& key, RuleActions actions) {
-    active().flow_table[key].actions = actions;
-  }
-  bool erase_flow_rule(const net::FlowKey& key) {
-    return active().flow_table.erase(key) > 0;
+    flow_table_[key] = actions;
   }
   /// Drops every 5-tuple reroute rule (controller soft state lost in a
   /// switch crash; the MAC program is config restored from flash).
-  void clear_flow_rules() { active().flow_table.clear(); }
+  void clear_flow_rules() { flow_table_.clear(); }
 
-  MacEntry* find_mac(net::MacAddress dst) {
-    auto& table = active().mac_table;
-    const auto it = table.find(dst);
-    return it == table.end() ? nullptr : &it->second;
+  const RuleActions* find_mac(net::MacAddress dst) const {
+    const auto it = mac_table_.find(dst);
+    return it == mac_table_.end() ? nullptr : &it->second;
   }
-  FlowEntry* find_flow(const net::FlowKey& key) {
-    auto& table = active().flow_table;
-    const auto it = table.find(key);
-    return it == table.end() ? nullptr : &it->second;
-  }
-  const MacEntry* find_mac(net::MacAddress dst) const {
-    const auto& table = active().mac_table;
-    const auto it = table.find(dst);
-    return it == table.end() ? nullptr : &it->second;
-  }
-  const FlowEntry* find_flow(const net::FlowKey& key) const {
-    const auto& table = active().flow_table;
-    const auto it = table.find(key);
-    return it == table.end() ? nullptr : &it->second;
+  const RuleActions* find_flow(const net::FlowKey& key) const {
+    const auto it = flow_table_.find(key);
+    return it == flow_table_.end() ? nullptr : &it->second;
   }
 
-  std::size_t mac_rule_count() const { return active().mac_table.size(); }
-  std::size_t flow_rule_count() const { return active().flow_table.size(); }
-
-  const std::unordered_map<net::FlowKey, FlowEntry, net::FlowKeyHash>&
-  flow_table() const {
-    return active().flow_table;
-  }
-  const std::unordered_map<net::MacAddress, MacEntry>& mac_table() const {
-    return active().mac_table;
-  }
+  std::size_t flow_rule_count() const { return flow_table_.size(); }
 
   // --- epoch'd route programs (DESIGN.md §10) ----------------------------
-  /// Opens the staging bank for `epoch`'s route program, seeding it with a
-  /// copy of the active bank. Returns false when the program is stale:
-  /// `epoch` is not newer than the committed epoch, or a newer epoch is
-  /// already being staged (newest wins — the loser's commit then fails and
-  /// its controller falls back to last-good). Re-staging the epoch already
-  /// open is an idempotent no-op (at-least-once RPC delivery).
+  /// Opens an empty edit list for `epoch`'s route program. Returns false
+  /// when the program is stale: `epoch` is not newer than the committed
+  /// epoch, or a newer epoch is already being staged (newest wins — the
+  /// loser's commit then fails and its controller falls back to
+  /// last-good). Re-staging the epoch already open is an idempotent no-op
+  /// (at-least-once RPC delivery).
   bool begin_staging(std::uint64_t epoch) {
     if (epoch <= committed_epoch_) return false;
-    if (staging_) {
-      if (staged_epoch_ == epoch) return true;  // duplicate delivery
-      if (staged_epoch_ > epoch) return false;  // a newer program is staged
-    }
-    banks_[1 - active_] = banks_[active_];
-    staging_ = true;
+    if (staged_epoch_ == epoch) return true;  // duplicate delivery
+    if (staged_epoch_ > epoch) return false;  // a newer program is staged
+    edits_.clear();
     staged_epoch_ = epoch;
     return true;
   }
 
-  /// Mutators for the program being staged. Callers must hold an open
-  /// staging for `epoch` (checked; stale writes are dropped).
+  /// Appends a flow-rule edit (`actions` empty: erase) to the program
+  /// being staged. Callers must hold an open staging for `epoch`
+  /// (checked; stale writes are dropped).
   bool stage_flow_rule(std::uint64_t epoch, const net::FlowKey& key,
-                       RuleActions actions) {
-    if (!staging_ || staged_epoch_ != epoch) return false;
-    staged().flow_table[key].actions = actions;
-    return true;
-  }
-  bool stage_flow_erase(std::uint64_t epoch, const net::FlowKey& key) {
-    if (!staging_ || staged_epoch_ != epoch) return false;
-    staged().flow_table.erase(key);
+                       std::optional<RuleActions> actions) {
+    if (!staging() || staged_epoch_ != epoch) return false;
+    edits_.push_back(FlowEdit{key, actions});
     return true;
   }
 
-  /// Atomically flips the staged program live. Returns false (no flip)
-  /// unless `epoch` is exactly the staged program; a duplicate commit of
-  /// the already-committed epoch reports success idempotently.
+  /// Applies the staged edits in order, all in this one call. Returns
+  /// false unless `epoch` is exactly the staged program; a duplicate
+  /// commit of the already-committed epoch reports success idempotently.
   bool commit_staged(std::uint64_t epoch) {
     if (committed_epoch_ == epoch) return true;  // duplicate delivery
-    if (!staging_ || staged_epoch_ != epoch) return false;
+    if (!staging() || staged_epoch_ != epoch) return false;
     PLANCK_CONTRACT(epoch > committed_epoch_,
                     "per-switch epoch monotonicity: a committed route "
                     "program's epoch must exceed its predecessor's");
-    active_ = 1 - active_;
+    for (const FlowEdit& edit : edits_) {
+      if (edit.actions) {
+        flow_table_[edit.key] = *edit.actions;
+      } else {
+        flow_table_.erase(edit.key);
+      }
+    }
     committed_epoch_ = epoch;
-    staging_ = false;
-    staged_epoch_ = 0;
+    discard_staging();
     return true;
   }
 
   /// Unconditionally discards whatever is staged (switch crash: staging
-  /// lives in DRAM, only committed banks survive like flash config).
+  /// lives in DRAM, only committed rules survive).
   void discard_staging() {
-    staging_ = false;
+    edits_.clear();
     staged_epoch_ = 0;
   }
 
-  bool staging() const { return staging_; }
-  std::uint64_t staged_epoch() const { return staging_ ? staged_epoch_ : 0; }
+  bool staging() const { return staged_epoch_ != 0; }
+  std::uint64_t staged_epoch() const { return staged_epoch_; }
   std::uint64_t committed_epoch() const { return committed_epoch_; }
 
  private:
-  // Single-writer by design: rule churn comes only from the owning
-  // switch's control-plane callbacks on its partition.
-  struct Bank {
-    std::unordered_map<net::MacAddress, MacEntry> mac_table;
-    std::unordered_map<net::FlowKey, FlowEntry, net::FlowKeyHash> flow_table;
+  /// One staged flow-rule edit: install `actions` for `key`, or erase the
+  /// rule when `actions` is empty.
+  struct FlowEdit {
+    net::FlowKey key;
+    std::optional<RuleActions> actions;
   };
 
-  Bank& active() { return banks_[active_]; }
-  const Bank& active() const { return banks_[active_]; }
-  Bank& staged() { return banks_[1 - active_]; }
-
-  Bank banks_[2];
-  int active_ = 0;
-  bool staging_ = false;
+  // Single-writer by design: rule churn comes only from the owning
+  // switch's control-plane callbacks on its partition.
+  std::unordered_map<net::MacAddress, RuleActions> mac_table_;
+  std::unordered_map<net::FlowKey, RuleActions, net::FlowKeyHash> flow_table_;
+  /// The open program's edits in arrival order; empty when none is open.
+  std::vector<FlowEdit> edits_;
+  /// 0 while no program is open (committed epochs start at 1).
   std::uint64_t staged_epoch_ = 0;
   std::uint64_t committed_epoch_ = 0;
 };

@@ -104,9 +104,9 @@ bool Switch::stage_epoch(std::uint64_t epoch) {
   return true;
 }
 
-bool Switch::stage_reroute(std::uint64_t epoch, const net::FlowKey& key,
-                           const RuleActions& actions,
-                           sim::Duration install_latency) {
+bool Switch::stage_flow_rule(std::uint64_t epoch, const net::FlowKey& key,
+                             const std::optional<RuleActions>& actions,
+                             sim::Duration install_latency) {
   if (!stage_epoch(epoch)) return false;
   ++staged_pending_installs_;
   sim_.schedule(install_latency, [this, epoch, key, actions] {
@@ -119,27 +119,13 @@ bool Switch::stage_reroute(std::uint64_t epoch, const net::FlowKey& key,
   return true;
 }
 
-bool Switch::stage_flow_erase(std::uint64_t epoch, const net::FlowKey& key,
-                              sim::Duration install_latency) {
-  if (!stage_epoch(epoch)) return false;
-  ++staged_pending_installs_;
-  sim_.schedule(install_latency, [this, epoch, key] {
-    if (!online_ || rules_.staged_epoch() != epoch) return;
-    rules_.stage_flow_erase(epoch, key);
-    if (--staged_pending_installs_ == 0 && commit_requested_) {
-      finish_commit(epoch);
-    }
-  });
-  return true;
-}
-
 bool Switch::commit_epoch(std::uint64_t epoch) {
   if (!online_) return false;
   if (rules_.committed_epoch() == epoch) return true;  // duplicate delivery
   if (!rules_.staging() || rules_.staged_epoch() != epoch) return false;
   if (staged_pending_installs_ > 0) {
-    // Commit RPC outran the TCAM writes: remember it and flip when the
-    // last install lands — the bank never goes live half-written.
+    // Commit RPC outran the TCAM writes: remember it and commit when the
+    // last install lands — the program never goes live half-written.
     commit_requested_ = true;
     return true;
   }
@@ -184,18 +170,14 @@ void Switch::set_mirroring(int monitor_port) {
 
 int Switch::route(net::Packet& packet) {
   // Highest priority: exact-match flow rules (OpenFlow reroutes).
-  if (auto* flow = rules_.find_flow(packet.flow_key())) {
-    ++flow->counters.packets;
-    flow->counters.bytes += packet.frame_bytes();
-    if (flow->actions.set_dst_mac) packet.dst_mac = *flow->actions.set_dst_mac;
-    if (flow->actions.out_port) return *flow->actions.out_port;
+  if (const RuleActions* flow = rules_.find_flow(packet.flow_key())) {
+    if (flow->set_dst_mac) packet.dst_mac = *flow->set_dst_mac;
+    if (flow->out_port) return *flow->out_port;
     // Fall through: re-resolve from the (rewritten) destination MAC.
   }
-  if (auto* mac = rules_.find_mac(packet.dst_mac)) {
-    ++mac->counters.packets;
-    mac->counters.bytes += packet.frame_bytes();
-    const int out = mac->actions.out_port.value_or(-1);
-    if (mac->actions.set_dst_mac) packet.dst_mac = *mac->actions.set_dst_mac;
+  if (const RuleActions* mac = rules_.find_mac(packet.dst_mac)) {
+    const int out = mac->out_port.value_or(-1);
+    if (mac->set_dst_mac) packet.dst_mac = *mac->set_dst_mac;
     return out;
   }
   return -1;

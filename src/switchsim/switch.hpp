@@ -61,6 +61,13 @@ struct PortCounters {
   sim::Bytes drop_bytes{0};
 };
 
+/// Per-5-tuple byte/packet counters, pollable by measurement baselines
+/// (§2.3: the "flow counters" that Hedera/DevoFlow-style systems read).
+struct RuleCounters {
+  sim::Packets packets{0};
+  sim::Bytes bytes{0};
+};
+
 /// An output-queued shared-buffer switch with port mirroring.
 ///
 /// Forwarding pipeline (§4.1): exact-match flow table (highest priority,
@@ -107,24 +114,23 @@ class Switch : public net::Node {
   /// Opens (or re-opens, idempotently) staging for `epoch`'s route
   /// program. Returns false while offline or when the program is stale.
   bool stage_epoch(std::uint64_t epoch);
-  /// Stages a 5-tuple reroute rule into `epoch`'s program. The rule lands
-  /// in the staging bank only after `install_latency` (the TCAM write);
-  /// a commit that arrives earlier is deferred until every pending install
-  /// of the program has landed, so a half-written bank never flips live.
-  bool stage_reroute(std::uint64_t epoch, const net::FlowKey& key,
-                     const RuleActions& actions, sim::Duration install_latency);
-  /// Stages removal of a 5-tuple rule (epoch-manager reconciliation of a
-  /// stale reroute) under the same install-latency model.
-  bool stage_flow_erase(std::uint64_t epoch, const net::FlowKey& key,
-                        sim::Duration install_latency);
-  /// Commit RPC: flips the staged program live (atomically, both tables at
-  /// once), deferred past any pending installs. Returns false — no ack, so
-  /// the controller's RPC retries and eventually falls back to last-good —
+  /// Stages a 5-tuple rule edit into `epoch`'s program: a reroute rule, or
+  /// with `actions` empty the removal of one (epoch-manager reconciliation
+  /// of a stale reroute). The edit joins the program only after
+  /// `install_latency` (the TCAM write); a commit that arrives earlier is
+  /// deferred until every pending install of the program has landed, so a
+  /// half-written program never goes live.
+  bool stage_flow_rule(std::uint64_t epoch, const net::FlowKey& key,
+                       const std::optional<RuleActions>& actions,
+                       sim::Duration install_latency);
+  /// Commit RPC: applies the staged program's edits in one step, deferred
+  /// past any pending installs. Returns false — no ack, so the
+  /// controller's RPC retries and eventually falls back to last-good —
   /// while offline or when `epoch` is not the staged program.
   bool commit_epoch(std::uint64_t epoch);
 
   std::uint64_t committed_epoch() const { return rules_.committed_epoch(); }
-  /// Programs flipped live, for the benches.
+  /// Programs committed live, for the benches.
   std::uint64_t epochs_committed() const { return epochs_committed_; }
 
   /// Enables mirroring of all forwarded traffic to `monitor_port`
@@ -202,7 +208,7 @@ class Switch : public net::Node {
   /// Resolves the output port and applies rewrites. Returns -1 on miss.
   int route(net::Packet& packet);
 
-  /// Performs the deferred-or-immediate flip of the staged program.
+  /// Performs the deferred-or-immediate commit of the staged program.
   bool finish_commit(std::uint64_t epoch);
 
   /// Registers this switch's gauges with the telemetry plane, if one is
@@ -224,9 +230,9 @@ class Switch : public net::Node {
   RuleTable rules_;
   int monitor_port_ = -1;
   bool online_ = true;
-  /// Staged-bank installs still in their TCAM-write latency window, and
-  /// whether a commit RPC already arrived for the staged program (the flip
-  /// then happens when the last install lands).
+  /// Staged edits still in their TCAM-write latency window, and whether a
+  /// commit RPC already arrived for the staged program (the commit then
+  /// happens when the last install lands).
   int staged_pending_installs_ = 0;
   bool commit_requested_ = false;
   std::uint64_t epochs_committed_ = 0;

@@ -296,6 +296,18 @@ TEST(Collector, RawSampleRingBounded) {
             f.collector.raw_samples().front().received_at);
 }
 
+TEST(Collector, ZeroCapacityKeepsNoRawSamples) {
+  CollectorConfig cfg;
+  cfg.sample_ring_capacity = 0;
+  Fixture f(cfg);
+  std::uint64_t hooked = 0;
+  f.collector.set_sample_hook([&](const Sample&) { ++hooked; });
+  f.feed(9e9, sim::milliseconds(1));
+  EXPECT_EQ(hooked, f.collector.samples_received());
+  EXPECT_GT(hooked, 64u);
+  EXPECT_TRUE(f.collector.raw_samples().empty());
+}
+
 TEST(Collector, SampleHookSeesEverySample) {
   Fixture f;
   int hooked = 0;

@@ -34,7 +34,7 @@ TEST(Controller, InstallsMacRulesOnEverySwitchOnPath) {
       auto* sw = f.bed.switch_by_node(hop.switch_node);
       const auto* rule = sw->rules().find_mac(net::host_mac(15, t));
       ASSERT_NE(rule, nullptr) << "tree " << t;
-      EXPECT_EQ(rule->actions.out_port, hop.out_port);
+      EXPECT_EQ(rule->out_port, hop.out_port);
     }
   }
 }
@@ -46,15 +46,15 @@ TEST(Controller, EgressSwitchRewritesShadowToBase) {
   auto* egress = f.bed.switch_by_node(p.hops.back().switch_node);
   const auto* rule = egress->rules().find_mac(net::host_mac(15, 2));
   ASSERT_NE(rule, nullptr);
-  ASSERT_TRUE(rule->actions.set_dst_mac.has_value());
-  EXPECT_EQ(*rule->actions.set_dst_mac, net::host_mac(15, 0));
+  ASSERT_TRUE(rule->set_dst_mac.has_value());
+  EXPECT_EQ(*rule->set_dst_mac, net::host_mac(15, 0));
   // Base-tree rule has no rewrite.
   const net::RoutePath& base = routing.path(0, 15, 0);
   const auto* base_rule = f.bed.switch_by_node(base.hops.back().switch_node)
                               ->rules()
                               .find_mac(net::host_mac(15, 0));
   ASSERT_NE(base_rule, nullptr);
-  EXPECT_FALSE(base_rule->actions.set_dst_mac.has_value());
+  EXPECT_FALSE(base_rule->set_dst_mac.has_value());
 }
 
 TEST(Controller, MirroringEnabledOnEverySwitch) {
@@ -144,7 +144,7 @@ TEST(Controller, OpenFlowRerouteInstallsFlowRuleAfterDelay) {
   f.sim.run_until(sim::milliseconds(10));
   const auto* rule = ingress->rules().find_flow(key);
   ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(*rule->actions.set_dst_mac, net::host_mac(15, 1));
+  EXPECT_EQ(*rule->set_dst_mac, net::host_mac(15, 1));
   EXPECT_EQ(f.bed.controller().openflow_reroutes(), 1u);
 }
 

@@ -1,15 +1,17 @@
-// Epoch'd control plane tests (DESIGN.md §10): banked rule-table staging
-// and atomic commit, the switch's two-phase install/flip protocol, the
-// controller's last-good failsafe (rollback on dead ingress, out-of-order
-// reroute convergence, crash resync, stale heartbeat verdicts, query
-// failure callbacks, the blackhole repair bound), collector→controller
-// backpressure modes, and a chaos-matrix determinism check.
+// Epoch'd control plane tests (DESIGN.md §10): rule-table edit-list
+// staging and one-step commit, the switch's two-phase install/commit
+// protocol, the controller's last-good failsafe (rollback on dead ingress,
+// out-of-order reroute convergence, crash resync, stale heartbeat
+// verdicts, query failure callbacks, the blackhole repair bound),
+// collector→controller backpressure modes, and a chaos-matrix determinism
+// check.
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "controller/controller.hpp"
@@ -41,7 +43,7 @@ switchsim::RuleActions rewrite_to(int dst, int tree) {
 }
 
 // ---------------------------------------------------------------------------
-// RuleTable: banked staging semantics
+// RuleTable: edit-list staging semantics
 // ---------------------------------------------------------------------------
 
 TEST(RuleTableEpoch, StagedProgramInvisibleUntilCommit) {
@@ -51,7 +53,7 @@ TEST(RuleTableEpoch, StagedProgramInvisibleUntilCommit) {
 
   ASSERT_TRUE(rules.begin_staging(1));
   ASSERT_TRUE(rules.stage_flow_rule(1, key, rewrite_to(1, 2)));
-  // The data plane reads the active bank: nothing staged is served.
+  // The data plane reads the live tables: nothing staged is served.
   EXPECT_EQ(rules.find_flow(key), nullptr);
   EXPECT_EQ(rules.flow_rule_count(), 0u);
   EXPECT_TRUE(rules.staging());
@@ -61,7 +63,7 @@ TEST(RuleTableEpoch, StagedProgramInvisibleUntilCommit) {
   EXPECT_EQ(rules.committed_epoch(), 1u);
   EXPECT_FALSE(rules.staging());
   ASSERT_NE(rules.find_flow(key), nullptr);
-  // The staging copy carried the pre-existing MAC program along.
+  // The commit left the MAC program alone.
   EXPECT_NE(rules.find_mac(net::host_mac(1)), nullptr);
 }
 
@@ -113,14 +115,52 @@ TEST(RuleTableEpoch, StagedEraseRemovesRuleOnCommit) {
   rules.set_flow_rule(key, rewrite_to(1, 1));
 
   ASSERT_TRUE(rules.begin_staging(1));
-  ASSERT_TRUE(rules.stage_flow_erase(1, key));
-  EXPECT_NE(rules.find_flow(key), nullptr);  // still served until the flip
+  ASSERT_TRUE(rules.stage_flow_rule(1, key, std::nullopt));
+  EXPECT_NE(rules.find_flow(key), nullptr);  // still served until the commit
   ASSERT_TRUE(rules.commit_staged(1));
   EXPECT_EQ(rules.find_flow(key), nullptr);
 }
 
+TEST(RuleTableEpoch, EditsApplyInStagedOrder) {
+  switchsim::RuleTable rules;
+  const net::FlowKey key = make_key(0, 1);
+
+  // A rule then an erase of the same key: the erase wins.
+  ASSERT_TRUE(rules.begin_staging(1));
+  ASSERT_TRUE(rules.stage_flow_rule(1, key, rewrite_to(1, 1)));
+  ASSERT_TRUE(rules.stage_flow_rule(1, key, std::nullopt));
+  ASSERT_TRUE(rules.commit_staged(1));
+  EXPECT_EQ(rules.find_flow(key), nullptr);
+
+  // The reverse order leaves the rule.
+  ASSERT_TRUE(rules.begin_staging(2));
+  ASSERT_TRUE(rules.stage_flow_rule(2, key, std::nullopt));
+  ASSERT_TRUE(rules.stage_flow_rule(2, key, rewrite_to(1, 2)));
+  ASSERT_TRUE(rules.commit_staged(2));
+  const auto* rule = rules.find_flow(key);
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->set_dst_mac, net::host_mac(1, 2));
+}
+
+TEST(RuleTableEpoch, DirectMacWriteSurvivesCommit) {
+  switchsim::RuleTable rules;
+  const net::FlowKey key = make_key(0, 1);
+
+  // The MAC program sits outside every route program, like flash config:
+  // a direct write made while a program is staged stays served after it
+  // commits.
+  ASSERT_TRUE(rules.begin_staging(1));
+  ASSERT_TRUE(rules.stage_flow_rule(1, key, rewrite_to(1, 1)));
+  rules.set_mac_rule(net::host_mac(1), switchsim::RuleActions{2, {}});
+  ASSERT_TRUE(rules.commit_staged(1));
+  const auto* mac = rules.find_mac(net::host_mac(1));
+  ASSERT_NE(mac, nullptr);
+  EXPECT_EQ(mac->out_port, 2);
+  EXPECT_NE(rules.find_flow(key), nullptr);
+}
+
 // ---------------------------------------------------------------------------
-// Switch: two-phase install/flip
+// Switch: two-phase install/commit
 // ---------------------------------------------------------------------------
 
 TEST(SwitchEpoch, CommitDeferredPastPendingInstalls) {
@@ -128,9 +168,10 @@ TEST(SwitchEpoch, CommitDeferredPastPendingInstalls) {
   switchsim::Switch sw(sim, "s0", 4, switchsim::SwitchConfig{});
   const net::FlowKey key = make_key(0, 1);
 
-  ASSERT_TRUE(sw.stage_reroute(2, key, rewrite_to(1, 2), sim::milliseconds(5)));
-  // The commit RPC is accepted immediately but the flip waits for the TCAM
-  // write: a half-installed program is never served.
+  ASSERT_TRUE(
+      sw.stage_flow_rule(2, key, rewrite_to(1, 2), sim::milliseconds(5)));
+  // The commit RPC is accepted immediately, but the program goes live only
+  // after the TCAM write: a half-installed program is never served.
   ASSERT_TRUE(sw.commit_epoch(2));
   sim.run_until(sim::milliseconds(1));
   EXPECT_EQ(sw.committed_epoch(), 0u);
@@ -153,11 +194,13 @@ TEST(SwitchEpoch, CrashDiscardsStagingAndSoftState) {
   const net::FlowKey key = make_key(0, 1);
 
   // A committed program with a flow rule, then a newer one mid-install.
-  ASSERT_TRUE(sw.stage_reroute(1, key, rewrite_to(1, 1), sim::microseconds(1)));
+  ASSERT_TRUE(
+      sw.stage_flow_rule(1, key, rewrite_to(1, 1), sim::microseconds(1)));
   ASSERT_TRUE(sw.commit_epoch(1));
   sim.run_until(sim::microseconds(10));
   ASSERT_EQ(sw.committed_epoch(), 1u);
-  ASSERT_TRUE(sw.stage_reroute(2, key, rewrite_to(1, 2), sim::milliseconds(5)));
+  ASSERT_TRUE(
+      sw.stage_flow_rule(2, key, rewrite_to(1, 2), sim::milliseconds(5)));
 
   sw.set_online(false);
   sw.set_online(true);
@@ -239,7 +282,7 @@ TEST(EpochControl, OutOfOrderReroutesConvergeToNewestEpoch) {
   const int ingress = f.edge_node_of_host(0);
   controller::Controller& ctrl = f.bed.controller();
 
-  // A slow OpenFlow program (TCAM install + deferred flip) immediately
+  // A slow OpenFlow program (TCAM install + deferred commit) immediately
   // followed by a fast ARP program for the same flow: the ARP epoch is
   // newer and commits first, so the flow must converge on its tree even
   // though the OpenFlow rule — which would outrank it in the data plane —
@@ -253,7 +296,7 @@ TEST(EpochControl, OutOfOrderReroutesConvergeToNewestEpoch) {
   f.sim.run_until(sim::seconds(1));
   EXPECT_EQ(ctrl.tree_of(key), 2);
   EXPECT_GE(ctrl.epochs().stale_commits(), 1u);
-  // The stale rule was reconciled away (or superseded before its flip):
+  // The stale rule was reconciled away (or superseded before its commit):
   // the ingress data plane carries no 5-tuple rule for the flow, and its
   // live program is the reconciliation epoch.
   EXPECT_EQ(f.bed.switch_by_node(ingress)->rules().find_flow(key), nullptr);
@@ -292,7 +335,7 @@ TEST(EpochControl, RecoveredSwitchResyncsToCurrentEpoch) {
   EXPECT_GE(ctrl.resyncs(), 1u);
   const auto* rule = f.bed.switch_by_node(ingress)->rules().find_flow(key);
   ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(rule->actions.set_dst_mac, net::host_mac(15, 2));
+  EXPECT_EQ(rule->set_dst_mac, net::host_mac(15, 2));
   EXPECT_EQ(ctrl.tree_of(key), 2);
   EXPECT_GT(f.bed.switch_by_node(ingress)->committed_epoch(), pre_crash);
 }

@@ -133,7 +133,7 @@ TEST(RuleTable, MacRuleInstallAndErase) {
   a.out_port = 3;
   t.set_mac_rule(net::host_mac(1), a);
   ASSERT_NE(t.find_mac(net::host_mac(1)), nullptr);
-  EXPECT_EQ(*t.find_mac(net::host_mac(1))->actions.out_port, 3);
+  EXPECT_EQ(*t.find_mac(net::host_mac(1))->out_port, 3);
   EXPECT_TRUE(t.erase_mac_rule(net::host_mac(1)));
   EXPECT_EQ(t.find_mac(net::host_mac(1)), nullptr);
   EXPECT_FALSE(t.erase_mac_rule(net::host_mac(1)));
@@ -149,7 +149,7 @@ TEST(RuleTable, FlowRuleOverwrite) {
   a.set_dst_mac = net::host_mac(1, 3);
   t.set_flow_rule(k, a);
   EXPECT_EQ(t.flow_rule_count(), 1u);
-  EXPECT_EQ(*t.find_flow(k)->actions.set_dst_mac, net::host_mac(1, 3));
+  EXPECT_EQ(*t.find_flow(k)->set_dst_mac, net::host_mac(1, 3));
 }
 
 // ---------------------------------------------------------------------------
@@ -248,19 +248,6 @@ TEST(Switch, EgressRewriteRestoresBaseMac) {
   f.sim.run();
   ASSERT_EQ(f.sinks[1].packets.size(), 1u);
   EXPECT_EQ(f.sinks[1].packets[0].dst_mac, net::host_mac(9, 0));
-}
-
-TEST(Switch, RuleCountersAdvance) {
-  Fixture f;
-  RuleActions a;
-  a.out_port = 1;
-  f.sw.rules().set_mac_rule(net::host_mac(9), a);
-  for (int i = 0; i < 5; ++i) f.sw.handle_packet(f.make_packet(9), 0);
-  f.sim.run();
-  const auto* rule = f.sw.rules().find_mac(net::host_mac(9));
-  ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(rule->counters.packets, sim::packets(5));
-  EXPECT_EQ(rule->counters.bytes, sim::bytes(5 * 1518));
 }
 
 TEST(Switch, FlowAccountingCountsPayload) {
