@@ -15,10 +15,13 @@
 //
 // Partitioned (--simulate --threads <list>): additionally sweeps the
 // sharded engine (DESIGN.md §14) over fat-trees at --kpar <list> (default
-// 4,8,16 — 16 to 1024 hosts) with a per-pod ring of pod-crossing
-// elephants, for each thread count in <list>. Reports events/sec,
-// speedup over the 1-thread cell, and — the exit gate — that every
-// thread count reproduces the 1-thread engine digest bit-for-bit.
+// 4,8,16 — 16 to 1024 hosts; CI adds 32, 8192 hosts) with a per-pod ring
+// of pod-crossing elephants, for each thread count in <list>. Reports
+// the Testbed build time, the process's peak RSS after the cell,
+// events/sec, speedup over the 1-thread cell, and — the exit gate — that
+// every thread count reproduces the 1-thread engine digest bit-for-bit.
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -292,12 +295,21 @@ int run_sweep(const std::vector<int>& radices, bench::JsonReport& report) {
 // Partitioned (sharded-engine) sweep
 // ---------------------------------------------------------------------------
 
+/// The process's resident-set high-water mark so far, in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
 struct PartitionedResult {
   int k = 0;
   int threads = 0;
   int hosts = 0;
   int partitions = 0;
   std::uint64_t events = 0;
+  double setup_seconds = 0;  // Testbed build
+  double peak_rss_mb = 0;    // process high-water mark after the cell
   double wall_seconds = 0;
   double sim_seconds = 0;
   std::uint64_t digest = 0;
@@ -323,7 +335,11 @@ PartitionedResult run_partitioned(int k, int threads) {
   r.partitions = engine.num_partitions();
 
   workload::TestbedConfig cfg;
+  const auto setup0 = std::chrono::steady_clock::now();
   workload::Testbed bed(engine, map, graph, cfg);
+  r.setup_seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - setup0)
+                        .count();
 
   const int hosts_per_pod = graph.shape().hosts_per_pod();
   const auto bytes = static_cast<std::int64_t>(
@@ -350,6 +366,7 @@ PartitionedResult run_partitioned(int k, int threads) {
   r.sim_seconds = sim::to_seconds(engine.control().now());
   r.digest = engine.determinism_digest();
   for (std::uint8_t d : done) r.flows_completed += d;
+  r.peak_rss_mb = peak_rss_mb();
   return r;
 }
 
@@ -357,9 +374,11 @@ int run_partitioned_sweep(const std::vector<int>& radices,
                           const std::vector<int>& threads,
                           bench::JsonReport& report) {
   std::printf("\nsharded-engine sweep (per-pod elephant ring, lookahead-"
-              "window barriers):\n\n");
-  stats::TextTable table({"k", "hosts", "partitions", "threads", "events",
-                          "events/sec", "speedup", "digest ok"});
+              "window barriers; peak RSS is the process high-water mark "
+              "after the cell, so it is cumulative):\n\n");
+  stats::TextTable table({"k", "hosts", "partitions", "threads", "setup s",
+                          "peak RSS MB", "events", "events/sec", "speedup",
+                          "digest ok"});
   int rc = 0;
   for (int k : radices) {
     double base_eps = 0;
@@ -382,6 +401,8 @@ int run_partitioned_sweep(const std::vector<int>& radices,
       table.add_row(
           {stats::format("%d", r.k), stats::format("%d", r.hosts),
            stats::format("%d", r.partitions), stats::format("%d", r.threads),
+           stats::format("%.4f", r.setup_seconds),
+           stats::format("%.1f", r.peak_rss_mb),
            stats::format("%llu", static_cast<unsigned long long>(r.events)),
            stats::format("%.2e", eps),
            stats::format("%.2fx", base_eps > 0 ? eps / base_eps : 0.0),
@@ -393,6 +414,8 @@ int run_partitioned_sweep(const std::vector<int>& radices,
       m.gauge(name, "hosts").set(static_cast<double>(r.hosts));
       m.gauge(name, "partitions").set(static_cast<double>(r.partitions));
       m.gauge(name, "threads").set(static_cast<double>(r.threads));
+      m.gauge(name, "setup_s").set(r.setup_seconds);
+      m.gauge(name, "peak_rss_mb").set(r.peak_rss_mb);
       m.gauge(name, "flows_completed")
           .set(static_cast<double>(r.flows_completed));
       m.gauge(name, "digest_match").set(digest_ok ? 1.0 : 0.0);

@@ -84,12 +84,18 @@ void Controller::install_routes() {
   for (const auto& [node, c] : collectors_) sorted_collector_nodes_.push_back(node);
   std::sort(sorted_collector_nodes_.begin(), sorted_collector_nodes_.end());
 
-  install_switch_rules();
-  configure_collectors();
-  install_host_arp();
+  // The MAC program and the ARP answers are closed forms of the routing
+  // (§6.2): each switch asks its oracle, each host resolves every other
+  // fabric host to its base MAC. Routing is immutable once built, so
+  // switches on data partitions may call it directly.
   for (int node : sorted_switch_nodes_) {
     SwitchAttachment& att = switches_.at(node);
+    att.sw->rules().set_mac_oracle(routing_.mac_oracle(node));
     if (att.monitor_port >= 0) att.sw->set_mirroring(att.monitor_port);
+  }
+  configure_collectors();
+  for (tcp::Host* host : hosts_) {
+    if (host != nullptr) host->resolve_fabric_hosts(routing_.num_hosts());
   }
 
   // Stamp the freshly-installed whole-table program as epoch 1 on every
@@ -107,32 +113,6 @@ void Controller::install_routes() {
   }
 }
 
-void Controller::install_switch_rules() {
-  const int n = routing_.num_hosts();
-  for (int s = 0; s < n; ++s) {
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      for (int t = 0; t < routing_.num_trees(); ++t) {
-        const net::RoutePath p = routing_.path(s, d, t);
-        const net::MacAddress routing_mac = net::host_mac(d, t);
-        for (std::size_t i = 0; i < p.hops.size(); ++i) {
-          const net::PathHop& hop = p.hops[i];
-          const auto it = switches_.find(hop.switch_node);
-          if (it == switches_.end()) continue;
-          switchsim::RuleActions actions;
-          actions.out_port = hop.out_port;
-          // Egress switch restores the base MAC so the host accepts the
-          // frame (§6.2, "Rewrite to Base MAC").
-          if (t != 0 && i + 1 == p.hops.size()) {
-            actions.set_dst_mac = net::host_mac(d, 0);
-          }
-          it->second.sw->rules().set_mac_rule(routing_mac, actions);
-        }
-      }
-    }
-  }
-}
-
 void Controller::configure_collectors() {
   for (int node : sorted_collector_nodes_) {
     core::Collector* collector = collectors_.at(node);
@@ -147,18 +127,6 @@ void Controller::configure_collectors() {
         collector->set_link_capacity(
             port, graph_.link_spec(node, port).rate.count());
       }
-    }
-  }
-}
-
-void Controller::install_host_arp() {
-  const int n = routing_.num_hosts();
-  for (int s = 0; s < n; ++s) {
-    tcp::Host* host = hosts_[static_cast<std::size_t>(s)];
-    if (host == nullptr) continue;
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      host->set_arp(net::host_ip(d), net::host_mac(d, 0));
     }
   }
 }

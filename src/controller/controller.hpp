@@ -91,9 +91,10 @@ class Controller {
   void attach_collector(int graph_node, core::Collector* collector);
   void attach_host(int host_index, tcp::Host* host);
 
-  /// Pushes routing state everywhere (§4.1): MAC rules for every tree
+  /// Pushes routing state everywhere (§4.1): each switch's MAC oracle,
+  /// which answers Routing::mac_rule_at on demand for every tree
   /// (including shadow trees and egress rewrites), mirror configuration,
-  /// host ARP entries for the base tree, and each collector's link
+  /// base-tree ARP resolution on every host, and each collector's link
   /// capacities plus a port oracle that asks Routing::ports_at on demand.
   void install_routes();
 
@@ -192,10 +193,8 @@ class Controller {
     int monitor_port = -1;
   };
 
-  void install_switch_rules();
   /// Gives every collector its switch's port oracle and link capacities.
   void configure_collectors();
-  void install_host_arp();
   void register_metrics();
 
   /// Applies a port-status message after it survived the channel. Duplicate

@@ -42,22 +42,146 @@ net::SwitchPorts Routing::ports_at(int switch_node, net::MacAddress src_mac,
                                    net::MacAddress dst_mac) const {
   // Hosts send from their base MAC; the destination MAC alone names the
   // tree (a shadow MAC encodes tree >= 1).
-  if (net::is_shadow_mac(src_mac)) return {};
-  const int src = net::host_id_of_mac(src_mac);
-  int tree = 0;
   int dst = -1;
-  if (!net::is_shadow_mac(dst_mac, &tree, &dst)) {
-    dst = net::host_id_of_mac(dst_mac);
-  }
-  if (src < 0 || src >= num_hosts_ || dst < 0 || dst >= num_hosts_ ||
-      tree >= num_trees_) {
+  int tree = 0;
+  if (net::is_shadow_mac(src_mac) || !decode_mac(dst_mac, &dst, &tree)) {
     return {};
   }
+  const int src = net::host_id_of_mac(src_mac);
+  if (src < 0 || src >= num_hosts_) return {};
   const net::RoutePath p = path(src, dst, tree);
   for (const net::PathHop& hop : p.hops) {
     if (hop.switch_node == switch_node) return {hop.in_port, hop.out_port};
   }
   return {};
+}
+
+bool Routing::decode_mac(net::MacAddress mac, int* dst, int* tree) const {
+  *tree = 0;
+  if (!net::is_shadow_mac(mac, tree, dst)) *dst = net::host_id_of_mac(mac);
+  return *dst >= 0 && *dst < num_hosts_ && *tree < num_trees_;
+}
+
+std::optional<switchsim::RuleActions> Routing::mac_rule_at(
+    int switch_node, net::MacAddress dst_mac) const {
+  return mac_rule(site_of(switch_node), dst_mac);
+}
+
+switchsim::MacOracle Routing::mac_oracle(int switch_node) const {
+  return [this, site = site_of(switch_node)](net::MacAddress dst_mac) {
+    return mac_rule(site, dst_mac);
+  };
+}
+
+Routing::Site Routing::site_of(int switch_node) const {
+  Site site;
+  if (switch_node < 0 || switch_node >= graph_.num_nodes() ||
+      !graph_.is_switch(switch_node)) {
+    return site;
+  }
+  const net::TopologyShape& sh = graph_.shape();
+  const int idx = graph_.switch_index(switch_node);
+  switch (sh.kind) {
+    case net::FabricKind::kFatTree: {
+      const int edges = sh.num_pods * sh.edge_per_pod;
+      const int aggs = sh.num_pods * sh.agg_per_pod;
+      if (idx < edges) {
+        // Edge switches are pod-major, and so are the hosts below them.
+        site.tier = Site::Tier::kEdge;
+        site.first_host = idx * sh.hosts_per_edge;
+        site.host_span = sh.hosts_per_edge;
+      } else if (idx < edges + aggs) {
+        site.tier = Site::Tier::kAgg;
+        site.first_host = (idx - edges) / sh.agg_per_pod * sh.hosts_per_pod();
+        site.host_span = sh.hosts_per_pod();
+        site.root = (idx - edges) % sh.agg_per_pod * (sh.k / 2);
+      } else {
+        site.tier = Site::Tier::kCore;
+        site.root = idx - edges - aggs;
+      }
+      break;
+    }
+    case net::FabricKind::kLeafSpine:
+      if (idx < sh.num_leaves) {
+        site.tier = Site::Tier::kLeaf;
+        site.first_host = idx * sh.hosts_per_leaf;
+        site.host_span = sh.hosts_per_leaf;
+      } else {
+        site.tier = Site::Tier::kSpine;
+        site.root = idx - sh.num_leaves;
+      }
+      break;
+    case net::FabricKind::kStar:
+      site.tier = Site::Tier::kStar;
+      site.host_span = num_hosts_;
+      break;
+    case net::FabricKind::kUnknown:
+      break;
+  }
+  return site;
+}
+
+std::optional<switchsim::RuleActions> Routing::mac_rule(
+    const Site& site, net::MacAddress dst_mac) const {
+  int dst = -1;
+  int tree = 0;
+  if (site.tier == Site::Tier::kNone || !decode_mac(dst_mac, &dst, &tree)) {
+    return std::nullopt;
+  }
+  switchsim::RuleActions actions;
+  const int below = dst - site.first_host;
+  if (site.tier == Site::Tier::kEdge || site.tier == Site::Tier::kLeaf ||
+      site.tier == Site::Tier::kStar) {
+    if (below >= 0 && below < site.host_span) {
+      // The destination's own switch, the last hop of every other host's
+      // path to it: out the host port, restoring the base MAC on a shadow
+      // tree so the host accepts the frame (§6.2, "Rewrite to Base MAC").
+      if (num_hosts_ < 2) return std::nullopt;
+      actions.out_port = below;
+      if (tree != 0) actions.set_dst_mac = net::host_mac(dst, 0);
+      return actions;
+    }
+  }
+  if (site.tier == Site::Tier::kStar) return std::nullopt;
+
+  // Relative tree -> absolute core (spine) for this destination, as in
+  // path(). tree < num_roots, so one subtraction replaces the modulus.
+  const net::TopologyShape& sh = graph_.shape();
+  const bool leaf_spine = sh.kind == net::FabricKind::kLeafSpine;
+  const int num_roots = leaf_spine ? sh.num_spines : sh.num_core;
+  int root = base_core(dst, num_roots) + tree;
+  if (root >= num_roots) root -= num_roots;
+
+  switch (site.tier) {
+    case Site::Tier::kEdge:
+      // First hop of the hosts below: up to the agg that reaches the core.
+      actions.out_port = sh.edge_port_for_agg(sh.agg_for_core(root));
+      return actions;
+    case Site::Tier::kLeaf:
+      actions.out_port = sh.leaf_port_for_spine(root);
+      return actions;
+    case Site::Tier::kAgg:
+      // On the tree only if it reaches the tree's core: down to the
+      // destination's edge inside its pod, else up to that core.
+      if (root < site.root || root >= site.root + sh.k / 2) {
+        return std::nullopt;
+      }
+      actions.out_port = below >= 0 && below < site.host_span
+                             ? below / sh.hosts_per_edge
+                             : sh.agg_port_for_core(root);
+      return actions;
+    case Site::Tier::kCore:
+      if (root != site.root) return std::nullopt;
+      actions.out_port = sh.pod_of_host(dst);
+      return actions;
+    case Site::Tier::kSpine:
+      // Only hosts on another leaf cross a spine.
+      if (root != site.root || sh.num_leaves < 2) return std::nullopt;
+      actions.out_port = sh.leaf_of_ls_host(dst);
+      return actions;
+    default:
+      return std::nullopt;
+  }
 }
 
 net::RoutePath Routing::compute_fat_tree_path(int src, int dst,

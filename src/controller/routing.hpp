@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "net/addresses.hpp"
 #include "net/route_info.hpp"
 #include "net/topology.hpp"
+#include "switchsim/rule_table.hpp"
 
 namespace planck::controller {
 
@@ -17,8 +19,8 @@ namespace planck::controller {
 ///
 /// Every answer is computed on demand in closed form from the graph's
 /// TopologyShape: Routing holds no per-host or per-pair state, and it is
-/// immutable after construction, so collectors on data partitions may
-/// query it concurrently.
+/// immutable after construction, so collectors and switches on data
+/// partitions may query it concurrently.
 class Routing {
  public:
   /// The graph must carry a TopologyShape from one of the net::make_*
@@ -56,9 +58,45 @@ class Routing {
   net::SwitchPorts ports_at(int switch_node, net::MacAddress src_mac,
                             net::MacAddress dst_mac) const;
 
+  /// The L2 rule the PAST program holds for `dst_mac` (a base or shadow
+  /// MAC) at `switch_node` (§6.2): the out port toward the destination on
+  /// that MAC's tree, plus the rewrite to the base MAC at a shadow tree's
+  /// egress switch. Empty when no other host's path to that destination
+  /// on that tree crosses the switch, or the MAC names no routed host and
+  /// tree.
+  std::optional<switchsim::RuleActions> mac_rule_at(
+      int switch_node, net::MacAddress dst_mac) const;
+
+  /// mac_rule_at bound to one switch, whose tier, pod and index are
+  /// resolved once: the switch's forwarding oracle. It reads only this
+  /// immutable Routing, which must outlive it.
+  switchsim::MacOracle mac_oracle(int switch_node) const;
+
   const net::TopologyGraph& graph() const { return graph_; }
 
  private:
+  /// Where one switch sits in its fabric, resolved once per switch.
+  struct Site {
+    enum class Tier : std::uint8_t {
+      kNone, kEdge, kAgg, kCore, kLeaf, kSpine, kStar
+    };
+    Tier tier = Tier::kNone;
+    /// Hosts [first_host, first_host + host_span) hang off an edge, leaf
+    /// or star switch; for an aggregation switch they are its pod's hosts.
+    int first_host = 0;
+    int host_span = 0;
+    /// Aggregation switch: the first core it reaches. Core or spine: its
+    /// index.
+    int root = -1;
+  };
+
+  Site site_of(int switch_node) const;
+  std::optional<switchsim::RuleActions> mac_rule(const Site& site,
+                                                 net::MacAddress dst_mac) const;
+  /// The routed destination host and tree a base or shadow MAC names;
+  /// false for any other MAC.
+  bool decode_mac(net::MacAddress mac, int* dst, int* tree) const;
+
   net::RoutePath compute_fat_tree_path(int src, int dst, int tree) const;
   net::RoutePath compute_leaf_spine_path(int src, int dst, int tree) const;
   net::RoutePath compute_star_path(int src, int dst) const;

@@ -103,8 +103,9 @@ struct CollectorConfig {
   /// Housekeeping sweep period (staleness + eviction).
   sim::Duration sweep_interval = sim::milliseconds(1);
   /// Raw-sample ring capacity for the vantage-point application (§6.1);
-  /// 0 keeps no ring (the sample hook still sees every sample).
-  std::size_t sample_ring_capacity = 4096;
+  /// 0, the default, keeps no ring (the sample hook still sees every
+  /// sample).
+  std::size_t sample_ring_capacity = 0;
 };
 
 /// A Planck collector instance: attached to one switch's monitor port,

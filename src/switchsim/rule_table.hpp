@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/addresses.hpp"
@@ -23,10 +25,22 @@ struct RuleActions {
   std::optional<net::MacAddress> set_dst_mac;
 };
 
-/// The switch's match-action state: an exact-match L2 table (destination
-/// MAC, the PAST routing state) plus a higher-priority exact-match flow
-/// table (5-tuple, the OpenFlow reroute rules). Real switches use TCAMs;
-/// exact-match hash tables give identical semantics for this workload.
+/// The L2 rule for a destination MAC at one switch, or nothing (a miss).
+/// Shaped like net::PortOracle: the switch may call it from its own
+/// partition, so it may only read immutable state.
+using MacOracle =
+    std::function<std::optional<RuleActions>(net::MacAddress dst)>;
+
+/// The switch's match-action state: an L2 table (destination MAC, the PAST
+/// routing state) plus a higher-priority exact-match flow table (5-tuple,
+/// the OpenFlow reroute rules). Real switches use TCAMs; exact-match
+/// lookups give identical semantics for this workload.
+///
+/// The L2 program is a pure function of (switch, destination, tree), so
+/// the table asks a MacOracle (the routing closed form) for any MAC
+/// without an explicit entry. Explicit entries override it: set_mac_rule
+/// installs one, erase_mac_rule leaves an empty one that hides the
+/// oracle's rule. Unit tests and perfbench's forwarding kernel use them.
 ///
 /// A controller-versioned route program for epoch E (DESIGN.md §10) is
 /// held as an ordered list of flow-rule edits, none of which the data
@@ -43,12 +57,19 @@ struct RuleActions {
 /// staging.
 class RuleTable {
  public:
-  /// Installs/overwrites the L2 entry for `dst`.
+  /// Answers every MAC without an explicit entry (unset: misses).
+  void set_mac_oracle(MacOracle oracle) { mac_oracle_ = std::move(oracle); }
+
+  /// Installs/overwrites the L2 entry for `dst`, overriding the oracle.
   void set_mac_rule(net::MacAddress dst, RuleActions actions) {
     mac_table_[dst] = actions;
   }
+  /// Removes the L2 rule for `dst`, the oracle's included: false when
+  /// there was none.
   bool erase_mac_rule(net::MacAddress dst) {
-    return mac_table_.erase(dst) > 0;
+    if (!find_mac(dst)) return false;
+    mac_table_[dst] = std::nullopt;
+    return true;
   }
 
   /// Installs/overwrites the flow entry for `key` (higher priority than
@@ -60,9 +81,13 @@ class RuleTable {
   /// switch crash; the MAC program is config restored from flash).
   void clear_flow_rules() { flow_table_.clear(); }
 
-  const RuleActions* find_mac(net::MacAddress dst) const {
-    const auto it = mac_table_.find(dst);
-    return it == mac_table_.end() ? nullptr : &it->second;
+  std::optional<RuleActions> find_mac(net::MacAddress dst) const {
+    if (!mac_table_.empty()) {
+      const auto it = mac_table_.find(dst);
+      if (it != mac_table_.end()) return it->second;
+    }
+    if (mac_oracle_) return mac_oracle_(dst);
+    return std::nullopt;
   }
   const RuleActions* find_flow(const net::FlowKey& key) const {
     const auto it = flow_table_.find(key);
@@ -139,7 +164,9 @@ class RuleTable {
 
   // Single-writer by design: rule churn comes only from the owning
   // switch's control-plane callbacks on its partition.
-  std::unordered_map<net::MacAddress, RuleActions> mac_table_;
+  /// Explicit L2 entries; an empty one hides the oracle's rule.
+  std::unordered_map<net::MacAddress, std::optional<RuleActions>> mac_table_;
+  MacOracle mac_oracle_;
   std::unordered_map<net::FlowKey, RuleActions, net::FlowKeyHash> flow_table_;
   /// The open program's edits in arrival order; empty when none is open.
   std::vector<FlowEdit> edits_;

@@ -75,7 +75,8 @@ void Switch::set_online(bool online) {
     for (int port = 0; port < num_ports(); ++port) flush_queue(port);
     // A crash loses everything held in DRAM: the staged (uncommitted)
     // program, and the controller's soft-state 5-tuple reroutes. The MAC
-    // program is config restored from flash, so it survives — which is why
+    // program (the routing oracle plus any explicit entries) is config
+    // restored from flash, so it survives — which is why
     // a recovered switch must be re-synced to the current epoch
     // (Controller::resync_switch) before it can carry rerouted flows.
     rules_.discard_staging();
@@ -175,12 +176,10 @@ int Switch::route(net::Packet& packet) {
     if (flow->out_port) return *flow->out_port;
     // Fall through: re-resolve from the (rewritten) destination MAC.
   }
-  if (const RuleActions* mac = rules_.find_mac(packet.dst_mac)) {
-    const int out = mac->out_port.value_or(-1);
-    if (mac->set_dst_mac) packet.dst_mac = *mac->set_dst_mac;
-    return out;
-  }
-  return -1;
+  const std::optional<RuleActions> mac = rules_.find_mac(packet.dst_mac);
+  if (!mac) return -1;
+  if (mac->set_dst_mac) packet.dst_mac = *mac->set_dst_mac;
+  return mac->out_port.value_or(-1);
 }
 
 void Switch::handle_packet(const net::Packet& packet, int in_port) {

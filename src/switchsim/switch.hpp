@@ -27,8 +27,9 @@ struct SwitchConfig {
   sim::Bytes monitor_port_cap = sim::mebibytes(4);
 
   /// Maintain per-5-tuple forwarding counters (NetFlow-style, §2.3), which
-  /// the polling TE baselines read. Planck itself never uses these.
-  bool flow_accounting = true;
+  /// the polling TE baselines read (PollTe requires them). Planck itself
+  /// never uses these, so they are off unless a scheme asks for them.
+  bool flow_accounting = false;
 
   /// sFlow-style control-plane sampling (§2.1): forward one in N packets
   /// to the control plane, capped at a max rate by the switch CPU / PCI

@@ -17,8 +17,22 @@ void Host::set_arp(net::IpAddress ip, net::MacAddress mac) {
 }
 
 net::MacAddress Host::lookup_arp(net::IpAddress ip) const {
-  const auto it = arp_cache_.find(ip);
-  return it == arp_cache_.end() ? net::kMacNone : it->second.mac;
+  if (!arp_cache_.empty()) {
+    const auto it = arp_cache_.find(ip);
+    if (it != arp_cache_.end()) return it->second.mac;
+  }
+  return fabric_arp(ip).mac;
+}
+
+void Host::resolve_fabric_hosts(int num_hosts) {
+  fabric_hosts_ = num_hosts;
+  fabric_resolved_at_ = sim_.now();
+}
+
+Host::ArpEntry Host::fabric_arp(net::IpAddress ip) const {
+  const int id = net::host_id_of_ip(ip);
+  if (id < 0 || id >= fabric_hosts_ || id == id_) return {};
+  return ArpEntry{net::host_mac(id, 0), fabric_resolved_at_};
 }
 
 TcpSender* Host::start_flow(net::IpAddress dst_ip, std::uint16_t dst_port,
@@ -161,7 +175,10 @@ void Host::handle_arp(const net::Packet& packet) {
       !config_.learn_from_arp_request) {
     return;
   }
-  auto& entry = arp_cache_[packet.src_ip];
+  // A fabric host's entry starts from its resolved base MAC.
+  ArpEntry& entry =
+      arp_cache_.try_emplace(packet.src_ip, fabric_arp(packet.src_ip))
+          .first->second;
   if (entry.updated_at >= 0 &&
       sim_.now() - entry.updated_at < config_.arp_locktime) {
     return;  // entry locked

@@ -65,7 +65,15 @@ class Host : public net::Node {
 
   // --- ARP cache --------------------------------------------------------
   void set_arp(net::IpAddress ip, net::MacAddress mac);
+  /// The cached MAC for `ip`; without an entry, a fabric host's base MAC
+  /// (see resolve_fabric_hosts), else kMacNone.
   net::MacAddress lookup_arp(net::IpAddress ip) const;
+  /// Resolves every other host id below `num_hosts` to its base MAC, as
+  /// if each had an entry written now: the fabric's ARP answers are a
+  /// closed form (§6.2), so the controller passes the count once instead
+  /// of installing an entry per host. Spoofed ARP requests still update
+  /// the cache. A host never told resolves nothing.
+  void resolve_fabric_hosts(int num_hosts);
 
   // --- TCP --------------------------------------------------------------
   /// Starts a bulk transfer of `bytes` to `dst_ip`:`dst_port`. The source
@@ -137,7 +145,14 @@ class Host : public net::Node {
     net::MacAddress mac = net::kMacNone;
     sim::Time updated_at = -1;
   };
+  /// The entry `ip` has without a cached one: a fabric host's base MAC,
+  /// written when the fabric was resolved, else none.
+  ArpEntry fabric_arp(net::IpAddress ip) const;
+
+  /// Entries set or learnt from ARP requests; they override fabric_arp.
   std::unordered_map<net::IpAddress, ArpEntry> arp_cache_;
+  int fabric_hosts_ = 0;
+  sim::Time fabric_resolved_at_ = -1;
 
   std::deque<net::Packet> nic_queue_;
   sim::Bytes nic_bytes_{0};

@@ -1,6 +1,7 @@
 #include "te/poll_te.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "net/addresses.hpp"
 
@@ -14,7 +15,15 @@ PollTe::PollTe(sim::Simulation& simulation,
       controller_(controller),
       switches_(std::move(switches)),
       config_(config),
-      poll_timer_(simulation, [this] { poll(); }) {}
+      poll_timer_(simulation, [this] { poll(); }) {
+  for (const auto& [node, sw] : switches_) {
+    if (!sw->config().flow_accounting) {
+      throw std::invalid_argument(
+          "PollTe polls per-flow counters: switch " + sw->name() +
+          " has SwitchConfig::flow_accounting off");
+    }
+  }
+}
 
 void PollTe::start() {
   prev_poll_time_ = sim_.now();

@@ -33,6 +33,8 @@ struct PollTeConfig {
 /// of elephant flows over the pre-installed trees.
 class PollTe {
  public:
+  /// Throws std::invalid_argument when a switch in `switches` keeps no
+  /// per-flow counters (SwitchConfig::flow_accounting off).
   PollTe(sim::Simulation& simulation, controller::Controller& controller,
          std::vector<std::pair<int, switchsim::Switch*>> switches,
          const PollTeConfig& config);

@@ -318,7 +318,9 @@ TEST(Collector, SampleHookSeesEverySample) {
 }
 
 TEST(Collector, ArpSamplesRecordedButNotTracked) {
-  Fixture f;
+  CollectorConfig cfg;
+  cfg.sample_ring_capacity = 64;
+  Fixture f(cfg);
   Packet arp;
   arp.proto = net::Protocol::kArp;
   arp.arp_op = net::ArpOp::kRequest;

@@ -32,8 +32,8 @@ TEST(Controller, InstallsMacRulesOnEverySwitchOnPath) {
     const net::RoutePath& p = routing.path(0, 15, t);
     for (const net::PathHop& hop : p.hops) {
       auto* sw = f.bed.switch_by_node(hop.switch_node);
-      const auto* rule = sw->rules().find_mac(net::host_mac(15, t));
-      ASSERT_NE(rule, nullptr) << "tree " << t;
+      const auto rule = sw->rules().find_mac(net::host_mac(15, t));
+      ASSERT_TRUE(rule.has_value()) << "tree " << t;
       EXPECT_EQ(rule->out_port, hop.out_port);
     }
   }
@@ -44,16 +44,16 @@ TEST(Controller, EgressSwitchRewritesShadowToBase) {
   const Routing& routing = f.bed.controller().routing();
   const net::RoutePath& p = routing.path(0, 15, 2);
   auto* egress = f.bed.switch_by_node(p.hops.back().switch_node);
-  const auto* rule = egress->rules().find_mac(net::host_mac(15, 2));
-  ASSERT_NE(rule, nullptr);
+  const auto rule = egress->rules().find_mac(net::host_mac(15, 2));
+  ASSERT_TRUE(rule.has_value());
   ASSERT_TRUE(rule->set_dst_mac.has_value());
   EXPECT_EQ(*rule->set_dst_mac, net::host_mac(15, 0));
   // Base-tree rule has no rewrite.
   const net::RoutePath& base = routing.path(0, 15, 0);
-  const auto* base_rule = f.bed.switch_by_node(base.hops.back().switch_node)
-                              ->rules()
-                              .find_mac(net::host_mac(15, 0));
-  ASSERT_NE(base_rule, nullptr);
+  const auto base_rule = f.bed.switch_by_node(base.hops.back().switch_node)
+                             ->rules()
+                             .find_mac(net::host_mac(15, 0));
+  ASSERT_TRUE(base_rule.has_value());
   EXPECT_FALSE(base_rule->set_dst_mac.has_value());
 }
 

@@ -64,7 +64,7 @@ TEST(RuleTableEpoch, StagedProgramInvisibleUntilCommit) {
   EXPECT_FALSE(rules.staging());
   ASSERT_NE(rules.find_flow(key), nullptr);
   // The commit left the MAC program alone.
-  EXPECT_NE(rules.find_mac(net::host_mac(1)), nullptr);
+  EXPECT_TRUE(rules.find_mac(net::host_mac(1)).has_value());
 }
 
 TEST(RuleTableEpoch, NewestProgramWinsStaging) {
@@ -153,8 +153,8 @@ TEST(RuleTableEpoch, DirectMacWriteSurvivesCommit) {
   ASSERT_TRUE(rules.stage_flow_rule(1, key, rewrite_to(1, 1)));
   rules.set_mac_rule(net::host_mac(1), switchsim::RuleActions{2, {}});
   ASSERT_TRUE(rules.commit_staged(1));
-  const auto* mac = rules.find_mac(net::host_mac(1));
-  ASSERT_NE(mac, nullptr);
+  const auto mac = rules.find_mac(net::host_mac(1));
+  ASSERT_TRUE(mac.has_value());
   EXPECT_EQ(mac->out_port, 2);
   EXPECT_NE(rules.find_flow(key), nullptr);
 }

@@ -1,13 +1,19 @@
 // Tests for multipath routing (§6.2): PAST spanning trees on the fat-tree,
 // shadow-tree alternates, path validity against the physical wiring,
-// destination-consistency (a tree is a tree), path diversity, and the
-// per-switch port oracle (ports_at) against the tables it replaced.
+// destination-consistency (a tree is a tree), path diversity, the
+// per-switch port oracle (ports_at) and the MAC oracle (mac_rule_at)
+// against the tables they replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <optional>
+#include <ostream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "controller/routing.hpp"
 #include "net/addresses.hpp"
@@ -486,6 +492,150 @@ TEST(RoutingPorts, MissesAnswerUnknown) {
   // A host's own MAC: the empty self path crosses no switch.
   EXPECT_EQ(f.routing.ports_at(sw, net::host_mac(0), net::host_mac(0)), none);
 }
+
+// ---------------------------------------------------------------------------
+// MAC oracle (mac_rule_at) against the MAC program it replaced
+// ---------------------------------------------------------------------------
+
+/// One switch's MAC program, keyed by routing MAC.
+using MacProgram = std::map<net::MacAddress, switchsim::RuleActions>;
+
+bool same_actions(const switchsim::RuleActions& a,
+                  const switchsim::RuleActions& b) {
+  return a.out_port == b.out_port && a.set_dst_mac == b.set_dst_mac;
+}
+
+/// The controller's former install loop, rebuilt here only as the
+/// reference for Routing::mac_rule_at: every switch on the path of every
+/// (src, dst, tree) maps the routing MAC to the hop's out port, and a
+/// shadow tree's egress switch restores the base MAC. `conflicts` counts
+/// writes that disagree with an earlier write for the same (switch, MAC).
+std::map<int, MacProgram> reference_mac_programs(const Routing& routing,
+                                                 int* conflicts) {
+  std::map<int, MacProgram> programs;
+  const int n = routing.num_hosts();
+  for (int s = 0; s < n; ++s) {
+    for (int d = 0; d < n; ++d) {
+      if (s == d) continue;
+      for (int t = 0; t < routing.num_trees(); ++t) {
+        const net::RoutePath p = routing.path(s, d, t);
+        const net::MacAddress routing_mac = net::host_mac(d, t);
+        for (std::size_t i = 0; i < p.hops.size(); ++i) {
+          switchsim::RuleActions actions;
+          actions.out_port = p.hops[i].out_port;
+          if (t != 0 && i + 1 == p.hops.size()) {
+            actions.set_dst_mac = net::host_mac(d, 0);
+          }
+          const auto [it, inserted] =
+              programs[p.hops[i].switch_node].emplace(routing_mac, actions);
+          if (!inserted && !same_actions(it->second, actions)) ++*conflicts;
+        }
+      }
+    }
+  }
+  return programs;
+}
+
+std::string describe(const std::optional<switchsim::RuleActions>& rule) {
+  if (!rule) return "none";
+  std::string out = "{out " + std::to_string(rule->out_port.value_or(-1));
+  if (rule->set_dst_mac) {
+    out += ", set " + net::mac_to_string(*rule->set_dst_mac);
+  }
+  return out + "}";
+}
+
+/// mac_rule_at, and each switch's mac_oracle, agree with the reference at
+/// every switch for every routing MAC one past the hosts and trees, and
+/// miss for the null, broadcast and a foreign MAC.
+void check_mac_rules_match_reference(const TopologyGraph& g,
+                                     const Routing& routing) {
+  int conflicts = 0;
+  const std::map<int, MacProgram> programs =
+      reference_mac_programs(routing, &conflicts);
+  ASSERT_EQ(conflicts, 0) << "the install loop wrote two different rules "
+                             "for one (switch, MAC)";
+  std::vector<net::MacAddress> macs{net::kMacNone, net::kMacBroadcast,
+                                    0x0a0b'0c0d'0e0fULL};
+  for (int d = 0; d <= routing.num_hosts() + 1; ++d) {
+    for (int t = 0; t <= routing.num_trees() + 1; ++t) {
+      macs.push_back(net::host_mac(d, t));
+    }
+  }
+  const MacProgram empty;
+  for (int sw : g.switches()) {
+    const auto prog_it = programs.find(sw);
+    const MacProgram& program =
+        prog_it == programs.end() ? empty : prog_it->second;
+    const switchsim::MacOracle oracle = routing.mac_oracle(sw);
+    for (const net::MacAddress mac : macs) {
+      const auto it = program.find(mac);
+      const std::optional<switchsim::RuleActions> want =
+          it == program.end() ? std::nullopt
+                              : std::optional<switchsim::RuleActions>(
+                                    it->second);
+      const std::optional<switchsim::RuleActions> got =
+          routing.mac_rule_at(sw, mac);
+      ASSERT_EQ(describe(got), describe(want))
+          << "switch " << sw << " mac " << net::mac_to_string(mac);
+      ASSERT_EQ(describe(oracle(mac)), describe(want))
+          << "oracle at switch " << sw << " mac " << net::mac_to_string(mac);
+    }
+  }
+  // Hosts carry no MAC program.
+  EXPECT_FALSE(routing.mac_rule_at(g.host_node(0), net::host_mac(0)));
+}
+
+struct FabricCase {
+  std::string name;
+  std::function<TopologyGraph()> build;
+};
+
+void PrintTo(const FabricCase& fabric, std::ostream* os) { *os << fabric.name; }
+
+class MacOracleTest : public ::testing::TestWithParam<FabricCase> {};
+
+TEST_P(MacOracleTest, MatchesReferenceProgram) {
+  const TopologyGraph g = GetParam().build();
+  const Routing routing(g);
+  check_mac_rules_match_reference(g, routing);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, MacOracleTest,
+    ::testing::Values(
+        FabricCase{"FatTree2",
+                   [] { return net::make_fat_tree(2, net::LinkSpec{}); }},
+        FabricCase{"FatTree4",
+                   [] { return net::make_fat_tree(4, net::LinkSpec{}); }},
+        FabricCase{"FatTree6",
+                   [] { return net::make_fat_tree(6, net::LinkSpec{}); }},
+        FabricCase{"FatTree8",
+                   [] { return net::make_fat_tree(8, net::LinkSpec{}); }},
+        FabricCase{"FatTree4TwoTrees",
+                   [] { return net::make_fat_tree(4, net::LinkSpec{}, 2); }},
+        FabricCase{"LeafSpine444",
+                   [] {
+                     return net::make_leaf_spine(4, 4, 4, net::LinkSpec{});
+                   }},
+        FabricCase{"LeafSpine444TwoTrees",
+                   [] {
+                     return net::make_leaf_spine(4, 4, 4, net::LinkSpec{}, 2);
+                   }},
+        FabricCase{"LeafSpine123",
+                   [] {
+                     return net::make_leaf_spine(1, 2, 3, net::LinkSpec{});
+                   }},
+        FabricCase{"LeafSpine321",
+                   [] {
+                     return net::make_leaf_spine(3, 2, 1, net::LinkSpec{});
+                   }},
+        FabricCase{"Star8", [] { return net::make_star(8, net::LinkSpec{}); }},
+        FabricCase{"Star1",
+                   [] { return net::make_star(1, net::LinkSpec{}); }}),
+    [](const ::testing::TestParamInfo<FabricCase>& fabric) {
+      return fabric.param.name;
+    });
 
 TEST(RoutingProvisioning, TreeKnobCapsShadowTrees) {
   // A k=8 fabric supports 16 trees but can be provisioned for fewer.

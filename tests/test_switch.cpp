@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "net/link.hpp"
@@ -132,11 +133,66 @@ TEST(RuleTable, MacRuleInstallAndErase) {
   RuleActions a;
   a.out_port = 3;
   t.set_mac_rule(net::host_mac(1), a);
-  ASSERT_NE(t.find_mac(net::host_mac(1)), nullptr);
+  ASSERT_TRUE(t.find_mac(net::host_mac(1)).has_value());
   EXPECT_EQ(*t.find_mac(net::host_mac(1))->out_port, 3);
   EXPECT_TRUE(t.erase_mac_rule(net::host_mac(1)));
-  EXPECT_EQ(t.find_mac(net::host_mac(1)), nullptr);
+  EXPECT_FALSE(t.find_mac(net::host_mac(1)).has_value());
   EXPECT_FALSE(t.erase_mac_rule(net::host_mac(1)));
+}
+
+/// A stand-in for the routing oracle: host h is out port h, and the
+/// shadow MAC of tree 1 restores the base MAC.
+MacOracle port_per_host_oracle() {
+  return [](net::MacAddress dst) -> std::optional<RuleActions> {
+    int tree = 0;
+    int host = -1;
+    if (!net::is_shadow_mac(dst, &tree, &host)) host = net::host_id_of_mac(dst);
+    if (host < 0 || host >= 4 || tree > 1) return std::nullopt;
+    RuleActions a;
+    a.out_port = host;
+    if (tree == 1) a.set_dst_mac = net::host_mac(host);
+    return a;
+  };
+}
+
+TEST(RuleTable, OracleAnswersMacsWithoutEntries) {
+  RuleTable t;
+  EXPECT_FALSE(t.find_mac(net::host_mac(2)).has_value());
+  t.set_mac_oracle(port_per_host_oracle());
+  const std::optional<RuleActions> base = t.find_mac(net::host_mac(2));
+  ASSERT_TRUE(base.has_value());
+  EXPECT_EQ(base->out_port, 2);
+  EXPECT_FALSE(base->set_dst_mac.has_value());
+  const std::optional<RuleActions> shadow = t.find_mac(net::host_mac(2, 1));
+  ASSERT_TRUE(shadow.has_value());
+  EXPECT_EQ(shadow->set_dst_mac, net::host_mac(2));
+  EXPECT_FALSE(t.find_mac(net::host_mac(7)).has_value());
+}
+
+TEST(RuleTable, ExplicitMacRuleOverridesOracle) {
+  RuleTable t;
+  t.set_mac_oracle(port_per_host_oracle());
+  RuleActions a;
+  a.out_port = 3;
+  t.set_mac_rule(net::host_mac(1), a);
+  EXPECT_EQ(t.find_mac(net::host_mac(1))->out_port, 3);
+  // Other MACs still come from the oracle.
+  EXPECT_EQ(t.find_mac(net::host_mac(2))->out_port, 2);
+}
+
+TEST(RuleTable, EraseHidesOracleRule) {
+  RuleTable t;
+  t.set_mac_oracle(port_per_host_oracle());
+  EXPECT_TRUE(t.erase_mac_rule(net::host_mac(1)));
+  EXPECT_FALSE(t.find_mac(net::host_mac(1)).has_value());
+  EXPECT_FALSE(t.erase_mac_rule(net::host_mac(1)));
+  // Nothing to erase where the oracle has no rule either.
+  EXPECT_FALSE(t.erase_mac_rule(net::host_mac(7)));
+  // An explicit write brings the MAC back.
+  RuleActions a;
+  a.out_port = 0;
+  t.set_mac_rule(net::host_mac(1), a);
+  EXPECT_EQ(t.find_mac(net::host_mac(1))->out_port, 0);
 }
 
 TEST(RuleTable, FlowRuleOverwrite) {
@@ -248,6 +304,34 @@ TEST(Switch, EgressRewriteRestoresBaseMac) {
   f.sim.run();
   ASSERT_EQ(f.sinks[1].packets.size(), 1u);
   EXPECT_EQ(f.sinks[1].packets[0].dst_mac, net::host_mac(9, 0));
+}
+
+TEST(Switch, CrashKeepsOracleMacRules) {
+  // The MAC program is flash config: a crash loses the flow rules but
+  // not the oracle's rules or explicit MAC entries.
+  Fixture f;
+  f.sw.rules().set_mac_oracle(port_per_host_oracle());
+  RuleActions a;
+  a.out_port = 3;
+  f.sw.rules().set_mac_rule(net::host_mac(1), a);
+  f.sw.rules().set_flow_rule(f.make_packet(2).flow_key(), a);
+  f.sw.set_online(false);
+  f.sw.set_online(true);
+  EXPECT_EQ(f.sw.rules().flow_rule_count(), 0u);
+  EXPECT_EQ(f.sw.rules().find_mac(net::host_mac(1))->out_port, 3);
+  f.sw.handle_packet(f.make_packet(2), 0);
+  f.sim.run();
+  EXPECT_EQ(f.sinks[2].packets.size(), 1u);
+}
+
+TEST(Switch, FlowAccountingOffByDefault) {
+  Fixture f;
+  RuleActions a;
+  a.out_port = 1;
+  f.sw.rules().set_mac_rule(net::host_mac(9), a);
+  f.sw.handle_packet(f.make_packet(9), 0);
+  f.sim.run();
+  EXPECT_TRUE(f.sw.flow_counters().empty());
 }
 
 TEST(Switch, FlowAccountingCountsPayload) {

@@ -295,6 +295,48 @@ TEST(Host, ArpLearningCanBeDisabled) {
   EXPECT_EQ(host.lookup_arp(net::host_ip(5)), net::kMacNone);
 }
 
+TEST(Host, ResolvesFabricHostsToBaseMacs) {
+  sim::Simulation sim;
+  Host host(sim, 3, HostConfig{});
+  // A standalone host resolves nothing.
+  EXPECT_EQ(host.lookup_arp(net::host_ip(5)), net::kMacNone);
+  host.resolve_fabric_hosts(8);
+  for (int id = 0; id < 8; ++id) {
+    EXPECT_EQ(host.lookup_arp(net::host_ip(id)),
+              id == 3 ? net::kMacNone : net::host_mac(id, 0))
+        << "id " << id;
+  }
+  EXPECT_EQ(host.lookup_arp(net::host_ip(8)), net::kMacNone);
+  EXPECT_EQ(host.lookup_arp(net::host_ip(9)), net::kMacNone);
+  EXPECT_EQ(host.lookup_arp((192u << 24) | 1u), net::kMacNone);
+  // A cached entry overrides the fallback.
+  host.set_arp(net::host_ip(5), net::host_mac(5, 2));
+  EXPECT_EQ(host.lookup_arp(net::host_ip(5)), net::host_mac(5, 2));
+}
+
+TEST(Host, ResolvedFabricEntriesLearnAndLockLikeCachedOnes) {
+  // A resolved host behaves as if its base entry was written when the
+  // fabric was resolved: a spoofed request updates it once, and the
+  // locktime runs from the resolve time.
+  sim::Simulation sim;
+  HostConfig cfg;
+  cfg.arp_locktime = sim::milliseconds(5);
+  Host host(sim, 0, cfg);
+  host.resolve_fabric_hosts(8);
+  host.handle_packet(make_arp(0, 5, net::host_mac(5, 0)), 0);
+  EXPECT_EQ(host.arp_updates(), 0u);  // already the base MAC
+  sim.schedule(sim::milliseconds(1), [&] {
+    host.handle_packet(make_arp(0, 5, net::host_mac(5, 1)), 0);
+  });
+  sim.schedule(sim::milliseconds(6), [&] {
+    host.handle_packet(make_arp(0, 6, net::host_mac(6, 1)), 0);
+  });
+  sim.run();
+  EXPECT_EQ(host.lookup_arp(net::host_ip(5)), net::host_mac(5, 0));
+  EXPECT_EQ(host.lookup_arp(net::host_ip(6)), net::host_mac(6, 1));
+  EXPECT_EQ(host.arp_updates(), 1u);
+}
+
 TEST(Host, DropsFramesForOtherMacs) {
   // Shadow-MAC traffic must be rewritten by the egress switch; the host
   // refuses it otherwise (§6.2).

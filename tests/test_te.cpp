@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "controller/controller.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
@@ -413,6 +415,17 @@ TEST(PollTe, SeparatesCollidingFlowsAfterPoll) {
   EXPECT_LT(s1.completed_at, sim::milliseconds(700));
   EXPECT_LT(s2.completed_at, sim::milliseconds(700));
   EXPECT_EQ(poll.polls(), static_cast<std::uint64_t>(poll.polls()));
+}
+
+TEST(PollTe, RejectsSwitchesWithoutFlowAccounting) {
+  sim::Simulation sim;
+  const auto graph = net::make_fat_tree(4, net::LinkSpec{});
+  workload::TestbedConfig cfg;
+  cfg.enable_planck = false;
+  workload::Testbed bed(sim, graph, cfg);  // flow_accounting off by default
+  EXPECT_THROW(PollTe(sim, bed.controller(), bed.switch_nodes(),
+                      PollTeConfig{}),
+               std::invalid_argument);
 }
 
 TEST(PollTe, NoRerouteWithoutCongestion) {
