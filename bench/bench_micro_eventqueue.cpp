@@ -6,8 +6,11 @@
 // reports whole-simulator throughput on the 16-host fat-tree testbed.
 //
 // Supports --json <path> (see bench_util.hpp) so CI can smoke-check the
-// speedup without scraping stdout.
+// speedup without scraping stdout. Each wheel churn loop also reports its
+// slab high-water and peak live-event count: exact counts, which CI gates
+// on (cancel must free the node, so the slab never outgrows the live set).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -69,6 +72,13 @@ sim::Duration replacement_delay(sim::Duration d) {
   return d >= sim::milliseconds(200) ? sim::microseconds(200) : d;
 }
 
+/// A wheel churn loop's memory: slab nodes ever allocated, and the peak
+/// number of live events.
+struct SlabUse {
+  std::size_t slab_nodes = 0;
+  std::size_t peak_live = 0;
+};
+
 double churn_heap(const std::vector<sim::Duration>& delays,
                   std::uint64_t* pops) {
   bench::BaselineHeapQueue q;
@@ -101,7 +111,7 @@ double churn_heap(const std::vector<sim::Duration>& delays,
 }
 
 double churn_wheel(const std::vector<sim::Duration>& delays,
-                   std::uint64_t* pops) {
+                   std::uint64_t* pops, SlabUse* slab) {
   sim::EventQueue q;
   std::uint64_t sink = 0;
   sim::Time t = 0;
@@ -111,11 +121,13 @@ double churn_wheel(const std::vector<sim::Duration>& delays,
   const auto make_cb = [&sink, pkt] { sink += pkt.payload; };
   std::size_t k = 0;
   for (int i = 0; i < kWarmup; ++i) q.push(t + delays[k++], make_cb);
+  std::size_t peak_live = q.size();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < kPops; ++i) {
     q.run_top(&t);
     const sim::Duration d = delays[k++];
     const sim::EventId id = q.push(t + d, make_cb);
+    peak_live = std::max(peak_live, q.size());
     if (d >= sim::milliseconds(200)) rto.push_back(id);
     if (rto.size() > 4) {
       q.cancel(rto.front());
@@ -124,6 +136,7 @@ double churn_wheel(const std::vector<sim::Duration>& delays,
     }
   }
   *pops = static_cast<std::uint64_t>(kPops);
+  *slab = SlabUse{q.slab_nodes(), peak_live};
   benchmark_guard(sink);
   return seconds_since(t0);
 }
@@ -132,7 +145,7 @@ double churn_wheel(const std::vector<sim::Duration>& delays,
 /// standing in for link delivery) goes through the typed DeliverPacket path
 /// and the rest through typed Call events — the simulator's actual hot mix.
 double churn_wheel_typed(const std::vector<sim::Duration>& delays,
-                         std::uint64_t* pops) {
+                         std::uint64_t* pops, SlabUse* slab) {
   sim::EventQueue q;
   std::uint64_t sink = 0;
   sim::Time t = 0;
@@ -149,6 +162,7 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
   for (int i = 0; i < kWarmup; ++i) {
     q.push_packet(t + delays[k++], &sink, 0, packet_fn, pkt);
   }
+  std::size_t peak_live = q.size();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < kPops; ++i) {
     q.run_top(&t);
@@ -159,6 +173,7 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
     } else {
       id = q.push_call(t + d, &sink, 0, call_fn);
     }
+    peak_live = std::max(peak_live, q.size());
     if (d >= sim::milliseconds(200)) rto.push_back(id);
     if (rto.size() > 4) {
       q.cancel(rto.front());
@@ -167,6 +182,7 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
     }
   }
   *pops = static_cast<std::uint64_t>(kPops);
+  *slab = SlabUse{q.slab_nodes(), peak_live};
   benchmark_guard(sink);
   return seconds_since(t0);
 }
@@ -177,7 +193,7 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
 /// installed (metrics registered, tracing off) — the A/B for the
 /// telemetry plane's hot-path cost, which must stay within noise.
 double fat_tree_end_to_end(bool telemetry, std::uint64_t* events,
-                           double* sim_seconds) {
+                           double* sim_seconds, std::size_t* slab_nodes) {
   sim::Simulation simulation;
   obs::Telemetry tel;
   if (telemetry) simulation.set_telemetry(&tel);
@@ -193,6 +209,7 @@ double fat_tree_end_to_end(bool telemetry, std::uint64_t* events,
   const double wall = seconds_since(t0);
   *events = simulation.events_executed();
   *sim_seconds = static_cast<double>(simulation.now()) / 1e9;
+  *slab_nodes = simulation.slab_nodes();
   simulation.set_telemetry(nullptr);
   return wall;
 }
@@ -210,33 +227,50 @@ int main(int argc, char** argv) {
               static_cast<double>(pops) / heap_s / 1e3);
   report.add("baseline_heap_churn", pops, heap_s, 0.0);
 
-  const double wheel_s = churn_wheel(delays, &pops);
+  const auto add_slab = [&report](const char* name, const SlabUse& slab) {
+    std::printf("  %-22s %9zu slab nodes for %zu peak live events\n", "",
+                slab.slab_nodes, slab.peak_live);
+    report.metrics().gauge(name, "slab_nodes")
+        .set(static_cast<double>(slab.slab_nodes));
+    report.metrics().gauge(name, "peak_live")
+        .set(static_cast<double>(slab.peak_live));
+  };
+
+  SlabUse slab;
+  const double wheel_s = churn_wheel(delays, &pops, &slab);
   std::printf("  %-22s %9.0f kevents/s   (%.2fx vs heap)\n", "timing wheel",
               static_cast<double>(pops) / wheel_s / 1e3, heap_s / wheel_s);
   report.add("timing_wheel_churn", pops, wheel_s, 0.0);
+  add_slab("timing_wheel_churn", slab);
 
-  const double typed_s = churn_wheel_typed(delays, &pops);
+  const double typed_s = churn_wheel_typed(delays, &pops, &slab);
   std::printf("  %-22s %9.0f kevents/s   (%.2fx vs heap)\n",
               "timing wheel (typed)",
               static_cast<double>(pops) / typed_s / 1e3, heap_s / typed_s);
   report.add("timing_wheel_typed_churn", pops, typed_s, 0.0);
+  add_slab("timing_wheel_typed_churn", slab);
 
   std::uint64_t events = 0;
   double sim_seconds = 0;
-  const double e2e_s =
-      fat_tree_end_to_end(/*telemetry=*/false, &events, &sim_seconds);
-  std::printf("  %-22s %9.0f kevents/s   (%llu events, %.0f ms simulated)\n",
+  std::size_t slab_nodes = 0;
+  const double e2e_s = fat_tree_end_to_end(/*telemetry=*/false, &events,
+                                           &sim_seconds, &slab_nodes);
+  std::printf("  %-22s %9.0f kevents/s   (%llu events, %.0f ms simulated, "
+              "%zu slab nodes)\n",
               "fat-tree end-to-end",
               static_cast<double>(events) / e2e_s / 1e3,
-              static_cast<unsigned long long>(events), sim_seconds * 1e3);
+              static_cast<unsigned long long>(events), sim_seconds * 1e3,
+              slab_nodes);
   report.add("fat_tree_end_to_end", events, e2e_s, sim_seconds);
+  report.metrics().gauge("fat_tree_end_to_end", "slab_nodes")
+      .set(static_cast<double>(slab_nodes));
 
   // Telemetry A/B: same run with a Telemetry installed (metrics live,
   // tracing off). The delta vs the row above is the plane's whole cost.
   std::uint64_t events_tel = 0;
   double sim_seconds_tel = 0;
-  const double e2e_tel_s =
-      fat_tree_end_to_end(/*telemetry=*/true, &events_tel, &sim_seconds_tel);
+  const double e2e_tel_s = fat_tree_end_to_end(
+      /*telemetry=*/true, &events_tel, &sim_seconds_tel, &slab_nodes);
   std::printf("  %-22s %9.0f kevents/s   (%.2fx vs no telemetry)\n",
               "fat-tree + telemetry",
               static_cast<double>(events_tel) / e2e_tel_s / 1e3,

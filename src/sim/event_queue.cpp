@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/contract.hpp"
+
 namespace planck::sim {
 namespace {
 
@@ -44,7 +46,7 @@ void clear_bit(std::uint64_t* bits, std::uint32_t i) {
 EventQueue::EventQueue() = default;
 
 EventQueue::~EventQueue() {
-  // Pending nodes still own payloads (cancelled ones were destroyed at
+  // Pending nodes still own payloads (overflow tombstones were destroyed at
   // cancel time); release them before the chunks go away.
   for (std::uint32_t i = 0; i < node_count_; ++i) {
     Node& n = node(i);
@@ -140,20 +142,24 @@ EventId EventQueue::push_call(Time when, void* target, std::uint32_t aux,
 
 void EventQueue::append(Slot& slot, std::uint64_t* bits,
                         std::uint32_t slot_index, std::uint32_t idx) {
-  node(idx).next = kNil;
+  Node& n = node(idx);
+  n.next = kNil;
+  n.prev = slot.tail;
   if (slot.head == kNil) {
-    slot.head = slot.tail = idx;
+    slot.head = idx;
     set_bit(bits, slot_index);
   } else {
     node(slot.tail).next = idx;
-    slot.tail = idx;
   }
+  slot.tail = idx;
 }
 
 void EventQueue::insert(std::uint32_t idx) {
-  const Time when = node(idx).when;
+  Node& n = node(idx);
+  const Time when = n.when;
   if ((when >> kL0Bits) == (cursor_ >> kL0Bits)) {
     const auto s = static_cast<std::uint32_t>(when) & (kL0Slots - 1);
+    n.level = 0;
     append(l0_[s], l0_bits_, s, idx);
     return;
   }
@@ -162,12 +168,51 @@ void EventQueue::insert(std::uint32_t idx) {
     if ((when >> (shift + kFarBits)) == (cursor_ >> (shift + kFarBits))) {
       const auto s = static_cast<std::uint32_t>(when >> shift) &
                      (kFarSlots - 1);
+      n.level = static_cast<std::uint8_t>(level + 1);
       append(far_[level][s], far_bits_[level], s, idx);
       return;
     }
   }
-  overflow_.push_back(OverflowEntry{when, node(idx).seq, idx});
+  n.level = kOverflowLevel;
+  overflow_.push_back(OverflowEntry{when, n.seq, idx});
   std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+}
+
+void EventQueue::unlink(std::uint32_t idx) {
+  // A wheel node's slot follows from its level and time: insert() filed it
+  // by exactly these bits, and a cascade re-files (and re-tags) it.
+  Node& n = node(idx);
+  Slot* slot = nullptr;
+  std::uint64_t* bits = nullptr;
+  std::uint32_t s = 0;
+  if (n.level == 0) {
+    s = static_cast<std::uint32_t>(n.when) & (kL0Slots - 1);
+    slot = &l0_[s];
+    bits = l0_bits_;
+  } else {
+    const int level = n.level - 1;
+    s = static_cast<std::uint32_t>(n.when >> kFarShift[level]) &
+        (kFarSlots - 1);
+    slot = &far_[level][s];
+    bits = far_bits_[level];
+  }
+  PLANCK_CONTRACT(n.prev == kNil ? slot->head == idx : node(n.prev).next == idx,
+                  "an unlinked node's predecessor (or its slot's head) "
+                  "names it");
+  PLANCK_CONTRACT(n.next == kNil ? slot->tail == idx : node(n.next).prev == idx,
+                  "an unlinked node's successor (or its slot's tail) "
+                  "names it");
+  if (n.prev == kNil) {
+    slot->head = n.next;
+  } else {
+    node(n.prev).next = n.next;
+  }
+  if (n.next == kNil) {
+    slot->tail = n.prev;
+  } else {
+    node(n.next).prev = n.prev;
+  }
+  if (slot->head == kNil) clear_bit(bits, s);
 }
 
 // --- cancellation ---------------------------------------------------------
@@ -175,13 +220,22 @@ void EventQueue::insert(std::uint32_t idx) {
 void EventQueue::cancel(EventId id) {
   const auto idx_plus = static_cast<std::uint32_t>(id >> 32);
   if (idx_plus == 0 || idx_plus > node_count_) return;
-  Node& n = node(idx_plus - 1);
+  const std::uint32_t idx = idx_plus - 1;
+  Node& n = node(idx);
   if (n.gen != static_cast<std::uint32_t>(id)) return;  // fired: safe no-op
   if (n.state != State::kPending) return;  // executing right now: no-op
   destroy_payload(n);  // release captured resources promptly
-  n.state = State::kCancelled;  // unlinked (and freed) lazily by the scans
   --live_;
-  cached_ = kNil;
+  if (cached_ == idx) cached_ = kNil;  // any other memo is still the minimum
+  if (n.level == kOverflowLevel) {
+    // Deleting from the middle of a binary heap would need every sift to
+    // track positions. Events ~137 s out are rare, so the heap keeps a
+    // tombstone, freed when it surfaces in peek() or advance().
+    n.state = State::kCancelled;
+    return;
+  }
+  unlink(idx);
+  free_node(idx);
 }
 
 // --- popping --------------------------------------------------------------
@@ -199,14 +253,8 @@ void EventQueue::run_top(Time* when) {
   if (when != nullptr) *when = n.when;
 
   // find_next always leaves its result at the head of a level-0 slot.
-  const auto s = static_cast<std::uint32_t>(n.when) & (kL0Slots - 1);
-  Slot& slot = l0_[s];
-  assert(slot.head == idx);
-  slot.head = n.next;
-  if (slot.head == kNil) {
-    slot.tail = kNil;
-    clear_bit(l0_bits_, s);
-  }
+  assert(n.level == 0 && n.prev == kNil);
+  unlink(idx);
   cached_ = kNil;
   --live_;
   n.state = State::kExecuting;  // cancel(own id) during execution: no-op
@@ -231,110 +279,60 @@ void EventQueue::run_top(Time* when) {
 std::uint32_t EventQueue::find_next() {
   assert(live_ > 0);
   for (;;) {
-    // Scan the near wheel from the cursor's slot to the end of the page,
-    // lazily freeing cancelled nodes as they surface at slot heads.
-    std::uint32_t s = scan_bits(l0_bits_, kL0Words,
-                                static_cast<std::uint32_t>(cursor_) &
-                                    (kL0Slots - 1));
-    while (s != kNotFound) {
-      Slot& slot = l0_[s];
-      std::uint32_t h = slot.head;
-      while (h != kNil && node(h).state == State::kCancelled) {
-        const std::uint32_t next = node(h).next;
-        free_node(h);
-        h = next;
-      }
-      slot.head = h;
-      if (h != kNil) {
-        cursor_ = node(h).when;
-        return h;
-      }
-      slot.tail = kNil;
-      clear_bit(l0_bits_, s);
-      s = scan_bits(l0_bits_, kL0Words, s + 1);
+    // Cancel unlinks at once, so every occupied slot's head is live: the
+    // first occupied near slot from the cursor holds the next event.
+    const std::uint32_t s = scan_bits(l0_bits_, kL0Words,
+                                      static_cast<std::uint32_t>(cursor_) &
+                                          (kL0Slots - 1));
+    if (s != kNotFound) {
+      const std::uint32_t h = l0_[s].head;
+      cursor_ = node(h).when;
+      return h;
     }
     if (!advance()) return kNil;  // unreachable while live_ > 0
   }
 }
 
-// Unlinks and frees cancelled nodes in `slot`, clearing its occupancy bit if
-// it empties out. Returns the surviving head (kNil if none). Freeing dead
-// nodes is semantically invisible, so the pure peek may use this too.
-std::uint32_t EventQueue::sweep_slot(Slot& slot, std::uint64_t* bits,
-                                     std::uint32_t slot_index) {
-  std::uint32_t prev = kNil;
-  std::uint32_t h = slot.head;
-  while (h != kNil) {
-    const std::uint32_t next = node(h).next;
-    if (node(h).state == State::kCancelled) {
-      if (prev == kNil) {
-        slot.head = next;
-      } else {
-        node(prev).next = next;
-      }
-      if (slot.tail == h) slot.tail = prev;
-      free_node(h);
-    } else {
-      prev = h;
-    }
-    h = next;
-  }
-  if (slot.head == kNil) {
-    slot.tail = kNil;
-    clear_bit(bits, slot_index);
-  }
-  return slot.head;
-}
-
 std::uint32_t EventQueue::peek() {
   if (cached_ != kNil) return cached_;
   assert(live_ > 0);
-  // A pure read of the earliest (when, seq): it may free cancelled nodes
-  // (invisible to callers) but never moves cursor_ and never cascades live
-  // nodes, so probing the queue cannot affect where later pushes land.
+  // A pure read of the earliest (when, seq): it may free overflow
+  // tombstones (invisible to callers) but never moves cursor_ and never
+  // cascades live nodes, so probing the queue cannot affect where later
+  // pushes land.
   //
   // Level containment makes this a short walk: every event resident in a
   // far level is strictly later than every event one level below (the
   // cursor entering a page cascades that page's slot first), so the first
-  // level with a live event holds the minimum, and within a level the first
+  // level with an event holds the minimum, and within a level the first
   // occupied slot does.
-  std::uint32_t s = scan_bits(l0_bits_, kL0Words,
-                              static_cast<std::uint32_t>(cursor_) &
-                                  (kL0Slots - 1));
-  while (s != kNotFound) {
+  const std::uint32_t s = scan_bits(l0_bits_, kL0Words,
+                                    static_cast<std::uint32_t>(cursor_) &
+                                        (kL0Slots - 1));
+  if (s != kNotFound) {
     // A level-0 slot spans one nanosecond and lists append in push order,
-    // so the surviving head is the slot's (when, seq) minimum.
-    const std::uint32_t h = sweep_slot(l0_[s], l0_bits_, s);
-    if (h != kNil) {
-      cached_ = h;
-      cached_when_ = node(h).when;
-      return h;
-    }
-    s = scan_bits(l0_bits_, kL0Words, s + 1);
+    // so the head is the slot's (when, seq) minimum.
+    const std::uint32_t h = l0_[s].head;
+    cached_ = h;
+    cached_when_ = node(h).when;
+    return h;
   }
   for (int level = 0; level < kFarLevels; ++level) {
     const int shift = kFarShift[level];
     const auto from = static_cast<std::uint32_t>(cursor_ >> shift) &
                       (kFarSlots - 1);
-    std::uint32_t fs = scan_bits(far_bits_[level], kFarWords, from);
-    while (fs != kNotFound) {
-      std::uint32_t h = sweep_slot(far_[level][fs], far_bits_[level], fs);
-      if (h != kNil) {
-        // A far slot spans many nanoseconds; walk it for the minimum.
-        std::uint32_t best = h;
-        for (h = node(h).next; h != kNil; h = node(h).next) {
-          const Node& a = node(h);
-          const Node& b = node(best);
-          if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) {
-            best = h;
-          }
-        }
-        cached_ = best;
-        cached_when_ = node(best).when;
-        return best;
-      }
-      fs = scan_bits(far_bits_[level], kFarWords, fs + 1);
+    const std::uint32_t fs = scan_bits(far_bits_[level], kFarWords, from);
+    if (fs == kNotFound) continue;
+    // A far slot spans many nanoseconds; walk it for the minimum.
+    std::uint32_t best = far_[level][fs].head;
+    for (std::uint32_t h = node(best).next; h != kNil; h = node(h).next) {
+      const Node& a = node(h);
+      const Node& b = node(best);
+      if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) best = h;
     }
+    cached_ = best;
+    cached_when_ = node(best).when;
+    return best;
   }
   while (!overflow_.empty() &&
          node(overflow_.front().idx).state == State::kCancelled) {
@@ -401,11 +399,7 @@ void EventQueue::cascade(int level, std::uint32_t slot_index) {
   // ties exact across cascades.
   while (h != kNil) {
     const std::uint32_t next = node(h).next;
-    if (node(h).state == State::kCancelled) {
-      free_node(h);
-    } else {
-      insert(h);
-    }
+    insert(h);
     h = next;
   }
 }

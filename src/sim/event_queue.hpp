@@ -18,6 +18,9 @@ using EventId = std::uint64_t;
 
 /// The simulator's scheduler: a hierarchical timing wheel backed by a
 /// generation-tagged slab, so schedule, cancel and pop are all O(1).
+/// Every wheel slot is a doubly-linked list, so cancel() unlinks its node
+/// and returns it to the free list at once: the slab holds only live
+/// events plus the one executing.
 ///
 /// Geometry (nanosecond timestamps):
 ///   level 0   8192 slots x 1 ns      — the "near" wheel, one slot per ns
@@ -80,8 +83,8 @@ class EventQueue {
   /// Schedules a typed small event: at `when`, `fn(target, aux)` runs.
   EventId push_call(Time when, void* target, std::uint32_t aux, CallFn fn);
 
-  /// Cancels a pending event. O(1). Safe no-op if the event already ran,
-  /// was already cancelled, or the id is invalid.
+  /// Cancels a pending event and frees its slab node. O(1). Safe no-op if
+  /// the event already ran, was already cancelled, or the id is invalid.
   void cancel(EventId id);
 
   /// True when no runnable (non-cancelled) event remains. O(1).
@@ -89,6 +92,11 @@ class EventQueue {
 
   /// Number of live (pending, non-cancelled) events.
   std::size_t size() const { return live_; }
+
+  /// Slab nodes ever allocated, i.e. the slab's high-water mark. Cancel
+  /// frees at once (overflow-heap tombstones aside), so this tracks the
+  /// peak of size() plus the event executing at that moment.
+  std::size_t slab_nodes() const { return node_count_; }
 
   /// Time of the earliest live event. Precondition: !empty(). A pure peek:
   /// probing never affects where later pushes may land.
@@ -118,6 +126,10 @@ class EventQueue {
   // [kFarShift[i], kFarShift[i] + kFarBits).
   static constexpr int kFarShift[kFarLevels] = {13, 21, 29};
   static constexpr int kOverflowShift = 37;  // beyond the L3 page: heap
+  // Node::level of an event in the overflow heap; 0 is the near wheel and
+  // 1..kFarLevels the far wheels.
+  static constexpr auto kOverflowLevel =
+      static_cast<std::uint8_t>(kFarLevels + 1);
 
   enum class Kind : std::uint8_t { kCallback, kPacket, kCall };
   enum class State : std::uint8_t { kFree, kPending, kCancelled, kExecuting };
@@ -139,8 +151,10 @@ class EventQueue {
     std::uint64_t seq = 0;     // global push order; the FIFO tiebreak
     std::uint32_t gen = 1;     // bumped on free; stale ids cancel as no-ops
     std::uint32_t next = kNil; // slot list / free list link
+    std::uint32_t prev = kNil; // slot list back link, for O(1) unlink
     State state = State::kFree;
     Kind kind = Kind::kCallback;
+    std::uint8_t level = 0;    // which wheel (or the heap) holds the node
     union Payload {
       Callback cb;
       DeliverPacket dp;
@@ -149,6 +163,9 @@ class EventQueue {
       ~Payload() {}  // NOLINT(modernize-use-equals-default)
     } u;
   };
+  // The list links and tags fill the header's padding: a node stays one
+  // 32-byte header plus its payload.
+  static_assert(sizeof(Node) == 32 + sizeof(Node::Payload));
 
   struct Slot {
     std::uint32_t head = kNil;
@@ -180,12 +197,11 @@ class EventQueue {
   void insert(std::uint32_t idx);    // place a pending node by its time
   void append(Slot& slot, std::uint64_t* bits, std::uint32_t slot_index,
               std::uint32_t idx);
+  void unlink(std::uint32_t idx);    // remove a wheel node from its slot
   std::uint32_t find_next();         // earliest live node; COMMITS cursor_
   std::uint32_t peek();              // earliest live node; cursor_ untouched
   bool advance();                    // cascade the next far slot / overflow
   void cascade(int level, std::uint32_t slot_index);
-  std::uint32_t sweep_slot(Slot& slot, std::uint64_t* bits,
-                           std::uint32_t slot_index);
 
   std::vector<std::unique_ptr<Node[]>> chunks_;
   std::uint32_t node_count_ = 0;
@@ -201,7 +217,8 @@ class EventQueue {
   // a pure peek, so probing the queue (e.g. run_until breaking on a far
   // deadline) never drags the push-clamp floor forward.
   Time cursor_ = 0;
-  std::uint32_t cached_ = kNil;  // peek() memo; cleared by push/cancel/pop
+  std::uint32_t cached_ = kNil;  // peek() memo; cleared by an earlier
+                                 // push, by cancelling it, and by pop
   Time cached_when_ = 0;         // when of the cached node (cheap compare)
   std::uint64_t seq_ = 0;
   std::size_t live_ = 0;

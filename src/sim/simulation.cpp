@@ -13,6 +13,9 @@ void Simulation::set_telemetry(obs::Telemetry* telemetry) {
     telemetry_->metrics().gauge(component_, "events_executed", [this] {
       return static_cast<double>(events_executed_);
     });
+    telemetry_->metrics().gauge(component_, "slab_nodes", [this] {
+      return static_cast<double>(slab_nodes());
+    });
   }
 }
 
@@ -51,8 +54,9 @@ void Simulation::post_packet(Simulation& dst, Duration delay, void* target,
 void Simulation::run() {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) {
-    // The clock must read the event's time before the event runs; next_time
-    // memoizes the found event so run_top doesn't re-scan.
+    // The clock must read the event's time before the event runs. run_top
+    // then finds the same event again with its own near-wheel scan (a
+    // bitmap probe); next_time's memo only spares repeated peeks.
     now_ = queue_.next_time();
     ++events_executed_;
     fold_digest();

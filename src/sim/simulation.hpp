@@ -114,6 +114,9 @@ class Simulation {
   /// Number of events executed so far (for tests and progress reporting).
   std::uint64_t events_executed() const { return events_executed_; }
 
+  /// High-water mark of the scheduler's event slab, in nodes.
+  std::size_t slab_nodes() const { return queue_.slab_nodes(); }
+
   /// Rolling FNV-1a digest of the executed event stream: folds in each
   /// event's timestamp and the live queue size at pop time. Two same-seed
   /// runs must report identical digests at every point; any divergence in

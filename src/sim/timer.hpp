@@ -13,9 +13,11 @@ namespace planck::sim {
 ///
 /// Rescheduling is lazy: a timer that is pushed *later* (the common case —
 /// a TCP RTO restarted on every ACK) just updates the deadline, and the
-/// already-queued event re-arms itself when it fires early. Only moving a
-/// deadline *earlier* cancels the queued event. This keeps the per-ACK
-/// cost at zero scheduler operations.
+/// already-queued event re-arms itself when it fires early, so a restart
+/// costs no scheduler operation. Moving a deadline *earlier* and cancel()
+/// each cancel the queued event, which the engine frees at once. A TCP
+/// receiver's delayed-ACK timer takes that path on every ACK it sends
+/// (TcpReceiver::send_ack cancels it).
 class Timer {
  public:
   Timer(Simulation& simulation, EventQueue::Callback on_fire)

@@ -4,12 +4,18 @@
 // FIFO tie-breaks at equal timestamps. Horizons are drawn from every wheel
 // level (near, the three far wheels, and the overflow heap) so cascades and
 // page advances are exercised, and pushes use all three event kinds so the
-// typed paths share the ordering proof.
+// typed paths share the ordering proof. Some events cancel another live
+// event while they run, so cancels also land inside run_top.
+//
+// The slab tests below pin the memory side: cancel frees a node at once,
+// so the slab holds live events, not cancelled timers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -34,6 +40,24 @@ class ReferenceQueue {
     for (Ref& r : events_) {
       if (r.order == order) r.cancelled = true;
     }
+  }
+
+  /// Order ids of the pending events at exactly `when`, in push order.
+  std::vector<std::uint64_t> pending_at(Time when) const {
+    std::vector<std::uint64_t> out;
+    for (const Ref& r : events_) {
+      if (!r.cancelled && r.when == when) out.push_back(r.order);
+    }
+    return out;
+  }
+
+  /// Order ids of every pending event, in push order.
+  std::vector<std::uint64_t> pending() const {
+    std::vector<std::uint64_t> out;
+    for (const Ref& r : events_) {
+      if (!r.cancelled) out.push_back(r.order);
+    }
+    return out;
   }
 
   bool empty() const {
@@ -107,36 +131,59 @@ void run_property_trial(std::uint64_t seed, int ops) {
   int next_tag = 0;
   std::vector<int> wheel_tags;  // filled by executed events
   std::vector<std::pair<EventId, std::uint64_t>> live;  // (wheel id, model id)
+  std::vector<EventId> wheel_id_of;  // indexed by model id
+  std::vector<bool> cancels_on_run;  // indexed by tag
+
+  // Every event kind funnels into on_run(tag) when it executes. One push in
+  // eight cancels another live event from inside run_top: the next event in
+  // its own slot (same nanosecond) when there is one, else any live event.
+  // pop_one pops the model first, so `pending` here excludes the runner.
+  std::function<void(int)> on_run = [&](int tag) {
+    wheel_tags.push_back(tag);
+    if (!cancels_on_run[static_cast<std::size_t>(tag)]) return;
+    std::vector<std::uint64_t> victims = model.pending_at(now);
+    if (victims.empty()) {
+      victims = model.pending();
+      if (victims.empty()) return;
+      std::swap(victims.front(), victims[rng.below(victims.size())]);
+    }
+    wheel.cancel(wheel_id_of[victims.front()]);
+    model.cancel(victims.front());
+  };
 
   net::Packet pkt;
   pkt.payload = 64;
   const auto call_fn = [](void* target, std::uint32_t aux) {
-    static_cast<std::vector<int>*>(target)->push_back(static_cast<int>(aux));
+    (*static_cast<std::function<void(int)>*>(target))(static_cast<int>(aux));
   };
   const auto packet_fn = [](void* target, std::uint32_t aux,
                             const net::Packet&) {
-    static_cast<std::vector<int>*>(target)->push_back(static_cast<int>(aux));
+    (*static_cast<std::function<void(int)>*>(target))(static_cast<int>(aux));
   };
 
   const auto push_one = [&] {
     const Time when = now + random_offset(rng);
     const int tag = next_tag++;
+    cancels_on_run.push_back(rng.below(8) == 0);
     EventId id = 0;
     switch (rng.below(3)) {
       case 0:
-        id = wheel.push(when, [&wheel_tags, tag] { wheel_tags.push_back(tag); });
+        id = wheel.push(when, [&on_run, tag] { on_run(tag); });
         break;
       case 1:
-        id = wheel.push_call(when, &wheel_tags,
-                             static_cast<std::uint32_t>(tag), call_fn);
+        id = wheel.push_call(when, &on_run, static_cast<std::uint32_t>(tag),
+                             call_fn);
         break;
       default:
-        id = wheel.push_packet(when, &wheel_tags,
+        id = wheel.push_packet(when, &on_run,
                                static_cast<std::uint32_t>(tag), packet_fn,
                                pkt);
         break;
     }
-    live.emplace_back(id, model.push(when, tag));
+    const std::uint64_t model_id = model.push(when, tag);
+    wheel_id_of.resize(model_id + 1);
+    wheel_id_of[model_id] = id;
+    live.emplace_back(id, model_id);
   };
 
   const auto pop_one = [&] {
@@ -144,13 +191,14 @@ void run_property_trial(std::uint64_t seed, int ops) {
     ASSERT_FALSE(model.empty());
     ASSERT_EQ(wheel.next_time(), model.next_time());
     const std::size_t before = wheel_tags.size();
+    const auto [ref_when, ref_tag] = model.pop();
+    now = ref_when;
     Time when = 0;
     wheel.run_top(&when);
-    const auto [ref_when, ref_tag] = model.pop();
     ASSERT_EQ(when, ref_when);
     ASSERT_EQ(wheel_tags.size(), before + 1);
     ASSERT_EQ(wheel_tags.back(), ref_tag);
-    now = when;
+    ASSERT_EQ(wheel.size(), model.pending().size());
   };
 
   for (int op = 0; op < ops; ++op) {
@@ -219,6 +267,63 @@ TEST(EventWheelProperty, MassiveTieBreakIsFifo) {
   ASSERT_EQ(order.size(), 5000u);
   for (int i = 0; i < 5000; ++i) {
     ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+}
+
+// A TCP receiver cancels and re-arms its 40 ms delayed-ACK timer on every
+// ACK. Cancel frees the node at once, so 100k such rounds beside a 5 us
+// periodic event leave the slab at the live high-water plus the one node
+// executing, not at one node per cancelled timer still 40 ms out.
+TEST(EventWheelSlab, CancelledTimersDoNotAccumulate) {
+  constexpr int kRounds = 100000;
+  EventQueue q;
+  EventId timer = 0;
+  int rounds = 0;
+  int timer_fires = 0;
+  std::size_t live_hwm = 0;
+  std::function<void(Time)> tick = [&](Time now) {
+    q.cancel(timer);
+    timer = q.push(now + milliseconds(40), [&timer_fires] { ++timer_fires; });
+    live_hwm = std::max(live_hwm, q.size());
+    if (++rounds == kRounds) return;
+    const Time next = now + microseconds(5);
+    q.push(next, [&tick, next] { tick(next); });
+    live_hwm = std::max(live_hwm, q.size());
+  };
+  q.push(0, [&tick] { tick(0); });
+  while (!q.empty()) q.run_top();
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_EQ(timer_fires, 1);  // only the last arm outlives its round
+  EXPECT_EQ(live_hwm, 2u);
+  EXPECT_EQ(q.slab_nodes(), live_hwm + 1);
+}
+
+// At the near wheel and at each far wheel, push -> cancel -> push reuses the
+// cancelled node. The stale id stays a no-op although its node now holds
+// the new event, and the new event fires.
+TEST(EventWheelSlab, CancelReusesTheNodeAtEveryWheelLevel) {
+  // From a cursor at 0: the near wheel, then the far wheels of 8.192 us,
+  // ~2.1 ms and ~537 ms slots.
+  for (const Duration offset : {nanoseconds(100), microseconds(100),
+                                milliseconds(10), seconds(1)}) {
+    SCOPED_TRACE(offset);
+    EventQueue q;
+    bool stale_fired = false;
+    bool fresh_fired = false;
+    const EventId stale =
+        q.push(offset, [&stale_fired] { stale_fired = true; });
+    q.cancel(stale);
+    q.push(offset, [&fresh_fired] { fresh_fired = true; });
+    EXPECT_EQ(q.slab_nodes(), 1u);
+    q.cancel(stale);
+    ASSERT_EQ(q.size(), 1u);
+    Time when = 0;
+    q.run_top(&when);
+    EXPECT_EQ(when, offset);
+    EXPECT_FALSE(stale_fired);
+    EXPECT_TRUE(fresh_fired);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.slab_nodes(), 1u);
   }
 }
 

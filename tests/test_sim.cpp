@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "sim/contract.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inline_function.hpp"
@@ -386,6 +387,17 @@ TEST(Simulation, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) sim.schedule(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_executed(), 7u);
+}
+
+TEST(Simulation, SlabNodesGaugeReadsTheEventSlab) {
+  obs::Telemetry telemetry;
+  Simulation sim;
+  sim.set_telemetry(&telemetry);
+  for (int i = 0; i < 7; ++i) sim.schedule(i, [] {});
+  sim.run();
+  EXPECT_EQ(sim.slab_nodes(), 7u);
+  EXPECT_EQ(telemetry.metrics().gauge("sim", "slab_nodes").value(), 7.0);
+  sim.set_telemetry(nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@
 // Time deltas are generated as base << shift with shift up to 39 bits so
 // inputs exercise every wheel level — the 8192-slot nanosecond wheel, all
 // three far wheels, cascade boundaries, and the >137 s overflow heap.
+// Cancels come three ways: of a live event, of a stale id (one already
+// popped or cancelled), and from inside a popped callback.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "baseline_heap_queue.hpp"
@@ -54,6 +57,11 @@ struct Live {
 std::uint64_t g_wheel_seq = 0;
 std::uint64_t g_heap_seq = 0;
 
+// Set by the cancel-on-pop op: the next popped callback in each queue
+// cancels this event in its own queue, from inside the pop.
+planck::sim::EventId g_wheel_victim = 0;
+planck::bench::BaselineHeapQueue::EventId g_heap_victim = 0;
+
 }  // namespace
 
 void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
@@ -70,6 +78,16 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
   std::uint64_t next_seq = 1;
   std::uint64_t pops = 0;
   std::vector<Live> live;
+  std::vector<Live> stale;  // popped, cancelled, or armed by op 5
+  g_wheel_victim = 0;
+  g_heap_victim = 0;
+
+  // Moves live[i] to the stale list.
+  const auto retire = [&](std::size_t i) {
+    stale.push_back(live[i]);
+    live[i] = live.back();
+    live.pop_back();
+  };
 
   const auto pop_both = [&] {
     planck::sim::Time wheel_when{0};
@@ -96,37 +114,57 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
     now = wheel_when;
     for (std::size_t i = 0; i < live.size(); ++i) {
       if (live[i].seq == g_wheel_seq) {
-        live[i] = live.back();
-        live.pop_back();
+        retire(i);
         break;
       }
     }
   };
 
   while (!in.done()) {
-    const std::uint8_t op = in.u8() & 3;
+    const std::uint8_t op = in.u8() % 6;
     if (op <= 1) {  // push (weighted 2x: keeps the queues populated)
       const std::uint64_t base = in.u8();
       const int shift = in.u8() % 40;  // up to ~2^39 ns spans the overflow
       const planck::sim::Time when = now + static_cast<planck::sim::Time>(
                                                base << shift);
       const std::uint64_t seq = next_seq++;
-      const auto wheel_id = wheel.push(when, [seq] { g_wheel_seq = seq; });
-      const auto heap_id = heap.push(when, [seq] { g_heap_seq = seq; });
+      const auto wheel_id = wheel.push(when, [seq, &wheel] {
+        g_wheel_seq = seq;
+        if (g_wheel_victim != 0) wheel.cancel(std::exchange(g_wheel_victim, 0));
+      });
+      const auto heap_id = heap.push(when, [seq, &heap] {
+        g_heap_seq = seq;
+        if (g_heap_victim != 0) heap.cancel(std::exchange(g_heap_victim, 0));
+      });
       live.push_back(Live{seq, wheel_id, heap_id});
     } else if (op == 2) {  // cancel a live event in both queues
       if (!live.empty()) {
         const std::size_t i = in.u16() % live.size();
         wheel.cancel(live[i].wheel_id);
         heap.cancel(live[i].heap_id);
-        live[i] = live.back();
-        live.pop_back();
+        retire(i);
       }
-    } else {  // pop one from both, compare
+    } else if (op == 3) {  // pop one from both, compare
       if (wheel.empty() != heap.empty()) {
         divergence("empty", pops, wheel.empty() ? 1 : 0, heap.empty() ? 1 : 0);
       }
       if (!wheel.empty()) pop_both();
+    } else if (op == 4) {  // cancel a stale id in both queues
+      if (!stale.empty()) {
+        const Live& s = stale[in.u16() % stale.size()];
+        wheel.cancel(s.wheel_id);
+        heap.cancel(s.heap_id);
+      }
+    } else {  // the next popped callbacks cancel a live event
+      if (!live.empty() && g_wheel_victim == 0) {
+        const std::size_t i = in.u16() % live.size();
+        g_wheel_victim = live[i].wheel_id;
+        g_heap_victim = live[i].heap_id;
+        // Retired at once: the next pop's callbacks cancel it (their own
+        // running id, if it is the event popped), and an earlier stale
+        // cancel (op 4) cancels it in both queues first.
+        retire(i);
+      }
     }
   }
 
