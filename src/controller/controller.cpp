@@ -22,6 +22,7 @@ Controller::Controller(sim::Simulation& simulation,
       channel_(simulation, config.channel),
       heartbeat_timer_(simulation, [this] { probe_switches(); }),
       epochs_(simulation) {
+  slots_.resize(static_cast<std::size_t>(graph.num_switches()));
   hosts_.resize(static_cast<std::size_t>(graph.num_hosts()), nullptr);
   register_metrics();
 }
@@ -59,12 +60,14 @@ void Controller::register_metrics() {
 
 void Controller::attach_switch(int graph_node, switchsim::Switch* sw,
                                int monitor_port) {
-  switches_[graph_node] = SwitchAttachment{sw, monitor_port};
+  SwitchSlot& s = slot(graph_node);
+  s.sw = sw;
+  s.monitor_port = monitor_port;
 }
 
 void Controller::attach_collector(int graph_node,
                                   core::Collector* collector) {
-  collectors_[graph_node] = collector;
+  slot(graph_node).collector = collector;
 }
 
 void Controller::attach_host(int host_index, tcp::Host* host) {
@@ -72,62 +75,42 @@ void Controller::attach_host(int host_index, tcp::Host* host) {
 }
 
 void Controller::install_routes() {
-  // Reproducible iteration orders, built first: every traversal of the
-  // unordered switch/collector maps below (and in the failure plane) goes
-  // through these sorted key lists.
-  sorted_switch_nodes_.clear();
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [node, att] : switches_) sorted_switch_nodes_.push_back(node);
-  std::sort(sorted_switch_nodes_.begin(), sorted_switch_nodes_.end());
-  sorted_collector_nodes_.clear();
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [node, c] : collectors_) sorted_collector_nodes_.push_back(node);
-  std::sort(sorted_collector_nodes_.begin(), sorted_collector_nodes_.end());
-
   // The MAC program and the ARP answers are closed forms of the routing
   // (§6.2): each switch asks its oracle, each host resolves every other
-  // fabric host to its base MAC. Routing is immutable once built, so
-  // switches on data partitions may call it directly.
-  for (int node : sorted_switch_nodes_) {
-    SwitchAttachment& att = switches_.at(node);
-    att.sw->rules().set_mac_oracle(routing_.mac_oracle(node));
-    if (att.monitor_port >= 0) att.sw->set_mirroring(att.monitor_port);
-  }
-  configure_collectors();
-  for (tcp::Host* host : hosts_) {
-    if (host != nullptr) host->resolve_fabric_hosts(routing_.num_hosts());
-  }
-
-  // Stamp the freshly-installed whole-table program as epoch 1 on every
-  // switch (synchronously — installation models out-of-band setup, not
-  // channel traffic). Runtime reroutes version from here.
+  // fabric host to its base MAC, and each collector asks Routing::ports_at
+  // for a flow's ports. Routing is immutable once built, so switches and
+  // collectors on data partitions may call it directly. The installed
+  // program is stamped as epoch 1 on every switch (synchronously —
+  // installation models out-of-band setup, not channel traffic); runtime
+  // reroutes version from here.
   const std::uint64_t install_epoch = epochs_.allocate_program();
-  for (int node : sorted_switch_nodes_) {
-    switchsim::Switch* sw = switches_.at(node).sw;
-    sw->stage_epoch(install_epoch);
-    sw->commit_epoch(install_epoch);
-  }
-
-  if (config_.heartbeat_interval > 0 && !switches_.empty()) {
-    heartbeat_timer_.schedule(config_.heartbeat_interval);
-  }
-}
-
-void Controller::configure_collectors() {
-  for (int node : sorted_collector_nodes_) {
-    core::Collector* collector = collectors_.at(node);
-    // Routing is immutable once built, so the collector's partition may
-    // call it directly.
-    collector->set_port_oracle(
+  for (int i = 0; i < graph_.num_switches(); ++i) {
+    const SwitchSlot& s = slots_[static_cast<std::size_t>(i)];
+    const int node = graph_.switch_node(i);
+    if (s.sw != nullptr) {
+      s.sw->rules().set_mac_oracle(routing_.mac_oracle(node));
+      if (s.monitor_port >= 0) s.sw->set_mirroring(s.monitor_port);
+      s.sw->stage_epoch(install_epoch);
+      s.sw->commit_epoch(install_epoch);
+    }
+    if (s.collector == nullptr) continue;
+    s.collector->set_port_oracle(
         [&routing = routing_, node](net::MacAddress src, net::MacAddress dst) {
           return routing.ports_at(node, src, dst);
         });
     for (int port = 0; port < graph_.num_ports(node); ++port) {
       if (graph_.wired(node, port)) {
-        collector->set_link_capacity(
+        s.collector->set_link_capacity(
             port, graph_.link_spec(node, port).rate.count());
       }
     }
+  }
+  for (tcp::Host* host : hosts_) {
+    if (host != nullptr) host->resolve_fabric_hosts(routing_.num_hosts());
+  }
+
+  if (config_.heartbeat_interval > 0 && !slots_.empty()) {
+    heartbeat_timer_.schedule(config_.heartbeat_interval);
   }
 }
 
@@ -148,14 +131,13 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
   assert(!base.hops.empty());
   const int ingress_node = base.hops.front().switch_node;
   const int ingress_in_port = base.hops.front().in_port;
-  const auto it = switches_.find(ingress_node);
-  if (it == switches_.end()) {
+  switchsim::Switch* ingress = slot(ingress_node).sw;
+  if (ingress == nullptr) {
     // Degenerate testbed with no ingress attached: nothing to install, the
     // assignment itself is the program.
     epochs_.commit(key, epoch);
     return epoch;
   }
-  switchsim::Switch* ingress = it->second.sw;
 
   if (mechanism == RerouteMechanism::kArp) {
     ++arp_reroutes_;
@@ -218,7 +200,7 @@ void Controller::program_flow_rule(
   // second RPC (DESIGN.md §10). The commit waits for the install, so a
   // partially-written program is never served; either RPC exhausting its
   // retries aborts the program and falls back to last-good.
-  switchsim::Switch* sw = switches_.at(node).sw;
+  switchsim::Switch* sw = slot(node).sw;
   run_on_switch(node, [this, sw, node, key, epoch, actions, install] {
     channel_.call(
         [sw, epoch, key, actions, install] {
@@ -235,10 +217,11 @@ void Controller::program_flow_rule(
               [sw, epoch] { return sw->commit_epoch(epoch); },
               [this, node, key, epoch, installs](bool committed) {
                 if (committed) {
+                  auto& acked = slot(node).acked_flow_rules;
                   if (installs) {
-                    acked_flow_rules_[node][key] = epoch;
+                    acked[key] = epoch;
                   } else {
-                    acked_flow_rules_[node].erase(key);
+                    acked.erase(key);
                   }
                   on_epoch_committed(key, epoch, node);
                 } else {
@@ -251,21 +234,23 @@ void Controller::program_flow_rule(
 }
 
 void Controller::run_on_switch(int node, std::function<void()> op) {
-  if (switch_busy_.insert(node).second) {
-    op();
+  SwitchSlot& s = slot(node);
+  if (s.busy) {
+    s.queue.push_back(std::move(op));
     return;
   }
-  switch_queue_[node].push_back(std::move(op));
+  s.busy = true;
+  op();
 }
 
 void Controller::switch_op_done(int node) {
-  auto it = switch_queue_.find(node);
-  if (it == switch_queue_.end() || it->second.empty()) {
-    switch_busy_.erase(node);
+  SwitchSlot& s = slot(node);
+  if (s.queue.empty()) {
+    s.busy = false;
     return;
   }
-  std::function<void()> next = std::move(it->second.front());
-  it->second.pop_front();
+  std::function<void()> next = std::move(s.queue.front());
+  s.queue.pop_front();
   next();
 }
 
@@ -302,13 +287,12 @@ void Controller::maybe_reconcile_flow_rule(const net::FlowKey& key,
   // erase the rule under a fresh epoch so the data plane converges on the
   // newest program.
   if (epochs_.in_flight(key)) return;  // let the newest attempt settle
-  const auto node_it = acked_flow_rules_.find(ingress_node);
-  if (node_it == acked_flow_rules_.end()) return;
-  const auto rule_it = node_it->second.find(key);
-  if (rule_it == node_it->second.end()) return;
+  const SwitchSlot* s = find_slot(ingress_node);
+  if (s == nullptr) return;
+  const auto rule_it = s->acked_flow_rules.find(key);
+  if (rule_it == s->acked_flow_rules.end()) return;
   if (rule_it->second >= epochs_.newest_epoch(key)) return;  // rule is newest
 
-  if (switches_.find(ingress_node) == switches_.end()) return;
   const std::uint64_t erase_epoch = epochs_.open(key, tree_of(key), tree_of(key));
   PLANCK_TRACE_ARGS(sim_, "controller", "reconcile_erase",
                     obs::argf("\"stale\":%llu,\"epoch\":%llu",
@@ -328,10 +312,13 @@ void Controller::notify_port_status(int switch_node, int port, bool up) {
 }
 
 void Controller::handle_port_status(int switch_node, int port, bool up) {
-  const net::DirectedLink link{switch_node, port};
-  const bool changed = up ? down_links_.erase(link) > 0
-                          : down_links_.insert(link).second;
-  if (!changed) return;  // duplicate delivery of an at-least-once RPC
+  const SwitchSlot* known = find_slot(switch_node);
+  // Unchanged: a duplicate delivery of an at-least-once RPC.
+  if (known == nullptr || port < 0 || known->is_down(port) != up) return;
+  std::vector<bool>& down = slot(switch_node).down;
+  const auto p = static_cast<std::size_t>(port);
+  down.resize(std::max(down.size(), p + 1));
+  down[p] = !up;
   for (const auto& handler : link_status_handlers_) {
     handler(switch_node, port, up);
   }
@@ -339,19 +326,13 @@ void Controller::handle_port_status(int switch_node, int port, bool up) {
 }
 
 bool Controller::link_up(int node, int port) const {
-  if (down_links_.find(net::DirectedLink{node, port}) != down_links_.end()) {
-    return false;
-  }
-  return switch_alive(node);
+  const SwitchSlot* s = find_slot(node);
+  return s == nullptr || (!s->dead && !s->is_down(port));
 }
 
 bool Controller::path_alive(const net::RoutePath& path) const {
   for (const net::PathHop& hop : path.hops) {
-    if (!switch_alive(hop.switch_node)) return false;
-    if (down_links_.find(net::DirectedLink{hop.switch_node, hop.out_port}) !=
-        down_links_.end()) {
-      return false;
-    }
+    if (!link_up(hop.switch_node, hop.out_port)) return false;
   }
   return true;
 }
@@ -365,8 +346,10 @@ int Controller::first_alive_tree(int src_host, int dst_host) const {
 
 void Controller::probe_switches() {
   const std::uint64_t round = ++probe_round_;
-  for (int node : sorted_switch_nodes_) {
-    switchsim::Switch* sw = switches_.at(node).sw;
+  for (int i = 0; i < graph_.num_switches(); ++i) {
+    switchsim::Switch* sw = slots_[static_cast<std::size_t>(i)].sw;
+    if (sw == nullptr) continue;
+    const int node = graph_.switch_node(i);
     channel_.call([sw] { return sw->online(); },
                   [this, node, round](bool alive) {
                     // A dead-switch probe burns its whole retry budget
@@ -376,7 +359,7 @@ void Controller::probe_switches() {
                     // after a fresh "alive" one would flap the switch.
                     // Apply a verdict only if its round is newer than the
                     // last one applied for this switch.
-                    std::uint64_t& applied = probe_applied_round_[node];
+                    std::uint64_t& applied = slot(node).probe_round;
                     if (round <= applied) {
                       ++stale_probe_results_;
                       return;
@@ -394,7 +377,9 @@ void Controller::probe_switches() {
 }
 
 void Controller::mark_switch_dead(int node) {
-  if (!dead_switches_.insert(node).second) return;
+  SwitchSlot& s = slot(node);
+  if (s.dead) return;
+  s.dead = true;
   for (const auto& handler : switch_status_handlers_) handler(node, false);
   // Every link the dead switch feeds is effectively down for routing.
   for (int port = 0; port < graph_.num_ports(node); ++port) {
@@ -407,13 +392,14 @@ void Controller::mark_switch_dead(int node) {
 }
 
 void Controller::mark_switch_alive(int node) {
-  if (dead_switches_.erase(node) == 0) return;
+  SwitchSlot& s = slot(node);
+  if (!s.dead) return;
+  s.dead = false;
   for (const auto& handler : switch_status_handlers_) handler(node, true);
   for (int port = 0; port < graph_.num_ports(node); ++port) {
     if (!graph_.wired(node, port)) continue;
-    if (down_links_.find(net::DirectedLink{node, port}) != down_links_.end()) {
-      continue;  // still admin-down from a port-status report
-    }
+    // Still admin-down from a port-status report.
+    if (s.is_down(port)) continue;
     for (const auto& handler : link_status_handlers_) {
       handler(node, port, true);
     }
@@ -425,15 +411,15 @@ void Controller::mark_switch_alive(int node) {
 }
 
 void Controller::resync_switch(int node) {
-  const auto it = acked_flow_rules_.find(node);
-  if (it == acked_flow_rules_.end() || it->second.empty()) return;
+  auto& acked = slot(node).acked_flow_rules;
+  if (acked.empty()) return;
   std::vector<net::FlowKey> keys;
-  keys.reserve(it->second.size());
+  keys.reserve(acked.size());
   // Collect-then-sort: the acked-rule map is unordered.
-  for (const auto& [key, epoch] : it->second) keys.push_back(key);
+  for (const auto& [key, epoch] : acked) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   // The acked set is rebuilt as the reinstalls commit.
-  it->second.clear();
+  acked.clear();
   for (const net::FlowKey& key : keys) {
     ++resyncs_;
     PLANCK_TRACE_ARGS(sim_, "controller", "resync_flow_rule",
@@ -488,9 +474,9 @@ void Controller::failover_dead_paths() {
   std::unordered_map<net::FlowKey, int, net::FlowKeyHash> candidates;
   // planck-lint: allow(unordered-iteration) — collect-then-sort below
   for (const auto& [key, tree] : tree_assignment_) candidates.emplace(key, tree);
-  for (int node : sorted_collector_nodes_) {
-    const core::Collector* collector = collectors_.at(node);
-    if (!collector->online()) continue;
+  for (const SwitchSlot& s : slots_) {
+    const core::Collector* collector = s.collector;
+    if (collector == nullptr || !collector->online()) continue;
     // planck-lint: allow(unordered-iteration) — collect-then-sort below
     for (const auto& [key, rec] : collector->flow_table().flows()) {
       candidates.emplace(key, tree_of(key));
@@ -521,15 +507,10 @@ void Controller::subscribe_congestion(CongestionHandler handler) {
   congestion_handlers_.push_back(std::move(handler));
   if (congestion_handlers_.size() == 1) {
     // First subscriber: hook every collector in node order, relaying with
-    // one control-channel latency. (Computed locally: applications may
-    // subscribe before install_routes builds the sorted lists.)
-    std::vector<int> nodes;
-    nodes.reserve(collectors_.size());
-    // planck-lint: allow(unordered-iteration) — collect-then-sort
-    for (const auto& [node, collector] : collectors_) nodes.push_back(node);
-    std::sort(nodes.begin(), nodes.end());
-    for (int node : nodes) {
-      core::Collector* collector = collectors_.at(node);
+    // one control-channel latency.
+    for (const SwitchSlot& s : slots_) {
+      core::Collector* collector = s.collector;
+      if (collector == nullptr) continue;
       sim::Simulation& collector_sim = collector->sim();
       if (&collector_sim != &sim_) {
         // Sharded engine: the collector fires on its switch's data
@@ -560,12 +541,12 @@ void Controller::subscribe_congestion(CongestionHandler handler) {
 void Controller::query_link_utilization(int switch_node, int out_port,
                                         std::function<void(double)> reply,
                                         std::function<void()> on_failure) {
-  const auto it = collectors_.find(switch_node);
-  if (it == collectors_.end()) {
+  const SwitchSlot* s = find_slot(switch_node);
+  core::Collector* collector = s == nullptr ? nullptr : s->collector;
+  if (collector == nullptr) {
     if (on_failure) sim_.schedule(0, [on_failure] { on_failure(); });
     return;
   }
-  core::Collector* collector = it->second;
   // Both legs stay fire-and-forget (the low-latency API must not grow
   // retries). The answered guard makes a duplicated reply fire once. With
   // `on_failure`, a deadline timer fires the failure callback when no reply

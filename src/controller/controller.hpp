@@ -1,11 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "controller/control_channel.hpp"
@@ -161,7 +160,8 @@ class Controller {
   /// endpoint switch is believed dead.
   bool link_up(int node, int port) const;
   bool switch_alive(int node) const {
-    return dead_switches_.find(node) == dead_switches_.end();
+    const SwitchSlot* s = find_slot(node);
+    return s == nullptr || !s->dead;
   }
   /// True when every hop of `path` crosses believed-alive equipment.
   bool path_alive(const net::RoutePath& path) const;
@@ -183,18 +183,47 @@ class Controller {
   std::uint64_t failovers() const { return failovers_; }
   /// Reroute RPCs that exhausted their retry budget (target switch dead).
   std::uint64_t failed_reroutes() const { return failed_reroutes_; }
-  const std::unordered_set<int>& dead_switches() const {
-    return dead_switches_;
-  }
 
  private:
-  struct SwitchAttachment {
-    switchsim::Switch* sw = nullptr;
+  /// What the controller keeps per switch. A slot allocates nothing until
+  /// it is used.
+  struct SwitchSlot {
+    switchsim::Switch* sw = nullptr;  // nullptr until attached
     int monitor_port = -1;
+    core::Collector* collector = nullptr;
+    bool dead = false;  // declared dead by the health monitor
+    /// A route-program op is in flight; `queue` holds the ops waiting for
+    /// it, FIFO (see run_on_switch).
+    bool busy = false;
+    std::list<std::function<void()>> queue;
+    /// Heartbeat probe sequencing: a completion from round R is applied
+    /// only if R is newer than this, the last round applied.
+    std::uint64_t probe_round = 0;
+    /// Flow rules the switch acked end-to-end: the resync set for crash
+    /// recovery, and the stale-rule set for reconciliation.
+    std::unordered_map<net::FlowKey, std::uint64_t, net::FlowKeyHash>
+        acked_flow_rules;
+    /// By port, growing on write: a port-status report took it down.
+    std::vector<bool> down;
+
+    bool is_down(int port) const {
+      return port >= 0 && static_cast<std::size_t>(port) < down.size() &&
+             down[static_cast<std::size_t>(port)];
+    }
   };
 
-  /// Gives every collector its switch's port oracle and link capacities.
-  void configure_collectors();
+  /// `node`'s slot; nullptr for a host or a node outside the graph.
+  const SwitchSlot* find_slot(int node) const {
+    if (node < 0 || node >= graph_.num_nodes() || !graph_.is_switch(node)) {
+      return nullptr;
+    }
+    return &slots_[static_cast<std::size_t>(graph_.switch_index(node))];
+  }
+  /// The slot of switch `node`; throws std::out_of_range for a host.
+  SwitchSlot& slot(int node) {
+    return slots_.at(static_cast<std::size_t>(graph_.switch_index(node)));
+  }
+
   void register_metrics();
 
   /// Applies a port-status message after it survived the channel. Duplicate
@@ -218,7 +247,7 @@ class Controller {
   /// The one stage→commit RPC chain: through the per-switch queue, stages
   /// a flow-rule edit (`actions` empty: erase) into `epoch`'s program on
   /// switch `node` with a TCAM write of `install`, commits it, and on the
-  /// ack records or forgets the rule in acked_flow_rules_.
+  /// ack records or forgets the rule in the slot's acked_flow_rules.
   void program_flow_rule(int node, const net::FlowKey& key,
                          std::uint64_t epoch,
                          const std::optional<switchsim::RuleActions>& actions,
@@ -249,39 +278,22 @@ class Controller {
   sim::Rng rng_;
   ControlChannel channel_;
 
-  std::unordered_map<int, SwitchAttachment> switches_;   // by graph node
-  std::unordered_map<int, core::Collector*> collectors_;  // by graph node
-  std::vector<tcp::Host*> hosts_;                          // by host index
-  /// switches_ / collectors_ keys in ascending node order, for iteration
-  /// that must be reproducible across runs.
-  std::vector<int> sorted_switch_nodes_;
-  std::vector<int> sorted_collector_nodes_;
+  std::vector<SwitchSlot> slots_;  // by switch index, which is node order
+  std::vector<tcp::Host*> hosts_;  // by host index
 
   std::unordered_map<net::FlowKey, int, net::FlowKeyHash> tree_assignment_;
   std::vector<CongestionHandler> congestion_handlers_;
   std::vector<LinkStatusHandler> link_status_handlers_;
   std::vector<SwitchStatusHandler> switch_status_handlers_;
 
-  std::unordered_set<net::DirectedLink, net::DirectedLinkHash> down_links_;
-  std::unordered_set<int> dead_switches_;
   sim::Timer heartbeat_timer_;
 
   EpochManager epochs_;
-  /// Per-switch route-program op serialization (see run_on_switch).
-  std::unordered_map<int, std::deque<std::function<void()>>> switch_queue_;
-  std::unordered_set<int> switch_busy_;
-  /// Flow rules the switch acked end-to-end, by ingress node: the resync
-  /// set for crash recovery, and the stale-rule set for reconciliation.
-  std::unordered_map<
-      int, std::unordered_map<net::FlowKey, std::uint64_t, net::FlowKeyHash>>
-      acked_flow_rules_;
   /// First time the controller saw each flow's assigned path dead.
   std::unordered_map<net::FlowKey, sim::Time, net::FlowKeyHash>
       blackholed_since_;
-  /// Heartbeat probe sequencing: a completion from round R is applied only
-  /// if R is newer than the last round applied for that switch.
+  /// The latest heartbeat round (see SwitchSlot::probe_round).
   std::uint64_t probe_round_ = 0;
-  std::unordered_map<int, std::uint64_t> probe_applied_round_;
 
   std::uint64_t arp_reroutes_ = 0;
   std::uint64_t openflow_reroutes_ = 0;

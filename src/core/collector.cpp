@@ -76,17 +76,15 @@ void Collector::set_online(bool online) {
 }
 
 void Collector::set_contribution(FlowRecord& rec, double rate) {
-  PortUtil& util = util_bps_[rec.out_port];
+  PortState& util = port_state(rec.out_port);
   if (rec.contributing_bps == 0.0 && rate != 0.0) ++util.flows;
   util.bps += rate - rec.contributing_bps;
   rec.contributing_bps = rate;
 }
 
 void Collector::release_contribution(int out_port, double bps) {
-  if (bps <= 0.0 || out_port < 0) return;
-  const auto it = util_bps_.find(out_port);
-  if (it == util_bps_.end()) return;
-  PortUtil& util = it->second;
+  if (bps <= 0.0 || !has_port(out_port)) return;
+  PortState& util = port_state(out_port);
   util.bps -= bps;
   if (util.flows > 0) --util.flows;
   if (util.flows == 0) util.bps = 0.0;  // no contributors: no FP dust
@@ -151,9 +149,8 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
 }
 
 double Collector::link_utilization_bps(int out_port) const {
-  if (!online_) return 0.0;
-  const auto it = util_bps_.find(out_port);
-  return it == util_bps_.end() ? 0.0 : std::max(0.0, it->second.bps);
+  if (!online_ || !has_port(out_port)) return 0.0;
+  return std::max(0.0, ports_[static_cast<std::size_t>(out_port)].bps);
 }
 
 std::vector<FlowRate> Collector::flows_on_link(int out_port) const {
@@ -179,14 +176,15 @@ void Collector::maybe_fire_event(int out_port, bool from_sweep) {
     ++events_deferred_to_sweep_;
     return;
   }
-  const auto cap_it = link_capacity_.find(out_port);
-  if (cap_it == link_capacity_.end()) return;
+  if (!has_port(out_port)) return;
+  PortState& state = port_state(out_port);
+  if (state.capacity < 0) return;
   const double util = link_utilization_bps(out_port);
   if (util < config_.congestion_threshold *
-                 static_cast<double>(cap_it->second)) {
+                 static_cast<double>(state.capacity)) {
     return;
   }
-  auto& last = last_event_[out_port];
+  sim::Time& last = state.last_event;
   if (last != 0 && sim_.now() - last < config_.event_debounce) return;
   last = sim_.now();
 
@@ -194,7 +192,7 @@ void Collector::maybe_fire_event(int out_port, bool from_sweep) {
   event.switch_node = switch_node_;
   event.out_port = out_port;
   event.utilization_bps = util;
-  event.capacity_bps = cap_it->second;
+  event.capacity_bps = state.capacity;
   event.detected_at = sim_.now();
   event.flows = flows_on_link(out_port);
   ++events_fired_;
@@ -312,12 +310,9 @@ void Collector::sweep() {
   // congestion once per period, port-ordered — at most one event per
   // congested link instead of one per hot sample.
   if (mode_ == BackpressureMode::kSweepOnly) {
-    std::vector<int> ports;
-    ports.reserve(link_capacity_.size());
-    // planck-lint: allow(unordered-iteration) — collect-then-sort
-    for (const auto& [port, cap] : link_capacity_) ports.push_back(port);
-    std::sort(ports.begin(), ports.end());
-    for (int port : ports) maybe_fire_event(port, /*from_sweep=*/true);
+    for (int p = 0; p < static_cast<int>(ports_.size()); ++p) {
+      maybe_fire_event(p, /*from_sweep=*/true);
+    }
   }
 
   // Per-sweep counter tracks, emitted only while the sample stream is

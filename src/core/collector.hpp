@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flow_table.hpp"
@@ -147,10 +146,10 @@ class Collector : public net::Node {
       return net::SwitchPorts{view.in_port(src, dst), view.out_port(dst)};
     });
   }
-  /// Declares the capacity of the link on `out_port` (needed to judge
-  /// congestion).
+  /// Declares the capacity of the link on `out_port` >= 0 (needed to
+  /// judge congestion: a port without one fires no event).
   void set_link_capacity(int out_port, std::int64_t bps) {
-    link_capacity_[out_port] = bps;
+    port_state(out_port).capacity = bps;
   }
 
   // --- queries (§4.2) -----------------------------------------------------
@@ -225,15 +224,29 @@ class Collector : public net::Node {
   // Single-writer by design: one collector runs on one partition
   // (its switch's); nothing here is touched cross-thread.
 
-  /// Per-port utilization aggregate. `flows` counts the records currently
-  /// contributing a nonzero rate; when it returns to zero, `bps` is
-  /// snapped to exactly 0.0 — incremental FP add/subtract is not
-  /// associative, so without the snap a fully unwound port would keep a
-  /// few ULPs of dust and never read as idle again.
-  struct PortUtil {
+  /// Per-port link state. `bps` is the incrementally maintained sum of
+  /// fresh flow-rate estimates (the sweep removes stale ones); `flows`
+  /// counts the records currently contributing a nonzero rate. When it
+  /// returns to zero, `bps` is snapped to exactly 0.0 — incremental FP
+  /// add/subtract is not associative, so without the snap a fully unwound
+  /// port would keep a few ULPs of dust and never read as idle again.
+  struct PortState {
     double bps = 0.0;
     std::uint32_t flows = 0;
+    std::int64_t capacity = -1;  // -1: undeclared
+    sim::Time last_event = 0;    // 0: no event yet
   };
+
+  /// `out_port`'s state, growing ports_ to reach it (out_port >= 0).
+  PortState& port_state(int out_port) {
+    const auto i = static_cast<std::size_t>(out_port);
+    if (i >= ports_.size()) ports_.resize(i + 1);
+    return ports_[i];
+  }
+  /// False for a negative port or one never written.
+  bool has_port(int out_port) const {
+    return out_port >= 0 && static_cast<std::size_t>(out_port) < ports_.size();
+  }
 
   void on_rate_update(FlowRecord& rec, double old_rate);
   /// Threshold + debounce check for `out_port`; `from_sweep` bypasses the
@@ -266,11 +279,7 @@ class Collector : public net::Node {
   };
   FlowTable flows_;
 
-  // Incrementally maintained: sum of fresh flow-rate estimates per output
-  // port. The sweep removes stale contributions.
-  std::unordered_map<int, PortUtil> util_bps_;
-  std::unordered_map<int, std::int64_t> link_capacity_;
-  std::unordered_map<int, sim::Time> last_event_;
+  std::vector<PortState> ports_;  // by output port
 
   std::deque<Sample> ring_;
   std::vector<CongestionHandler> congestion_handlers_;

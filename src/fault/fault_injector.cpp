@@ -8,7 +8,14 @@ namespace planck::fault {
 
 FaultInjector::FaultInjector(sim::Simulation& simulation,
                              workload::Testbed& testbed, std::uint64_t seed)
-    : sim_(simulation), testbed_(testbed), rng_(seed) {}
+    : sim_(simulation), testbed_(testbed), rng_(seed) {
+  const net::TopologyGraph& graph = testbed.graph();
+  for (int node = 0; node < graph.num_nodes(); ++node) {
+    link_depth_.emplace_back(static_cast<std::size_t>(graph.num_ports(node)));
+  }
+  switch_depth_.resize(link_depth_.size());
+  collector_depth_.resize(link_depth_.size());
+}
 
 net::DirectedLink FaultInjector::cable_id(int node, int port) const {
   const net::PortRef peer = testbed_.graph().peer(node, port);
@@ -16,18 +23,24 @@ net::DirectedLink FaultInjector::cable_id(int node, int port) const {
   return net::DirectedLink{peer.node, peer.port};
 }
 
+int& FaultInjector::link_depth(int node, int port) {
+  const net::DirectedLink end = cable_id(node, port);
+  auto& depths = link_depth_[static_cast<std::size_t>(end.node)];
+  return depths[static_cast<std::size_t>(end.port)];
+}
+
 void FaultInjector::record(FaultKind kind, int node, int port) {
   history_.push_back(FaultRecord{sim_.now(), kind, node, port});
 }
 
 void FaultInjector::fail_link(int node, int port) {
-  if (++link_depth_[cable_id(node, port)] != 1) return;  // already down
+  if (++link_depth(node, port) != 1) return;  // already down
   testbed_.set_link_state(node, port, false);
   record(FaultKind::kLinkDown, node, port);
 }
 
 void FaultInjector::restore_link(int node, int port) {
-  int& depth = link_depth_[cable_id(node, port)];
+  int& depth = link_depth(node, port);
   assert(depth > 0);
   if (--depth != 0) return;  // another outage still holds it
   testbed_.set_link_state(node, port, true);
@@ -35,13 +48,13 @@ void FaultInjector::restore_link(int node, int port) {
 }
 
 void FaultInjector::crash_switch(int node) {
-  if (++switch_depth_[node] != 1) return;
+  if (++switch_depth_.at(static_cast<std::size_t>(node)) != 1) return;
   testbed_.set_switch_online(node, false);
   record(FaultKind::kSwitchCrash, node, -1);
 }
 
 void FaultInjector::restore_switch(int node) {
-  int& depth = switch_depth_[node];
+  int& depth = switch_depth_.at(static_cast<std::size_t>(node));
   assert(depth > 0);
   if (--depth != 0) return;
   testbed_.set_switch_online(node, true);
@@ -49,13 +62,13 @@ void FaultInjector::restore_switch(int node) {
 }
 
 void FaultInjector::crash_collector(int node) {
-  if (++collector_depth_[node] != 1) return;
+  if (++collector_depth_.at(static_cast<std::size_t>(node)) != 1) return;
   testbed_.set_collector_online(node, false);
   record(FaultKind::kCollectorCrash, node, -1);
 }
 
 void FaultInjector::restore_collector(int node) {
-  int& depth = collector_depth_[node];
+  int& depth = collector_depth_.at(static_cast<std::size_t>(node));
   assert(depth > 0);
   if (--depth != 0) return;
   testbed_.set_collector_online(node, true);
@@ -154,18 +167,19 @@ int FaultInjector::plan_random(const ChaosConfig& config) {
 }
 
 bool FaultInjector::link_down(int node, int port) const {
-  const auto it = link_depth_.find(cable_id(node, port));
-  return it != link_depth_.end() && it->second > 0;
+  const net::DirectedLink end = cable_id(node, port);
+  const auto& depths = link_depth_[static_cast<std::size_t>(end.node)];
+  return depths[static_cast<std::size_t>(end.port)] > 0;
 }
 
 bool FaultInjector::switch_down(int node) const {
-  const auto it = switch_depth_.find(node);
-  return it != switch_depth_.end() && it->second > 0;
+  return node >= 0 && node < static_cast<int>(switch_depth_.size()) &&
+         switch_depth_[static_cast<std::size_t>(node)] > 0;
 }
 
 bool FaultInjector::collector_down(int node) const {
-  const auto it = collector_depth_.find(node);
-  return it != collector_depth_.end() && it->second > 0;
+  return node >= 0 && node < static_cast<int>(collector_depth_.size()) &&
+         collector_depth_[static_cast<std::size_t>(node)] > 0;
 }
 
 void FaultInjector::check_epoch_invariants() {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/route_info.hpp"
@@ -106,15 +105,18 @@ class FaultInjector {
   void record(FaultKind kind, int node, int port);
   /// Canonical id of the cable touching (node, port): the lower endpoint.
   net::DirectedLink cable_id(int node, int port) const;
+  /// The outage depth of the cable touching (node, port).
+  int& link_depth(int node, int port);
 
   sim::Simulation& sim_;
   workload::Testbed& testbed_;
   sim::Rng rng_;
 
-  std::unordered_map<net::DirectedLink, int, net::DirectedLinkHash>
-      link_depth_;
-  std::unordered_map<int, int> switch_depth_;
-  std::unordered_map<int, int> collector_depth_;
+  // Outage depths by graph node; a cable's count sits at its canonical
+  // end, by port.
+  std::vector<std::vector<int>> link_depth_;
+  std::vector<int> switch_depth_;
+  std::vector<int> collector_depth_;
   std::vector<FaultRecord> history_;
 };
 

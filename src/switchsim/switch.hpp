@@ -96,6 +96,10 @@ class Switch : public net::Node {
 
   /// Attaches the outgoing half of the cable on `port`.
   void attach_link(int port, net::Link* link);
+  /// The outgoing half of the cable on `port`; nullptr while unwired.
+  net::Link* link(int port) const {
+    return ports_[static_cast<std::size_t>(port)].link;
+  }
 
   const std::string& name() const { return name_; }
   int num_ports() const { return static_cast<int>(ports_.size()); }

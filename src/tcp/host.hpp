@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/addresses.hpp"
@@ -58,6 +57,8 @@ class Host : public net::Node {
 
   /// Attaches the outgoing half of the host's cable.
   void attach_link(net::Link* link) { link_ = link; }
+  /// The outgoing half of the cable; nullptr while unwired.
+  net::Link* link() const { return link_; }
 
   int id() const { return id_; }
   net::MacAddress mac() const { return net::host_mac(id_); }
@@ -81,10 +82,6 @@ class Host : public net::Node {
   /// the host) for inspection.
   TcpSender* start_flow(net::IpAddress dst_ip, std::uint16_t dst_port,
                         std::int64_t bytes, FlowCallback on_complete = {});
-
-  /// Receiver side is created automatically on SYN arrival; this registers
-  /// nothing but exists so tests can assert a port is "listening".
-  void listen(std::uint16_t port) { listening_.insert(port); }
 
   // --- UDP --------------------------------------------------------------
   /// Sends a single UDP datagram carrying a byte-offset sequence number
@@ -166,7 +163,6 @@ class Host : public net::Node {
   std::unordered_map<net::FlowKey, TcpSender*, net::FlowKeyHash> by_out_key_;
   std::unordered_map<net::FlowKey, TcpReceiver*, net::FlowKeyHash>
       by_in_key_;
-  std::unordered_set<std::uint16_t> listening_;
   std::uint16_t next_src_port_ = 10000;
 
   PacketHook tx_hook_;

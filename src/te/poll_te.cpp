@@ -9,14 +9,14 @@ namespace planck::te {
 
 PollTe::PollTe(sim::Simulation& simulation,
                controller::Controller& controller,
-               std::vector<std::pair<int, switchsim::Switch*>> switches,
+               std::vector<switchsim::Switch*> switches,
                const PollTeConfig& config)
     : sim_(simulation),
       controller_(controller),
       switches_(std::move(switches)),
       config_(config),
       poll_timer_(simulation, [this] { poll(); }) {
-  for (const auto& [node, sw] : switches_) {
+  for (const switchsim::Switch* sw : switches_) {
     if (!sw->config().flow_accounting) {
       throw std::invalid_argument(
           "PollTe polls per-flow counters: switch " + sw->name() +
@@ -38,7 +38,7 @@ void PollTe::poll() {
   // Snapshot per-flow byte counters across all switches. A flow's bytes
   // are counted at several switches; take the maximum (its ingress count).
   std::unordered_map<net::FlowKey, sim::Bytes, net::FlowKeyHash> bytes;
-  for (const auto& [node, sw] : switches_) {
+  for (const switchsim::Switch* sw : switches_) {
     // planck-lint: allow(unordered-iteration) — max-fold is commutative
     for (const auto& [key, counters] : sw->flow_counters()) {
       auto& b = bytes[key];

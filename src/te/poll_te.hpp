@@ -36,7 +36,7 @@ class PollTe {
   /// Throws std::invalid_argument when a switch in `switches` keeps no
   /// per-flow counters (SwitchConfig::flow_accounting off).
   PollTe(sim::Simulation& simulation, controller::Controller& controller,
-         std::vector<std::pair<int, switchsim::Switch*>> switches,
+         std::vector<switchsim::Switch*> switches,
          const PollTeConfig& config);
 
   void start();
@@ -60,7 +60,7 @@ class PollTe {
 
   sim::Simulation& sim_;
   controller::Controller& controller_;
-  std::vector<std::pair<int, switchsim::Switch*>> switches_;
+  std::vector<switchsim::Switch*> switches_;
   PollTeConfig config_;
 
   /// Previous byte counts per flow, for rate-from-delta.

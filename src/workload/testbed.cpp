@@ -1,6 +1,5 @@
 #include "workload/testbed.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -47,14 +46,10 @@ void Testbed::build() {
   // Instantiate hosts and switches, each on its node's partition.
   for (int node = 0; node < graph_.num_nodes(); ++node) {
     sim::Simulation& node_sim = sim_for_node(node);
+    // Node order is host-index and switch-index order.
     if (graph_.is_host(node)) {
-      const int idx = graph_.host_index(node);
-      auto host =
-          std::make_unique<tcp::Host>(node_sim, idx, config_.host_config);
-      if (static_cast<int>(hosts_.size()) <= idx) {
-        hosts_.resize(static_cast<std::size_t>(idx) + 1);
-      }
-      hosts_[static_cast<std::size_t>(idx)] = std::move(host);
+      hosts_.push_back(std::make_unique<tcp::Host>(
+          node_sim, graph_.host_index(node), config_.host_config));
     } else {
       const int data_ports = graph_.num_ports(node);
       const int total_ports = data_ports + (config_.enable_planck ? 1 : 0);
@@ -64,7 +59,6 @@ void Testbed::build() {
       auto sw = std::make_unique<switchsim::Switch>(
           node_sim, "sw" + std::to_string(graph_.switch_index(node)),
           total_ports, sw_config);
-      switch_by_node_[node] = sw.get();
       switches_.push_back(std::move(sw));
     }
   }
@@ -80,23 +74,19 @@ void Testbed::build() {
       if (!peer.valid()) continue;
       const net::LinkSpec& spec = graph_.link_spec(node, port);
       net::Link* out = make_link(node_sim, spec.rate, spec.propagation);
-      link_out_[PortKey{node, port}] = out;
       // Receiving end.
       if (graph_.is_host(peer.node)) {
-        out->connect(hosts_[static_cast<std::size_t>(
-                                graph_.host_index(peer.node))]
-                         .get(),
-                     0, &sim_for_node(peer.node));
+        out->connect(host(graph_.host_index(peer.node)), 0,
+                     &sim_for_node(peer.node));
       } else {
-        out->connect(switch_by_node_.at(peer.node), peer.port,
+        out->connect(switch_by_node(peer.node), peer.port,
                      &sim_for_node(peer.node));
       }
       // Transmitting end.
       if (graph_.is_host(node)) {
-        hosts_[static_cast<std::size_t>(graph_.host_index(node))]
-            ->attach_link(out);
+        host(graph_.host_index(node))->attach_link(out);
       } else {
-        switch_by_node_.at(node)->attach_link(port, out);
+        switch_by_node(node)->attach_link(port, out);
       }
     }
   }
@@ -109,13 +99,11 @@ void Testbed::build() {
   for (int h = 0; h < num_hosts(); ++h) {
     controller_->attach_host(h, hosts_[static_cast<std::size_t>(h)].get());
   }
-  // Node-index order, not hash order: collector construction order decides
-  // link_rng_ draws (monitor-cable skew) and controller attachment order,
-  // all of which must reproduce across runs.
-  for (int node = 0; node < graph_.num_nodes(); ++node) {
-    const auto sw_it = switch_by_node_.find(node);
-    if (sw_it == switch_by_node_.end()) continue;
-    switchsim::Switch* sw = sw_it->second;
+  // Switch-index (node) order: collector construction order decides
+  // link_rng_ draws (monitor-cable skew), which must reproduce across runs.
+  for (int i = 0; i < num_switches(); ++i) {
+    const int node = graph_.switch_node(i);
+    switchsim::Switch* sw = switch_by_index(i);
     sim::Simulation& sw_sim = sim_for_node(node);
     int monitor_port = -1;
     if (config_.enable_planck) {
@@ -136,9 +124,7 @@ void Testbed::build() {
           make_link(sw_sim, rate, config_.monitor_propagation);
       monitor_link->connect(collector.get(), 0);
       sw->attach_link(monitor_port, monitor_link);
-      link_out_[PortKey{node, monitor_port}] = monitor_link;
       controller_->attach_collector(node, collector.get());
-      collector_by_node_[node] = collector.get();
       collectors_.push_back(std::move(collector));
     }
     controller_->attach_switch(node, sw, monitor_port);
@@ -146,16 +132,14 @@ void Testbed::build() {
     // control channel. Under the sharded engine the switch fires on its
     // data partition, so the notification first hops to the control
     // partition (one lookahead grid step, merged at the window barrier).
-    switchsim::Switch* sw_ptr = sw;
     if (&sw_sim != &sim_) {
-      sw_ptr->set_port_status_handler([this, node, &sw_sim](int port,
-                                                            bool up) {
+      sw->set_port_status_handler([this, node, &sw_sim](int port, bool up) {
         sw_sim.post(sim_, sw_sim.cross_lookahead(), [this, node, port, up] {
           controller_->notify_port_status(node, port, up);
         });
       });
     } else {
-      sw_ptr->set_port_status_handler([this, node](int port, bool up) {
+      sw->set_port_status_handler([this, node](int port, bool up) {
         controller_->notify_port_status(node, port, up);
       });
     }
@@ -172,7 +156,7 @@ void Testbed::set_link_state(int node, int port, bool up) {
 
 void Testbed::set_direction_state(int node, int port, bool up) {
   if (!graph_.is_host(node)) {
-    switch_by_node_.at(node)->set_port_admin(port, up);
+    switch_by_node(node)->set_port_admin(port, up);
     return;
   }
   // Host end: no admin plane, just the PHY.
@@ -181,11 +165,27 @@ void Testbed::set_direction_state(int node, int port, bool up) {
 }
 
 void Testbed::set_switch_online(int graph_node, bool online) {
-  switch_by_node_.at(graph_node)->set_online(online);
+  switch_by_node(graph_node)->set_online(online);
 }
 
 void Testbed::set_collector_online(int graph_node, bool online) {
-  collector_by_node_.at(graph_node)->set_online(online);
+  collectors_.at(switch_slot(graph_node))->set_online(online);
+}
+
+std::size_t Testbed::switch_slot(int node) const {
+  if (node < 0 || node >= graph_.num_nodes() || !graph_.is_switch(node)) {
+    return switches_.size();
+  }
+  return static_cast<std::size_t>(graph_.switch_index(node));
+}
+
+net::Link* Testbed::link_out(int node, int port) {
+  if (node < 0 || node >= graph_.num_nodes() || port < 0) return nullptr;
+  if (graph_.is_host(node)) {
+    return port == 0 ? host(graph_.host_index(node))->link() : nullptr;
+  }
+  const switchsim::Switch* sw = switch_by_node(node);
+  return port < sw->num_ports() ? sw->link(port) : nullptr;
 }
 
 net::Link* Testbed::make_link(sim::Simulation& source_sim,
@@ -204,12 +204,10 @@ net::Link* Testbed::make_link(sim::Simulation& source_sim,
   return links_.back().get();
 }
 
-std::vector<std::pair<int, switchsim::Switch*>> Testbed::switch_nodes() {
-  std::vector<std::pair<int, switchsim::Switch*>> out;
-  out.reserve(switch_by_node_.size());
-  for (const auto& [node, sw] : switch_by_node_) out.emplace_back(node, sw);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+std::vector<switchsim::Switch*> Testbed::switch_nodes() {
+  std::vector<switchsim::Switch*> out;
+  out.reserve(switches_.size());
+  for (const auto& sw : switches_) out.push_back(sw.get());
   return out;
 }
 

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "controller/controller.hpp"
@@ -81,33 +79,31 @@ class Testbed {
   }
   int num_hosts() const { return static_cast<int>(hosts_.size()); }
 
+  /// Throws std::out_of_range unless `graph_node` is a switch.
   switchsim::Switch* switch_by_node(int graph_node) {
-    return switch_by_node_.at(graph_node);
+    return switches_.at(switch_slot(graph_node)).get();
   }
   switchsim::Switch* switch_by_index(int switch_index) {
     return switches_[static_cast<std::size_t>(switch_index)].get();
   }
   int num_switches() const { return static_cast<int>(switches_.size()); }
 
-  /// nullptr when Planck is disabled.
+  /// nullptr for a node without a switch, or when Planck is disabled.
   core::Collector* collector_by_node(int graph_node) {
-    const auto it = collector_by_node_.find(graph_node);
-    return it == collector_by_node_.end() ? nullptr : it->second;
+    const std::size_t i = switch_slot(graph_node);
+    return i < collectors_.size() ? collectors_[i].get() : nullptr;
   }
   const std::vector<std::unique_ptr<core::Collector>>& collectors() const {
     return collectors_;
   }
 
-  /// All switches as (graph node, pointer) pairs — what PollTe polls.
-  std::vector<std::pair<int, switchsim::Switch*>> switch_nodes();
+  /// All switches in node order — what PollTe polls.
+  std::vector<switchsim::Switch*> switch_nodes();
 
   // --- fault-plane hooks --------------------------------------------------
   /// The Link transmitting out of (node, port); monitor cables live at
   /// (switch node, monitor port). nullptr when unwired.
-  net::Link* link_out(int node, int port) {
-    const auto it = link_out_.find(PortKey{node, port});
-    return it == link_out_.end() ? nullptr : it->second;
-  }
+  net::Link* link_out(int node, int port);
   /// Cuts or restores the whole cable attached to (node, port): both
   /// directions go down. A switch end goes through set_port_admin (so the
   /// loss-of-signal notification reaches the controller); a host end just
@@ -119,24 +115,13 @@ class Testbed {
   void set_collector_online(int graph_node, bool online);
 
  private:
-  struct PortKey {
-    int node;
-    int port;
-    friend bool operator==(const PortKey&, const PortKey&) = default;
-  };
-  struct PortKeyHash {
-    std::size_t operator()(const PortKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.node))
-           << 32) |
-          static_cast<std::uint32_t>(k.port));
-    }
-  };
-
   /// Shared constructor body. The link-rng draw order, construction order
   /// and wiring are identical in both modes; only *which* simulation each
   /// component binds to differs.
   void build();
+  /// `node`'s index into switches_ and collectors_ (its switch index);
+  /// past both ends for a host or a node outside the graph.
+  std::size_t switch_slot(int node) const;
   /// The partition `node`'s state lives on: sim_ when unsharded.
   sim::Simulation& sim_for_node(int node);
   net::Link* make_link(sim::Simulation& source_sim, sim::BitsPerSec rate,
@@ -152,11 +137,10 @@ class Testbed {
 
   std::vector<std::unique_ptr<net::Link>> links_;
   std::vector<std::unique_ptr<tcp::Host>> hosts_;
+  /// Both by switch index, which is node order; collectors_ is empty when
+  /// Planck is disabled.
   std::vector<std::unique_ptr<switchsim::Switch>> switches_;
   std::vector<std::unique_ptr<core::Collector>> collectors_;
-  std::unordered_map<int, switchsim::Switch*> switch_by_node_;
-  std::unordered_map<int, core::Collector*> collector_by_node_;
-  std::unordered_map<PortKey, net::Link*, PortKeyHash> link_out_;
   std::unique_ptr<controller::Controller> controller_;
 };
 

@@ -252,6 +252,50 @@ TEST(Collector, EventThresholdConfigurable) {
   EXPECT_GT(events, 0);
 }
 
+TEST(Collector, PortWithoutCapacityTracksUtilizationButFiresNoEvent) {
+  // Port 2 is routed but has no declared capacity: it aggregates
+  // utilization like any port and fires nothing, neither from the
+  // per-sample path nor from the sweep-only pass that port 1's events
+  // push the collector into.
+  CollectorConfig cfg;
+  cfg.event_debounce = sim::microseconds(50);
+  cfg.backpressure.queue_capacity = 64;
+  cfg.backpressure.sweep_watermark = 2;
+  cfg.backpressure.drain_interval = sim::milliseconds(2);
+  Fixture f(cfg);
+  net::SwitchRouteView view;
+  view.out_port_by_dst[net::host_mac(1)] = 1;
+  view.out_port_by_dst[net::host_mac(2)] = 2;
+  f.collector.update_route_view(view);
+  std::vector<int> event_ports;
+  f.collector.subscribe_congestion(
+      [&](const CongestionEvent& e) { event_ports.push_back(e.out_port); });
+
+  // Two ~9.4 Gb/s flows: 0->1 on port 1 and 0->2 on port 2.
+  std::uint64_t seq = 0;
+  for (sim::Time t = 0; t < sim::milliseconds(6); t += 1243) {
+    f.sim.schedule_at(t, [&f, seq] {
+      f.collector.handle_packet(make_data(0, 1, seq), 0);
+      f.collector.handle_packet(make_data(0, 2, seq), 0);
+    });
+    seq += 1460;
+  }
+  f.sim.run_until(sim::milliseconds(6));
+  EXPECT_GT(f.collector.link_utilization_bps(2), 8e9);
+  EXPECT_EQ(f.collector.flows_on_link(2).size(), 1u);
+  EXPECT_GT(f.collector.events_deferred_to_sweep(), 0u);
+  f.sim.run_until(sim::milliseconds(30));  // drain the event queue
+  ASSERT_FALSE(event_ports.empty());
+  for (int port : event_ports) EXPECT_EQ(port, 1);
+
+  // Ports never seen read as idle: negative, below the highest port
+  // seen, one past it and far past it.
+  for (int port : {-1, 0, 4, 9}) {
+    EXPECT_EQ(f.collector.link_utilization_bps(port), 0.0) << port;
+    EXPECT_TRUE(f.collector.flows_on_link(port).empty()) << port;
+  }
+}
+
 TEST(Collector, FlowsOnLinkSortedByRate) {
   Fixture f;
   // Two flows on port 1: 0->1 fast, 2->1 slow.

@@ -250,5 +250,26 @@ TEST(Controller, QueryLinkUtilizationRoundTrip) {
   EXPECT_GE(replied_at - asked_at, 2 * sim::microseconds(150));
 }
 
+TEST(Controller, QueryWithoutCollectorFailsExactlyOnce) {
+  // A host node has no collector; with Planck off, no switch has one.
+  workload::TestbedConfig planck_off;
+  planck_off.enable_planck = false;
+  FatTreeBed with_planck;
+  FatTreeBed without_planck(planck_off);
+  const std::pair<FatTreeBed*, int> cases[] = {
+      {&with_planck, with_planck.graph.host_node(0)},
+      {&without_planck, without_planck.graph.switch_node(0)},
+  };
+  for (const auto& [f, node] : cases) {
+    int replies = 0;
+    int failures = 0;
+    f->bed.controller().query_link_utilization(
+        node, 0, [&](double) { ++replies; }, [&] { ++failures; });
+    f->sim.run_until(sim::milliseconds(50));
+    EXPECT_EQ(replies, 0) << "node " << node;
+    EXPECT_EQ(failures, 1) << "node " << node;
+  }
+}
+
 }  // namespace
 }  // namespace planck::controller

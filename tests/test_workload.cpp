@@ -146,6 +146,52 @@ TEST(ShardedTestbed, RejectsLookaheadWiderThanBoundaryPropagation) {
                std::invalid_argument);
 }
 
+// Node-keyed lookups at their edges: hosts, nodes outside the graph,
+// ports past the last one, and a testbed without Planck.
+TEST(Testbed, NodeLookupsAtTheEdges) {
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const int host_node = graph.host_node(0);
+  const int edge_node = graph.peer(host_node, 0).node;
+  const int monitor_port = graph.num_ports(edge_node);
+  TestbedConfig planck_off;
+  planck_off.enable_planck = false;
+  sim::Simulation sim;
+  sim::Simulation bare_sim;
+  Testbed bed(sim, graph, TestbedConfig{});
+  Testbed bare(bare_sim, graph, planck_off);
+
+  EXPECT_NE(bed.collector_by_node(edge_node), nullptr);
+  EXPECT_EQ(bed.collector_by_node(host_node), nullptr);
+  EXPECT_EQ(bed.collector_by_node(-1), nullptr);
+  EXPECT_EQ(bed.collector_by_node(graph.num_nodes()), nullptr);
+  EXPECT_EQ(bare.collector_by_node(edge_node), nullptr);
+
+  EXPECT_THROW(bed.switch_by_node(host_node), std::out_of_range);
+  EXPECT_THROW(bed.switch_by_node(graph.num_nodes()), std::out_of_range);
+  EXPECT_THROW(bed.set_collector_online(host_node, false), std::out_of_range);
+  EXPECT_THROW(bare.set_collector_online(edge_node, false),
+               std::out_of_range);
+
+  // One datagram from host 0 to its edge neighbour crosses the host's
+  // port-0 link and, mirrored, the edge switch's monitor link.
+  net::Link* host_link = bed.link_out(host_node, 0);
+  net::Link* monitor_link = bed.link_out(edge_node, monitor_port);
+  ASSERT_NE(host_link, nullptr);
+  ASSERT_NE(monitor_link, nullptr);
+  bed.host(0)->send_udp(net::host_ip(1), 7000, 7000, 0, 1000);
+  sim.run_until(sim::milliseconds(1));
+  EXPECT_EQ(host_link->packets_sent().count(), 1u);
+  EXPECT_EQ(monitor_link->packets_sent().count(), 1u);
+  EXPECT_EQ(bed.collector_by_node(edge_node)->samples_received(), 1u);
+
+  EXPECT_EQ(bed.link_out(host_node, 1), nullptr);
+  EXPECT_EQ(bed.link_out(edge_node, monitor_port + 1), nullptr);
+  EXPECT_EQ(bed.link_out(-1, 0), nullptr);
+  EXPECT_EQ(bare.link_out(edge_node, monitor_port), nullptr);
+  EXPECT_NE(bare.link_out(host_node, 0), nullptr);
+}
+
 TEST(Experiment, GraphSelectionByScheme) {
   ExperimentConfig cfg;
   cfg.scheme = Scheme::kOptimal;

@@ -44,8 +44,8 @@ def build_unordered_registry(files):
     like collector->flow_table().flows() cross files), and variable names
     declared with an unordered type, scoped per file *stem* so that a
     member declared in foo.hpp is visible in foo.cpp but an unrelated
-    same-named member of another class is not (e.g. Controller::switches_
-    is an unordered_map while PollTe::switches_ is a vector)."""
+    same-named member of another class is not (e.g. TeState::flows_ is an
+    unordered_map while Collector::flows_ is a FlowTable)."""
     vars_by_stem, method_names = {}, set()
     for sf in files:
         stem_vars = vars_by_stem.setdefault(file_stem(sf.path), set())
