@@ -257,7 +257,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!bound_held) {
-    std::fprintf(stderr, "FAIL: blackhole window exceeded the contract bound\n");
+    std::fprintf(stderr,
+                 "FAIL: blackhole window exceeded the contract bound\n");
     return 1;
   }
   std::printf("\nall same-seed runs digest-stable; failsafe engaged; "

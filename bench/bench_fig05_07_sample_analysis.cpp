@@ -34,7 +34,8 @@ struct SampleAnalysis {
 SampleAnalysis run_case(int flows, sim::Duration duration) {
   sim::Simulation simulation;
   const net::TopologyGraph graph = net::make_star(
-      2 * flows, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)});
+      2 * flows,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)});
   workload::TestbedConfig cfg;
   // Sender microbursts per Bullet Trains [23]: the paper's Figure 7
   // attributes the long inter-arrival tail to sender-side transmit gaps;

@@ -26,7 +26,8 @@ stats::Samples run_case(double factor, sim::Bytes monitor_cap,
   sim::Simulation simulation;
   constexpr int kSources = 8;
   const net::TopologyGraph graph = net::make_star(
-      2 * kSources, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)});
+      2 * kSources,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)});
   workload::TestbedConfig cfg;
   cfg.switch_config.monitor_port_cap = monitor_cap;
   workload::Testbed bed(simulation, graph, cfg);
@@ -46,7 +47,8 @@ stats::Samples run_case(double factor, sim::Bytes monitor_cap,
   for (int f = 0; f < kSources; ++f) {
     sources.push_back(std::make_unique<tcp::CbrSource>(
         simulation, *bed.host(f), net::host_ip(kSources + f),
-        static_cast<std::uint16_t>(7000 + f), 7001, sim::BitsPerSec{per_source}));
+        static_cast<std::uint16_t>(7000 + f), 7001,
+        sim::BitsPerSec{per_source}));
     sources.back()->start();
   }
   simulation.run_until(measure_from + duration);

@@ -26,7 +26,8 @@ double run_case(double factor, sim::Duration duration) {
   sim::Simulation simulation;
   constexpr int kSources = 8;
   const net::TopologyGraph graph = net::make_star(
-      2 * kSources, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)});
+      2 * kSources,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)});
   workload::TestbedConfig cfg;
   workload::Testbed bed(simulation, graph, cfg);
 

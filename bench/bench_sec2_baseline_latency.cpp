@@ -91,11 +91,12 @@ int main() {
   }
   simulation.run_until(t0 + sim::milliseconds(900));
 
-  std::printf("\nfour saturated flows (~%.2f Gbps each on disjoint paths); the\n"
-              "switch's ~300 samples/s of control-plane budget is shared "
-              "across all of\nthem plus their ACK streams. Per-flow "
-              "estimate of flow 0:\n\n",
-              true_rate / 1e9);
+  std::printf(
+      "\nfour saturated flows (~%.2f Gbps each on disjoint paths); the\n"
+      "switch's ~300 samples/s of control-plane budget is shared "
+      "across all of\nthem plus their ACK streams. Per-flow "
+      "estimate of flow 0:\n\n",
+      true_rate / 1e9);
   table.print();
   std::printf("\ntime to a stable (<15%% error) estimate:\n");
   std::printf("  Planck                : %.2f ms after flow start\n",

@@ -123,8 +123,10 @@ struct PriorSystem {
 int main() {
   bench::header("Table 1", "measurement latency comparison (§5.5)");
 
-  const Measured g10_min = run_case(sim::gigabits_per_sec(10), sim::bytes(8 * 1518));
-  const Measured g1_min = run_case(sim::gigabits_per_sec(1), sim::bytes(8 * 1518));
+  const Measured g10_min =
+      run_case(sim::gigabits_per_sec(10), sim::bytes(8 * 1518));
+  const Measured g1_min =
+      run_case(sim::gigabits_per_sec(1), sim::bytes(8 * 1518));
   const Measured g10 = run_case(sim::gigabits_per_sec(10), sim::mebibytes(4));
   const Measured g1 = run_case(sim::gigabits_per_sec(1), sim::kibibytes(768));
 

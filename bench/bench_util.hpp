@@ -53,9 +53,11 @@ inline sim::Bytes mib(double n) {
 }
 
 inline void header(const char* id, const char* title) {
-  std::printf("==============================================================\n");
+  std::printf(
+      "==============================================================\n");
   std::printf("%s — %s\n", id, title);
-  std::printf("==============================================================\n");
+  std::printf(
+      "==============================================================\n");
 }
 
 /// Machine-readable bench output, backed by an obs::MetricRegistry so

@@ -154,7 +154,6 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
     arp.arp_op = net::ArpOp::kRequest;
     arp.src_ip = key.dst_ip;
     arp.dst_ip = key.src_ip;
-    arp.arp_mac = net::host_mac(dst_host, tree);
     arp.src_mac = net::host_mac(dst_host, tree);
     arp.dst_mac = net::host_mac(src_host, 0);
     const int host_port = ingress_in_port;
@@ -293,7 +292,8 @@ void Controller::maybe_reconcile_flow_rule(const net::FlowKey& key,
   if (rule_it == s->acked_flow_rules.end()) return;
   if (rule_it->second >= epochs_.newest_epoch(key)) return;  // rule is newest
 
-  const std::uint64_t erase_epoch = epochs_.open(key, tree_of(key), tree_of(key));
+  const std::uint64_t erase_epoch =
+      epochs_.open(key, tree_of(key), tree_of(key));
   PLANCK_TRACE_ARGS(sim_, "controller", "reconcile_erase",
                     obs::argf("\"stale\":%llu,\"epoch\":%llu",
                               static_cast<unsigned long long>(rule_it->second),
@@ -473,7 +473,9 @@ void Controller::failover_dead_paths() {
   // monitoring plane shares fate with the network, as in the paper.
   std::unordered_map<net::FlowKey, int, net::FlowKeyHash> candidates;
   // planck-lint: allow(unordered-iteration) — collect-then-sort below
-  for (const auto& [key, tree] : tree_assignment_) candidates.emplace(key, tree);
+  for (const auto& [key, tree] : tree_assignment_) {
+    candidates.emplace(key, tree);
+  }
   for (const SwitchSlot& s : slots_) {
     const core::Collector* collector = s.collector;
     if (collector == nullptr || !collector->online()) continue;

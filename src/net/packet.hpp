@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 
 #include "net/addresses.hpp"
 #include "sim/time.hpp"
@@ -93,6 +94,9 @@ struct FlowKeyHash {
 struct Packet {
   MacAddress src_mac = kMacNone;
   MacAddress dst_mac = kMacNone;
+  /// For ARP, src_ip is the sender IP and src_mac the MAC advertised for
+  /// it. A spoofed unicast request with a shadow MAC as src_mac performs
+  /// the §6.2 reroute.
   IpAddress src_ip = 0;
   IpAddress dst_ip = 0;
   std::uint16_t src_port = 0;
@@ -101,22 +105,26 @@ struct Packet {
   std::uint8_t flags = 0;
   ArpOp arp_op = ArpOp::kNone;
 
+  /// Oracle metadata for tests/validation only: the input/output port the
+  /// packet used at the switch that mirrored it. Real mirrored packets
+  /// carry no metadata; the collector must *infer* these (§3.2.1) and tests
+  /// compare inference against this ground truth. -1 when unset.
+  std::int16_t oracle_in_port = -1;
+  std::int16_t oracle_out_port = -1;
+
+  /// Payload bytes in this segment.
+  std::uint32_t payload = 0;
+
   /// TCP sequence number: offset of the first payload byte (paper §3.2.2
   /// uses these as byte counters for rate estimation).
   std::uint64_t seq = 0;
   /// Cumulative ACK: next byte expected by the receiver.
   std::uint64_t ack = 0;
-  /// First SACK block: the receiver's lowest out-of-order range
-  /// [sack_start, sack_end). Both zero when absent. One block is enough to
-  /// let the sender bound the hole and do SACK-style recovery.
+  /// SACK: the first byte of the receiver's lowest out-of-order block, or
+  /// zero when it holds none. That block always starts above the
+  /// cumulative ACK, so a present block is never zero. Its start is all
+  /// the sender needs: the hole to repair is [ack, sack_start).
   std::uint64_t sack_start = 0;
-  std::uint64_t sack_end = 0;
-  /// Payload bytes in this segment.
-  std::uint32_t payload = 0;
-
-  /// ARP: the MAC being advertised for sender_ip (src_ip). A spoofed
-  /// unicast request with a shadow MAC here performs the §6.2 reroute.
-  MacAddress arp_mac = kMacNone;
 
   /// Timestamp of this transmission onto the first wire (set by the sending
   /// NIC; the simulated equivalent of tcpdump at the sender).
@@ -125,13 +133,6 @@ struct Packet {
   /// preserved across retransmissions so receiver-side latency includes
   /// retransmission delay (Figure 3's 99.9th percentile effect).
   sim::Time first_sent_at = 0;
-
-  /// Oracle metadata for tests/validation only: the input/output port the
-  /// packet used at the switch that mirrored it. Real mirrored packets
-  /// carry no metadata; the collector must *infer* these (§3.2.1) and tests
-  /// compare inference against this ground truth. -1 when unset.
-  std::int16_t oracle_in_port = -1;
-  std::int16_t oracle_out_port = -1;
 
   FlowKey flow_key() const {
     return FlowKey{src_ip, dst_ip, src_port, dst_port, proto};
@@ -154,5 +155,11 @@ struct Packet {
   sim::Bytes frame_bytes() const { return sim::Bytes{frame_size()}; }
   sim::Bytes wire_bytes() const { return sim::Bytes{wire_size()}; }
 };
+
+// Every queued frame is one Packet: an oversubscribed monitor port keeps
+// its buffer full, about 3,900 frames per switch, so each byte here costs
+// megabytes of peak memory. The member order leaves one byte of padding.
+static_assert(sizeof(Packet) == 80);
+static_assert(std::is_trivially_copyable_v<Packet>);
 
 }  // namespace planck::net

@@ -33,7 +33,8 @@ std::string argf(const char* fmt, ...) {
   const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   if (n < 0) return std::string();
-  return std::string(buf, std::min(sizeof(buf) - 1, static_cast<std::size_t>(n)));
+  return std::string(
+      buf, std::min(sizeof(buf) - 1, static_cast<std::size_t>(n)));
 }
 
 std::size_t Tracer::tid_for(std::string_view component) {

@@ -70,7 +70,7 @@ std::vector<std::uint8_t> PcapWriter::render_frame(
     frame.push_back(4);      // PLEN
     put_u16(frame,
             packet.arp_op == net::ArpOp::kReply ? 2 : 1);  // operation
-    put_mac(frame, packet.arp_mac);                        // sender MAC
+    put_mac(frame, packet.src_mac);                        // sender MAC
     put_u32(frame, packet.src_ip);                         // sender IP
     put_mac(frame, packet.dst_mac);                        // target MAC
     put_u32(frame, packet.dst_ip);                         // target IP

@@ -20,7 +20,9 @@
 namespace planck::sim::internal {
 [[noreturn]] inline void contract_failed(const char* expr, const char* what,
                                          const char* file, int line) {
-  std::fprintf(stderr, "PLANCK_CONTRACT violated: %s\n  invariant: %s\n  at %s:%d\n",
+  std::fprintf(stderr,
+               "PLANCK_CONTRACT violated: %s\n  invariant: %s\n"
+               "  at %s:%d\n",
                what, expr, file, line);
   std::abort();
 }

@@ -57,8 +57,10 @@ using EventId = std::uint64_t;
 /// monotonicity by clamping to now()).
 class EventQueue {
  public:
-  // 136 bytes of inline storage so closures that carry a Packet (plus a
-  // destination pointer) never heap-allocate.
+  // 136 bytes of inline storage so closures that carry an 80-byte Packet
+  // never heap-allocate: the controller's ARP inject (Packet, switch, port)
+  // is 96 bytes and the switch's sFlow sample (Packet, std::function
+  // handler, ports, rate) 128.
   using Callback = InlineFunction<void(), 136>;
   /// Typed packet-delivery handler: (target, aux, packet). `aux` is a free
   /// 32-bit payload — links pass their delivery epoch, switches a port.

@@ -34,7 +34,8 @@
 // Function annotations.
 #define PLANCK_REQUIRES(...) \
   PLANCK_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define PLANCK_EXCLUDES(...) PLANCK_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
+#define PLANCK_EXCLUDES(...) \
+  PLANCK_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define PLANCK_ACQUIRE(...) \
   PLANCK_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define PLANCK_RELEASE(...) \
@@ -72,7 +73,8 @@ class PLANCK_CAPABILITY("mutex") Mutex {
   bool try_lock() PLANCK_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
-  // planck-lint: allow(guarded-field) — the wrapper IS the capability: m_ is the lock itself, not state the lock protects
+  // m_ is the lock itself, not state the lock protects.
+  // planck-lint: allow(guarded-field) — the wrapper IS the capability
   std::mutex m_;
 };
 

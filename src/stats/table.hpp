@@ -13,7 +13,9 @@ class TextTable {
   explicit TextTable(std::vector<std::string> header)
       : header_(std::move(header)) {}
 
-  void add_row(std::vector<std::string> row) { rows_.push_back(std::move(row)); }
+  void add_row(std::vector<std::string> row) {
+    rows_.push_back(std::move(row));
+  }
 
   void print(std::FILE* out = stdout) const {
     std::vector<std::size_t> widths(header_.size(), 0);

@@ -183,8 +183,8 @@ void Host::handle_arp(const net::Packet& packet) {
       sim_.now() - entry.updated_at < config_.arp_locktime) {
     return;  // entry locked
   }
-  if (entry.mac == packet.arp_mac) return;
-  entry.mac = packet.arp_mac;
+  if (entry.mac == packet.src_mac) return;
+  entry.mac = packet.src_mac;
   entry.updated_at = sim_.now();
   ++arp_updates_;
 }

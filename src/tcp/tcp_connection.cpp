@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cassert>
 
+#include "sim/contract.hpp"
 #include "tcp/host.hpp"
 
 namespace planck::tcp {
@@ -292,7 +293,7 @@ void TcpSender::recovery_retransmit(const net::Packet& ack_packet) {
   // first out-of-order block is missing. Without SACK information, repair
   // conservatively one segment at a time (classic NewReno).
   std::int64_t hole_end;
-  if (ack_packet.sack_end != 0) {
+  if (ack_packet.sack_start != 0) {
     hole_end = std::min<std::int64_t>(
         static_cast<std::int64_t>(ack_packet.sack_start), recover_);
   } else {
@@ -469,8 +470,10 @@ void TcpReceiver::send_ack() {
   unacked_segments_ = 0;
   net::Packet ack;
   if (!ooo_.empty()) {
+    PLANCK_CONTRACT(ooo_.begin()->first > rcv_nxt_ && rcv_nxt_ >= 0,
+                    "sack-nonzero: the lowest out-of-order block starts "
+                    "above rcv_nxt >= 0, so a present block is never 0");
     ack.sack_start = static_cast<std::uint64_t>(ooo_.begin()->first);
-    ack.sack_end = static_cast<std::uint64_t>(ooo_.begin()->second);
   }
   ack.src_ip = key_.dst_ip;
   ack.dst_ip = key_.src_ip;

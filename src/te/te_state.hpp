@@ -63,7 +63,8 @@ class TeState {
       const net::RoutePath path =
           routing_.path(flow.src_host, flow.dst_host, flow.tree);
       for (const net::PathHop& hop : path.hops) {
-        loads[net::DirectedLink{hop.switch_node, hop.out_port}] += flow.rate_bps;
+        loads[net::DirectedLink{hop.switch_node, hop.out_port}] +=
+            flow.rate_bps;
       }
     }
     return loads;

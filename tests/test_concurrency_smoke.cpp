@@ -139,7 +139,9 @@ TEST(ConcurrencySmoke, ParallelIndependentSimulationsStayDeterministic) {
   std::vector<std::thread> engines;
   engines.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    engines.emplace_back([&digests, t] { digests[static_cast<std::size_t>(t)] = run_partition(42); });
+    engines.emplace_back([&digests, t] {
+      digests[static_cast<std::size_t>(t)] = run_partition(42);
+    });
   }
   for (std::thread& e : engines) e.join();
 

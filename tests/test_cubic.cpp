@@ -24,7 +24,8 @@ workload::TestbedConfig no_planck() {
 struct Star {
   explicit Star(int n, workload::TestbedConfig cfg = no_planck())
       : graph(net::make_star(
-            n, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)})),
+            n,
+            net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(40)})),
         bed(sim, graph, cfg) {}
   sim::Simulation sim;
   net::TopologyGraph graph;

@@ -318,7 +318,8 @@ TEST(EpochControl, RecoveredSwitchResyncsToCurrentEpoch) {
   ctrl.reroute_flow(key, 2, controller::RerouteMechanism::kOpenFlow);
   f.sim.run_until(sim::milliseconds(20));
   ASSERT_NE(f.bed.switch_by_node(ingress)->rules().find_flow(key), nullptr);
-  const std::uint64_t pre_crash = f.bed.switch_by_node(ingress)->committed_epoch();
+  const std::uint64_t pre_crash =
+      f.bed.switch_by_node(ingress)->committed_epoch();
 
   // The crash wipes the rule (controller soft state)...
   inj.crash_switch(ingress);

@@ -25,6 +25,13 @@ std::uint16_t read_u16be(const std::vector<std::uint8_t>& b,
   return static_cast<std::uint16_t>((b[off] << 8) | b[off + 1]);
 }
 
+net::MacAddress read_mac(const std::vector<std::uint8_t>& b,
+                         std::size_t off) {
+  net::MacAddress mac = 0;
+  for (std::size_t i = 0; i < 6; ++i) mac = (mac << 8) | b[off + i];
+  return mac;
+}
+
 net::Packet tcp_packet() {
   net::Packet p;
   p.src_mac = net::host_mac(0);
@@ -129,12 +136,15 @@ TEST(Pcap, ArpFrame) {
   p.arp_op = net::ArpOp::kRequest;
   p.src_ip = net::host_ip(4);
   p.dst_ip = net::host_ip(0);
-  p.arp_mac = net::host_mac(4, 2);
   p.dst_mac = net::host_mac(0);
   p.src_mac = net::host_mac(4, 2);
   const auto frame = PcapWriter::render_frame(p);
   EXPECT_EQ(read_u16be(frame, 12), 0x0806);  // EtherType ARP
   EXPECT_EQ(read_u16be(frame, 20), 1u);      // opcode request
+  // The advertised (shadow) MAC is both the Ethernet source and the ARP
+  // sender hardware address.
+  EXPECT_EQ(read_mac(frame, 6), net::host_mac(4, 2));
+  EXPECT_EQ(read_mac(frame, 22), net::host_mac(4, 2));
   EXPECT_GE(frame.size(), 60u);              // min Ethernet frame
 }
 

@@ -601,7 +601,8 @@ TEST_P(EventQueueFifoTest, StableWithinTimestamp) {
   Rng rng(static_cast<std::uint64_t>(groups));
   std::vector<int> counters(static_cast<std::size_t>(groups), 0);
   for (int i = 0; i < 500; ++i) {
-    const Time t = static_cast<Time>(rng.below(static_cast<std::uint64_t>(groups)));
+    const Time t =
+        static_cast<Time>(rng.below(static_cast<std::uint64_t>(groups)));
     const int seq = counters[static_cast<std::size_t>(t)]++;
     q.push(t, [&order, t, seq] { order.emplace_back(t, seq); });
   }

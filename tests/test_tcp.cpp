@@ -164,6 +164,58 @@ TEST(Tcp, RecoversViaFastRetransmitWithoutTimeout) {
   EXPECT_GT(result.throughput_bps(), 7e9);
 }
 
+TEST(Tcp, AckCarriesLowestSackBlockUntilTheHoleFills) {
+  // Segments delivered straight to the receiving host: each one past a
+  // hole draws an immediate ACK naming rcv_nxt and the first byte of the
+  // lowest out-of-order block; once every hole fills, sack_start is 0.
+  Star star(2);
+  Host* rx = star.bed.host(1);
+  std::vector<net::Packet> acks;
+  rx->set_tx_hook([&](const net::Packet& p) {
+    if (p.flags == net::kAck) acks.push_back(p);
+  });
+  net::Packet seg;
+  seg.src_mac = net::host_mac(0);
+  seg.dst_mac = rx->mac();
+  seg.src_ip = net::host_ip(0);
+  seg.dst_ip = net::host_ip(1);
+  seg.src_port = 40000;
+  seg.dst_port = 5001;
+  auto deliver = [&](std::uint8_t flags, std::uint64_t seq,
+                     std::uint32_t payload) {
+    seg.flags = flags;
+    seg.seq = seq;
+    seg.payload = payload;
+    rx->handle_packet(seg, 0);
+    star.sim.run_until(star.sim.now() + sim::microseconds(100));
+  };
+  deliver(net::kSyn, 0, 0);
+  ASSERT_EQ(rx->receivers().size(), 1u);
+  const TcpReceiver& receiver = *rx->receivers()[0];
+
+  struct Step {
+    std::uint64_t seq;
+    std::uint64_t ack;
+    std::uint64_t sack_start;
+  };
+  // Holes at [0, 1000) and [2000, 3000); the last two segments fill them.
+  const Step steps[] = {
+      {1000, 0, 1000},  // block past a hole at byte 0: rcv_nxt is 0
+      {3000, 0, 1000},  // a second block above it: still the lowest
+      {0, 2000, 3000},  // first hole fills; [1000, 2000) joins it
+      {2000, 4000, 0},  // last hole fills: no block left
+  };
+  for (const Step& step : steps) {
+    const std::size_t before = acks.size();
+    deliver(net::kAck, step.seq, 1000);
+    ASSERT_EQ(acks.size(), before + 1) << "seq " << step.seq;
+    EXPECT_EQ(acks.back().ack, step.ack) << "seq " << step.seq;
+    EXPECT_EQ(acks.back().ack,
+              static_cast<std::uint64_t>(receiver.rcv_nxt()));
+    EXPECT_EQ(acks.back().sack_start, step.sack_start) << "seq " << step.seq;
+  }
+}
+
 TEST(Tcp, RtoRecoversFromTotalBlackout) {
   Star star(2);
   auto* sw = star.bed.switch_by_node(star.graph.switch_node(0));
@@ -236,7 +288,6 @@ net::Packet make_arp(int target_host, int subject_host,
   arp.arp_op = op;
   arp.src_ip = net::host_ip(subject_host);
   arp.dst_ip = net::host_ip(target_host);
-  arp.arp_mac = advertised;
   arp.src_mac = advertised;
   arp.dst_mac = net::host_mac(target_host);
   return arp;

@@ -163,8 +163,8 @@ struct TeFixture {
 
 TEST(PlanckTe, MovesExactlyOneOfTwoCollidingFlows) {
   TeFixture f;
-  f.te.process_congestion(
-      f.event_for({TeFixture::rate(0, 4, 4.7e9), TeFixture::rate(1, 5, 4.7e9)}));
+  f.te.process_congestion(f.event_for(
+      {TeFixture::rate(0, 4, 4.7e9), TeFixture::rate(1, 5, 4.7e9)}));
   EXPECT_EQ(f.te.reroutes(), 1u);
   // One of the two flows is now on a non-base tree.
   const int t0 = f.bed.controller().tree_of(TeFixture::rate(0, 4, 0).key);
@@ -201,8 +201,8 @@ TEST(PlanckTe, CooldownPreventsDoubleMove) {
 
 TEST(PlanckTe, ReroutesAgainAfterCooldown) {
   TeFixture f;
-  f.te.process_congestion(
-      f.event_for({TeFixture::rate(0, 4, 4.7e9), TeFixture::rate(1, 5, 4.7e9)}));
+  f.te.process_congestion(f.event_for(
+      {TeFixture::rate(0, 4, 4.7e9), TeFixture::rate(1, 5, 4.7e9)}));
   EXPECT_EQ(f.te.reroutes(), 1u);
   f.sim.run_until(sim::milliseconds(10));
   // New congestion appears involving the already-moved flow on its new
