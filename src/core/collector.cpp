@@ -1,6 +1,8 @@
 #include "core/collector.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -98,10 +100,19 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
   ++samples_received_;
   last_sample_at_ = sim_.now();
 
-  if (config_.sample_ring_capacity > 0) {
-    if (ring_.size() >= config_.sample_ring_capacity) ring_.pop_front();
-    ring_.push_back(Sample{sim_.now(), packet});
-    if (sample_hook_) sample_hook_(ring_.back());
+  const std::size_t capacity = config_.sample_ring_capacity;
+  if (capacity > 0) {
+    const Sample* newest = nullptr;
+    if (ring_.size() < capacity) {
+      if (ring_.empty()) ring_.reserve(capacity);
+      newest = &ring_.emplace_back(Sample{sim_.now(), packet});
+    } else {
+      Sample& slot = ring_[ring_oldest_];
+      slot = Sample{sim_.now(), packet};
+      newest = &slot;
+      ring_oldest_ = (ring_oldest_ + 1) % capacity;
+    }
+    if (sample_hook_) sample_hook_(*newest);
   } else if (sample_hook_) {
     sample_hook_(Sample{sim_.now(), packet});  // no ring kept
   }
@@ -166,6 +177,14 @@ std::vector<FlowRate> Collector::flows_on_link(int out_port) const {
     if (a.rate_bps != b.rate_bps) return a.rate_bps > b.rate_bps;
     return a.key < b.key;
   });
+  return out;
+}
+
+std::vector<Sample> Collector::raw_samples() const {
+  std::vector<Sample> out;
+  out.reserve(ring_.size());
+  const auto oldest = ring_.begin() + static_cast<std::ptrdiff_t>(ring_oldest_);
+  std::rotate_copy(ring_.begin(), oldest, ring_.end(), std::back_inserter(out));
   return out;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <string>
 #include <vector>
 
@@ -160,8 +160,8 @@ class Collector : public net::Node {
   /// (ii) Rate estimates of flows currently crossing `out_port` (empty
   /// while offline).
   std::vector<FlowRate> flows_on_link(int out_port) const;
-  /// (iii) The most recent raw samples (newest last).
-  const std::deque<Sample>& raw_samples() const { return ring_; }
+  /// (iii) A copy of the most recent raw samples (newest last).
+  std::vector<Sample> raw_samples() const;
 
   // --- failure plane ------------------------------------------------------
   /// Collector process crash/restore. Offline, arriving samples are lost
@@ -281,7 +281,10 @@ class Collector : public net::Node {
 
   std::vector<PortState> ports_;  // by output port
 
-  std::deque<Sample> ring_;
+  // The raw-sample ring: sample_ring_capacity slots, reserved by the
+  // first sample, overwritten oldest-first once full.
+  std::vector<Sample> ring_;
+  std::size_t ring_oldest_ = 0;  // slot of the oldest sample once full
   std::vector<CongestionHandler> congestion_handlers_;
   SampleHook sample_hook_;
 
@@ -300,7 +303,8 @@ class Collector : public net::Node {
 
   // --- backpressure state (DESIGN.md §10) --------------------------------
   BackpressureMode mode_ = BackpressureMode::kNormal;
-  std::deque<CongestionEvent> event_queue_;
+  // A list allocates nothing until an event queues (backpressure on).
+  std::list<CongestionEvent> event_queue_;
   std::uint64_t events_shed_ = 0;
   std::uint64_t events_dispatched_ = 0;
   std::uint64_t samples_sampled_down_ = 0;

@@ -247,7 +247,15 @@ Time EventQueue::next_time() {
 }
 
 void EventQueue::run_top(Time* when) {
-  const std::uint32_t idx = find_next();
+  // A near-wheel memo is the head of the first occupied level-0 slot,
+  // exactly what find_next would scan for; a far or overflow memo still
+  // needs find_next's cascade.
+  std::uint32_t idx = cached_;
+  if (idx != kNil && node(idx).level == 0) {
+    cursor_ = node(idx).when;
+  } else {
+    idx = find_next();
+  }
   assert(idx != kNil);
   Node& n = node(idx);
   if (when != nullptr) *when = n.when;

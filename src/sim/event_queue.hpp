@@ -106,7 +106,8 @@ class EventQueue {
 
   /// Pops the earliest live event and executes it in place (no move of the
   /// payload out of the slab). Precondition: !empty(). Reentrant: the
-  /// executed event may push and cancel freely.
+  /// executed event may push and cancel freely. Pops next_time()'s memo
+  /// directly when it names a near-wheel node.
   void run_top(Time* when = nullptr);
 
  private:

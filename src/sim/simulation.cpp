@@ -16,6 +16,9 @@ void Simulation::set_telemetry(obs::Telemetry* telemetry) {
     telemetry_->metrics().gauge(component_, "slab_nodes", [this] {
       return static_cast<double>(slab_nodes());
     });
+    telemetry_->metrics().gauge(component_, "frame_blocks", [this] {
+      return static_cast<double>(frames_.blocks());
+    });
   }
 }
 
@@ -54,9 +57,9 @@ void Simulation::post_packet(Simulation& dst, Duration delay, void* target,
 void Simulation::run() {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) {
-    // The clock must read the event's time before the event runs. run_top
-    // then finds the same event again with its own near-wheel scan (a
-    // bitmap probe); next_time's memo only spares repeated peeks.
+    // The clock must read the event's time before the event runs. When
+    // next_time found the event in the near wheel, run_top pops that
+    // memoized head without scanning the bitmap again.
     now_ = queue_.next_time();
     ++events_executed_;
     fold_digest();

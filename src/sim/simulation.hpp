@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/event_queue.hpp"
+#include "sim/frame_queue.hpp"
 #include "sim/time.hpp"
 
 namespace planck::obs {
@@ -15,7 +16,8 @@ namespace planck::sim {
 
 class ParallelEngine;
 
-/// Discrete-event simulation driver. Owns the event queue and the clock.
+/// Discrete-event simulation driver. Owns the event queue, the clock and
+/// the frame pool that its components' packet queues draw on.
 /// Single-threaded and fully deterministic: identical schedules produce
 /// identical runs. Events at the same timestamp run in schedule order
 /// (FIFO), regardless of which schedule_* flavor created them — typed and
@@ -117,6 +119,11 @@ class Simulation {
   /// High-water mark of the scheduler's event slab, in nodes.
   std::size_t slab_nodes() const { return queue_.slab_nodes(); }
 
+  /// The blocks that every FrameQueue built on this simulation (switch
+  /// ports, NICs) stores its frames in.
+  FramePool& frame_pool() { return frames_; }
+  const FramePool& frame_pool() const { return frames_; }
+
   /// Rolling FNV-1a digest of the executed event stream: folds in each
   /// event's timestamp and the live queue size at pop time. Two same-seed
   /// runs must report identical digests at every point; any divergence in
@@ -157,8 +164,9 @@ class Simulation {
 
  private:
   // Single-writer by design: one Simulation is one partition's event
-  // core; only telemetry_ points at shared state, and installing it
-  // is a pre-run, single-threaded operation (set_telemetry above).
+  // core and packet memory; only telemetry_ points at shared state, and
+  // installing it is a pre-run, single-threaded operation (set_telemetry
+  // above).
   void fold_digest() {
     digest_ = (digest_ ^ static_cast<std::uint64_t>(now_)) * kFnvPrime;
     digest_ = (digest_ ^ queue_.size()) * kFnvPrime;
@@ -168,6 +176,7 @@ class Simulation {
   static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
   EventQueue queue_;
+  FramePool frames_;
   Time now_ = 0;
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;

@@ -13,8 +13,11 @@ Switch::Switch(sim::Simulation& simulation, std::string name, int num_ports,
       name_(std::move(name)),
       config_(config),
       buffer_(config.buffer, num_ports),
-      ports_(static_cast<std::size_t>(num_ports)),
       rng_(config.seed) {
+  ports_.reserve(static_cast<std::size_t>(num_ports));
+  for (int port = 0; port < num_ports; ++port) {
+    ports_.emplace_back(sim_.frame_pool());
+  }
   register_metrics();
 }
 
@@ -149,14 +152,18 @@ void Switch::flush_queue(int port) {
   // finish_tx event expects to pop it, so it stays queued. Its delivery is
   // killed at the link layer when the cable is the thing that died.
   const std::size_t keep = p.draining ? 1 : 0;
-  while (p.queue.size() > keep) {
-    const net::Packet& pkt = p.queue.back();
-    buffer_.release(port, pkt.frame_bytes());
-    ++p.counters.drops;
-    p.counters.drop_bytes += pkt.frame_bytes();
-    ++fault_drops_;
-    p.queue.pop_back();
-  }
+  if (p.queue.size() <= keep) return;
+  // The port's buffer occupancy is the sum of its queued frames, so the
+  // dropped frames hold all of it but the head's.
+  const sim::Bytes dropped_bytes =
+      buffer_.queue_bytes(port) -
+      (keep == 1 ? p.queue.front().frame_bytes() : sim::Bytes{0});
+  const std::uint64_t dropped = p.queue.size() - keep;
+  buffer_.release(port, dropped_bytes);
+  p.counters.drops += sim::packets(dropped);
+  p.counters.drop_bytes += dropped_bytes;
+  fault_drops_ += dropped;
+  p.queue.truncate(keep);
 }
 
 void Switch::set_mirroring(int monitor_port) {

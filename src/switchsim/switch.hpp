@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/frame_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "switchsim/rule_table.hpp"
@@ -203,8 +203,10 @@ class Switch : public net::Node {
 
  private:
   struct Port {
+    explicit Port(sim::FramePool& pool) : queue(pool) {}
+
     net::Link* link = nullptr;
-    std::deque<net::Packet> queue;
+    sim::FrameQueue queue;  // blocks from the partition's frame pool
     bool draining = false;
     bool admin_up = true;
     PortCounters counters;

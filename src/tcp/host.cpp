@@ -9,6 +9,7 @@ Host::Host(sim::Simulation& simulation, int host_id, const HostConfig& config)
     : sim_(simulation),
       id_(host_id),
       config_(config),
+      nic_queue_(simulation.frame_pool()),
       rng_(config.seed ^ (0x9e3779b97f4a7c15ULL *
                           static_cast<std::uint64_t>(host_id + 1))) {}
 
@@ -97,7 +98,7 @@ void Host::start_tx() {
     return;
   }
   if (link_ == nullptr) {
-    nic_queue_.clear();
+    nic_queue_.truncate(0);
     nic_bytes_ = sim::Bytes{0};
     nic_draining_ = false;
     return;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -11,6 +10,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/frame_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_connection.hpp"
@@ -151,7 +151,7 @@ class Host : public net::Node {
   int fabric_hosts_ = 0;
   sim::Time fabric_resolved_at_ = -1;
 
-  std::deque<net::Packet> nic_queue_;
+  sim::FrameQueue nic_queue_;  // blocks from the partition's frame pool
   sim::Bytes nic_bytes_{0};
   bool nic_draining_ = false;
   std::uint64_t nic_drops_ = 0;

@@ -334,10 +334,14 @@ TEST(Collector, RawSampleRingBounded) {
   cfg.sample_ring_capacity = 64;
   Fixture f(cfg);
   f.feed(9e9, sim::milliseconds(1));
-  EXPECT_EQ(f.collector.raw_samples().size(), 64u);
-  // Newest last.
-  EXPECT_GT(f.collector.raw_samples().back().received_at,
-            f.collector.raw_samples().front().received_at);
+  const std::vector<Sample> ring = f.collector.raw_samples();
+  EXPECT_EQ(ring.size(), 64u);
+  EXPECT_GT(f.collector.samples_received(), 64u);  // the ring wrapped
+  // Oldest first, newest last, across the wrap point.
+  EXPECT_GT(ring.back().received_at, ring.front().received_at);
+  for (std::size_t i = 1; i < ring.size(); ++i) {
+    EXPECT_LE(ring[i - 1].received_at, ring[i].received_at);
+  }
 }
 
 TEST(Collector, ZeroCapacityKeepsNoRawSamples) {

@@ -10,6 +10,7 @@
 #include "obs/telemetry.hpp"
 #include "sim/contract.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/frame_queue.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/parallel.hpp"
 #include "sim/random.hpp"
@@ -398,6 +399,128 @@ TEST(Simulation, SlabNodesGaugeReadsTheEventSlab) {
   EXPECT_EQ(sim.slab_nodes(), 7u);
   EXPECT_EQ(telemetry.metrics().gauge("sim", "slab_nodes").value(), 7.0);
   sim.set_telemetry(nullptr);
+}
+
+TEST(Simulation, FrameBlocksGaugeReadsTheFramePool) {
+  obs::Telemetry telemetry;
+  Simulation sim;
+  sim.set_telemetry(&telemetry);
+  FrameQueue queue(sim.frame_pool());
+  for (std::size_t i = 0; i < 2 * FramePool::kBlockFrames + 1; ++i) {
+    queue.push_back(net::Packet{});
+  }
+  while (!queue.empty()) queue.pop_front();
+  EXPECT_EQ(sim.frame_pool().blocks(), 3u);
+  EXPECT_EQ(telemetry.metrics().gauge("sim", "frame_blocks").value(), 3.0);
+  sim.set_telemetry(nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// FrameQueue
+// ---------------------------------------------------------------------------
+
+net::Packet frame(std::uint64_t seq) {
+  net::Packet p;
+  p.seq = seq;
+  return p;
+}
+
+constexpr std::size_t kBlock = FramePool::kBlockFrames;
+
+TEST(FrameQueue, FifoOrderAcrossBlockBoundaries) {
+  FramePool pool;
+  FrameQueue queue(pool);
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  // Pushes outrun pops, so the queue spans several blocks and both ends
+  // cross block boundaries at different offsets.
+  for (int round = 0; round < 5 * static_cast<int>(kBlock); ++round) {
+    queue.push_back(frame(pushed++));
+    queue.push_back(frame(pushed++));
+    ASSERT_EQ(queue.front().seq, popped);
+    queue.pop_front();
+    ++popped;
+  }
+  EXPECT_EQ(queue.size(), pushed - popped);
+  FrameQueue moved(std::move(queue));
+  EXPECT_TRUE(queue.empty());  // NOLINT(bugprone-use-after-move)
+  while (!moved.empty()) {
+    ASSERT_EQ(moved.front().seq, popped++);
+    moved.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+}
+
+TEST(FrameQueue, TruncateKeepsTheHeadFrame) {
+  FramePool pool;
+  FrameQueue queue(pool);
+  for (std::uint64_t i = 0; i < 3 * kBlock + 2; ++i) queue.push_back(frame(i));
+  for (std::size_t i = 0; i < kBlock + 3; ++i) queue.pop_front();
+  queue.truncate(1);
+  ASSERT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.front().seq, kBlock + 3);
+  // The tail is the head's slot again: pushes continue behind it.
+  for (std::uint64_t i = 100; i < 100 + kBlock; ++i) queue.push_back(frame(i));
+  EXPECT_EQ(queue.front().seq, kBlock + 3);
+  queue.pop_front();
+  for (std::uint64_t i = 100; i < 100 + kBlock; ++i) {
+    ASSERT_EQ(queue.front().seq, i);
+    queue.pop_front();
+  }
+  EXPECT_TRUE(queue.empty());
+  queue.push_back(frame(7));
+  queue.truncate(1);  // nothing behind the head: a no-op
+  EXPECT_EQ(queue.size(), 1u);
+  queue.truncate(0);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(FrameQueue, DrainedBlocksGoBackToThePoolAndAreReused) {
+  FramePool pool;
+  FrameQueue queue(pool);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::uint64_t i = 0; i < 4 * kBlock; ++i) queue.push_back(frame(i));
+    while (!queue.empty()) queue.pop_front();
+  }
+  EXPECT_EQ(pool.blocks(), 4u);
+  // Truncated blocks return too.
+  for (std::uint64_t i = 0; i < 4 * kBlock; ++i) queue.push_back(frame(i));
+  queue.truncate(1);
+  FrameQueue other(pool);
+  for (std::uint64_t i = 0; i < 3 * kBlock; ++i) other.push_back(frame(i));
+  EXPECT_EQ(pool.blocks(), 4u);
+}
+
+TEST(FrameQueue, IdleQueueHoldsNoBlock) {
+  FramePool pool;
+  FrameQueue idle(pool);
+  EXPECT_EQ(pool.blocks(), 0u);
+  idle.push_back(frame(1));
+  idle.pop_front();
+  // The one block went back with the last frame; another queue takes it.
+  FrameQueue busy(pool);
+  busy.push_back(frame(2));
+  EXPECT_EQ(pool.blocks(), 1u);
+  EXPECT_TRUE(idle.empty());
+}
+
+TEST(FrameQueue, TwoQueuesShareOnePool) {
+  FramePool pool;
+  FrameQueue a(pool);
+  FrameQueue b(pool);
+  for (std::uint64_t i = 0; i < kBlock; ++i) {
+    a.push_back(frame(i));
+    b.push_back(frame(100 + i));
+  }
+  EXPECT_EQ(pool.blocks(), 2u);
+  while (!a.empty()) a.pop_front();
+  // b's next block is the one a drained.
+  b.push_back(frame(100 + kBlock));
+  EXPECT_EQ(pool.blocks(), 2u);
+  for (std::uint64_t i = 0; i <= kBlock; ++i) {
+    ASSERT_EQ(b.front().seq, 100 + i);
+    b.pop_front();
+  }
 }
 
 // ---------------------------------------------------------------------------

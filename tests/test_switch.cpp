@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/link.hpp"
+#include "sim/frame_queue.hpp"
 #include "sim/simulation.hpp"
 #include "switchsim/shared_buffer.hpp"
 #include "switchsim/switch.hpp"
@@ -445,6 +446,36 @@ TEST(Switch, TailDropWhenOutputCongests) {
   f.sim.run();
   EXPECT_LT(f.sinks[1].packets.size(), 50u);
   EXPECT_EQ(f.sinks[1].packets.size() + f.sw.counters(1).drops.count(), 100u);
+}
+
+TEST(Switch, PortDownMidDrainKeepsOnlyTheFrameOnTheWire) {
+  Fixture f;
+  // Distinct sizes, spanning several frame-pool blocks.
+  const std::uint64_t queued = 3 * sim::FramePool::kBlockFrames + 2;
+  std::vector<sim::Bytes> sizes;
+  for (std::uint64_t i = 0; i < queued; ++i) {
+    const Packet p = f.make_packet(9, 100 + static_cast<std::int64_t>(i));
+    sizes.push_back(p.frame_bytes());
+    f.sw.inject(p, 1);
+  }
+  f.sim.run_until(sim::microseconds(1));  // a few frames sent, one on the wire
+  const std::uint64_t sent = f.sw.counters(1).tx_packets.count();
+  ASSERT_GT(sent, 0u);
+  ASSERT_LT(sent + 1, queued);
+  sim::Bytes dropped_bytes{0};
+  for (std::uint64_t i = sent + 1; i < queued; ++i) dropped_bytes += sizes[i];
+
+  f.sw.set_port_admin(1, false);
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 1u);
+  EXPECT_EQ(f.sw.counters(1).drops, sim::packets(queued - sent - 1));
+  EXPECT_EQ(f.sw.counters(1).drop_bytes, dropped_bytes);
+  EXPECT_EQ(f.sw.fault_drops(), queued - sent - 1);
+  EXPECT_EQ(f.sw.buffer().queue_bytes(1), sizes[sent]);
+
+  f.sim.run();
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(sent + 1));
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 0u);
+  EXPECT_EQ(f.sw.buffer().queue_bytes(1), sim::Bytes{0});
 }
 
 TEST(Switch, InjectBypassesRules) {

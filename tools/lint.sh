@@ -77,6 +77,13 @@ status=0
 stage_names=()
 stage_results=()
 
+# The C++ sources clang-format owns, NUL-separated: one list for the check
+# stage and for --fix. tools/ stays out: the planck-lint selftest fixtures
+# carry `// EXPECT-LINT:` markers tied to their line positions.
+format_files() {
+  find src tests examples bench \( -name '*.cpp' -o -name '*.hpp' \) -print0
+}
+
 note() { printf '\n== %s ==\n' "$1"; }
 
 # record <stage> <PASS|FAIL|SKIP>: FAIL flips the aggregate exit status.
@@ -114,9 +121,7 @@ missing_tool() {
 if [ "$fix" -eq 1 ]; then
   note "clang-format --fix"
   if command -v clang-format >/dev/null 2>&1; then
-    find src tests bench tools examples \
-        \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
-      xargs -0 clang-format -i || status=1
+    format_files | xargs -0 clang-format -i || status=1
     echo "lint.sh: reformatted in place; review the diff"
   else
     missing_tool clang-format-fix clang-format
@@ -184,8 +189,7 @@ fi
 
 note "clang-format"
 if command -v clang-format >/dev/null 2>&1; then
-  if find src tests examples bench -name '*.cpp' -o -name '*.hpp' |
-      xargs clang-format --dry-run -Werror; then
+  if format_files | xargs -0 clang-format --dry-run -Werror; then
     record clang-format PASS
   else
     record clang-format FAIL
