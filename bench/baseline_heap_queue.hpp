@@ -5,6 +5,10 @@
 // a tombstone set for lazy cancellation. Kept out of src/ on purpose — the
 // simulator no longer uses it; it exists so the bench can put a number on
 // the wheel's speedup against the exact seed implementation.
+//
+// planck-lint: allow-file(unordered-container) — the seed heap is kept
+// verbatim as the reference; its tombstone set is only probed, never
+// iterated, so its hash order cannot reach a schedule.
 
 #include <cassert>
 #include <cstdint>

@@ -11,7 +11,7 @@
 //          sender burstiness, not Planck).
 
 #include <cstdio>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -55,7 +55,7 @@ SampleAnalysis run_case(int flows, sim::Duration duration) {
     std::int64_t since_last_burst = 0;  // other-flow samples since my burst
     bool seen = false;
   };
-  std::unordered_map<net::FlowKey, FlowSeen, net::FlowKeyHash> table;
+  std::map<net::FlowKey, FlowSeen> table;
   net::FlowKey current{};
   std::int64_t current_burst = 0;
   collector->set_sample_hook([&](const core::Sample& s) {
@@ -77,8 +77,6 @@ SampleAnalysis run_case(int flows, sim::Duration duration) {
       current = key;
     }
     ++current_burst;
-    // Independent per-flow counter bumps; no ordering leaves this loop.
-    // planck-lint: allow(unordered-iteration) — analysis-side only
     for (auto& [k, fs] : table) {
       if (!(k == key)) ++fs.since_last_burst;
     }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 
 #include "bench_util.hpp"
@@ -55,7 +56,7 @@ double run_case(double factor, sim::Duration duration) {
   // Ground truth from the sender's complete transmit trace (the paper's
   // full-tcpdump methodology): wire timestamps per sequence number, so any
   // byte range's true transmit rate can be recomputed exactly.
-  std::unordered_map<std::uint64_t, sim::Time> wire_time;
+  std::map<std::uint64_t, sim::Time> wire_time;
   bed.host(0)->set_tx_hook([&](const net::Packet& p) {
     if (p.payload == 0 || p.proto != net::Protocol::kTcp) return;
     wire_time.emplace(p.seq, simulation.now());  // first transmission wins

@@ -411,16 +411,9 @@ void Controller::mark_switch_alive(int node) {
 }
 
 void Controller::resync_switch(int node) {
-  auto& acked = slot(node).acked_flow_rules;
-  if (acked.empty()) return;
-  std::vector<net::FlowKey> keys;
-  keys.reserve(acked.size());
-  // Collect-then-sort: the acked-rule map is unordered.
-  for (const auto& [key, epoch] : acked) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
   // The acked set is rebuilt as the reinstalls commit.
-  acked.clear();
-  for (const net::FlowKey& key : keys) {
+  const auto acked = std::exchange(slot(node).acked_flow_rules, {});
+  for (const auto& [key, epoch] : acked) {
     ++resyncs_;
     PLANCK_TRACE_ARGS(sim_, "controller", "resync_flow_rule",
                       obs::argf("\"node\":%d", node));
@@ -429,31 +422,24 @@ void Controller::resync_switch(int node) {
 }
 
 void Controller::enforce_blackhole_bound() {
-  if (blackholed_since_.empty()) return;
-  std::vector<net::FlowKey> keys;
-  keys.reserve(blackholed_since_.size());
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [key, since] : blackholed_since_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const net::FlowKey& key : keys) {
+  for (auto it = blackholed_since_.begin(); it != blackholed_since_.end();) {
+    auto& [key, since] = *it;
     const int src = net::host_id_of_ip(key.src_ip);
     const int dst = net::host_id_of_ip(key.dst_ip);
-    if (src < 0 || dst < 0 || src == dst) {
-      blackholed_since_.erase(key);
+    if (src < 0 || dst < 0 || src == dst ||
+        path_alive(routing_.path(src, dst, tree_of(key)))) {
+      it = blackholed_since_.erase(it);  // repaired (or the path came back)
       continue;
     }
-    if (path_alive(routing_.path(src, dst, tree_of(key)))) {
-      blackholed_since_.erase(key);  // repaired (or the path came back)
-      continue;
-    }
+    ++it;
     const int alternate = first_alive_tree(src, dst);
     if (alternate < 0) {
       // No live alternative exists; the bound only covers repairable
       // flows, so the clock restarts when repair becomes possible.
-      blackholed_since_[key] = sim_.now();
+      since = sim_.now();
       continue;
     }
-    const sim::Duration window = sim_.now() - blackholed_since_.at(key);
+    const sim::Duration window = sim_.now() - since;
     if (window > max_blackhole_observed_) max_blackhole_observed_ = window;
     PLANCK_CONTRACT(window <= config_.max_blackhole_window,
                     "no-blackholed-flow-longer-than-T: a flow with a live "
@@ -471,25 +457,15 @@ void Controller::failover_dead_paths() {
   // the (online) monitoring plane currently sees. Flows only the dead
   // equipment's own collector knew about stay stuck until restore — the
   // monitoring plane shares fate with the network, as in the paper.
-  std::unordered_map<net::FlowKey, int, net::FlowKeyHash> candidates;
-  // planck-lint: allow(unordered-iteration) — collect-then-sort below
-  for (const auto& [key, tree] : tree_assignment_) {
-    candidates.emplace(key, tree);
-  }
+  std::map<net::FlowKey, int> candidates = tree_assignment_;
   for (const SwitchSlot& s : slots_) {
     const core::Collector* collector = s.collector;
     if (collector == nullptr || !collector->online()) continue;
-    // planck-lint: allow(unordered-iteration) — collect-then-sort below
     for (const auto& [key, rec] : collector->flow_table().flows()) {
       candidates.emplace(key, tree_of(key));
     }
   }
-  // Deterministic processing order (candidates is an unordered_map).
-  std::vector<std::pair<net::FlowKey, int>> ordered(candidates.begin(),
-                                                    candidates.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, tree] : ordered) {
+  for (const auto& [key, tree] : candidates) {
     const int src = net::host_id_of_ip(key.src_ip);
     const int dst = net::host_id_of_ip(key.dst_ip);
     if (src < 0 || dst < 0 || src == dst) continue;

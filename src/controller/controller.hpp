@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "controller/control_channel.hpp"
@@ -201,8 +201,7 @@ class Controller {
     std::uint64_t probe_round = 0;
     /// Flow rules the switch acked end-to-end: the resync set for crash
     /// recovery, and the stale-rule set for reconciliation.
-    std::unordered_map<net::FlowKey, std::uint64_t, net::FlowKeyHash>
-        acked_flow_rules;
+    std::map<net::FlowKey, std::uint64_t> acked_flow_rules;
     /// By port, growing on write: a port-status report took it down.
     std::vector<bool> down;
 
@@ -281,7 +280,7 @@ class Controller {
   std::vector<SwitchSlot> slots_;  // by switch index, which is node order
   std::vector<tcp::Host*> hosts_;  // by host index
 
-  std::unordered_map<net::FlowKey, int, net::FlowKeyHash> tree_assignment_;
+  std::map<net::FlowKey, int> tree_assignment_;
   std::vector<CongestionHandler> congestion_handlers_;
   std::vector<LinkStatusHandler> link_status_handlers_;
   std::vector<SwitchStatusHandler> switch_status_handlers_;
@@ -290,8 +289,7 @@ class Controller {
 
   EpochManager epochs_;
   /// First time the controller saw each flow's assigned path dead.
-  std::unordered_map<net::FlowKey, sim::Time, net::FlowKeyHash>
-      blackholed_since_;
+  std::map<net::FlowKey, sim::Time> blackholed_since_;
   /// The latest heartbeat round (see SwitchSlot::probe_round).
   std::uint64_t probe_round_ = 0;
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -97,7 +97,7 @@ class EpochManager {
 
   sim::Simulation& sim_;
   std::uint64_t next_epoch_ = 1;
-  std::unordered_map<net::FlowKey, FlowRecord, net::FlowKeyHash> flows_;
+  std::map<net::FlowKey, FlowRecord> flows_;
 
   std::uint64_t opened_ = 0;
   std::uint64_t committed_ = 0;

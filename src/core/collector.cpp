@@ -286,18 +286,10 @@ void Collector::update_backpressure_mode() {
 void Collector::sweep() {
   const sim::Time now = sim_.now();
 
-  // Key-ordered traversal: the stale/evicted records subtract from the
-  // floating-point utilization aggregates, and FP subtraction is not
-  // associative — hash order must not pick the summation order.
-  std::vector<net::FlowKey> keys;
-  keys.reserve(flows_.size());
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [key, rec] : flows_.flows()) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-
-  // Stale rate estimates stop counting toward utilization.
-  for (const net::FlowKey& key : keys) {
-    FlowRecord& rec = *flows_.find(key);
+  // Stale rate estimates stop counting toward utilization. The walk is in
+  // key order: the records subtract from the floating-point utilization
+  // aggregates, and FP subtraction is not associative.
+  for (auto& [key, rec] : flows_.mutable_flows()) {
     if (rec.contributing_bps > 0.0 &&
         now - rec.estimator.estimated_at() > config_.rate_staleness) {
       release_contribution(rec.out_port, rec.contributing_bps);

@@ -1,8 +1,7 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "core/rate_estimator.hpp"
@@ -67,8 +66,9 @@ class FlowTable {
   }
 
   /// Removes flows whose last sample is at or before `cutoff`; returns the
-  /// evicted records in flow-key order so the caller unwinds any aggregates
-  /// (FP sums in particular) in a reproducible sequence.
+  /// evicted records in flow-key order (the map's order), so the caller
+  /// unwinds any aggregates (FP sums in particular) in a reproducible
+  /// sequence.
   ///
   /// The boundary is *closed*: the Collector calls this with
   /// `cutoff = now - idle_timeout`, so a flow last seen exactly
@@ -85,29 +85,19 @@ class FlowTable {
         ++it;
       }
     }
-    std::sort(evicted.begin(), evicted.end(),
-              [](const FlowRecord& a, const FlowRecord& b) {
-                return a.key < b.key;
-              });
     return evicted;
   }
 
   std::size_t size() const { return flows_.size(); }
 
-  const std::unordered_map<net::FlowKey, FlowRecord, net::FlowKeyHash>&
-  flows() const {
-    return flows_;
-  }
-  std::unordered_map<net::FlowKey, FlowRecord, net::FlowKeyHash>&
-  mutable_flows() {
-    return flows_;
-  }
+  const std::map<net::FlowKey, FlowRecord>& flows() const { return flows_; }
+  std::map<net::FlowKey, FlowRecord>& mutable_flows() { return flows_; }
 
  private:
   // Single-writer by design: owned by one collector, mutated only
   // from its sample/housekeeping path.
   EstimatorConfig estimator_config_;
-  std::unordered_map<net::FlowKey, FlowRecord, net::FlowKeyHash> flows_;
+  std::map<net::FlowKey, FlowRecord> flows_;
 };
 
 }  // namespace planck::core

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 
 #include "core/rate_estimator.hpp"
 #include "net/packet.hpp"
@@ -73,7 +73,7 @@ class OpenSampleEstimator {
   std::size_t flows_tracked() const { return flows_.size(); }
 
  private:
-  std::unordered_map<net::FlowKey, FlowState, net::FlowKeyHash> flows_;
+  std::map<net::FlowKey, FlowState> flows_;
   std::uint64_t samples_ = 0;
 };
 

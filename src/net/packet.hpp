@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 
 #include "net/addresses.hpp"
@@ -55,9 +54,9 @@ struct FlowKey {
 
   friend bool operator==(const FlowKey&, const FlowKey&) = default;
 
-  /// Lexicographic order on the 5-tuple. The canonical tiebreak whenever
-  /// flows collected from an unordered container must be processed in a
-  /// reproducible order (same-seed replay depends on it).
+  /// Lexicographic order on the 5-tuple: the order in which every
+  /// flow-keyed std::map is walked, and the tiebreak wherever flows are
+  /// sorted by rate (same-seed replay depends on it).
   friend bool operator<(const FlowKey& a, const FlowKey& b) {
     if (a.src_ip != b.src_ip) return a.src_ip < b.src_ip;
     if (a.dst_ip != b.dst_ip) return a.dst_ip < b.dst_ip;
@@ -70,22 +69,6 @@ struct FlowKey {
   /// The reverse direction of this flow (for matching ACKs).
   FlowKey reversed() const {
     return FlowKey{dst_ip, src_ip, dst_port, src_port, proto};
-  }
-};
-
-struct FlowKeyHash {
-  std::size_t operator()(const FlowKey& k) const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 0x100000001b3ULL;
-      h ^= h >> 29;
-    };
-    mix((static_cast<std::uint64_t>(k.src_ip) << 32) | k.dst_ip);
-    mix((static_cast<std::uint64_t>(k.src_port) << 32) |
-        (static_cast<std::uint64_t>(k.dst_port) << 8) |
-        static_cast<std::uint64_t>(k.proto));
-    return static_cast<std::size_t>(h);
   }
 };
 

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <cstdint>
+#include <compare>
 #include <functional>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "net/addresses.hpp"
@@ -36,31 +36,14 @@ struct DirectedLink {
   int node = -1;
   int port = -1;
 
-  friend bool operator==(const DirectedLink&, const DirectedLink&) = default;
-};
-
-struct DirectedLinkHash {
-  std::size_t operator()(const DirectedLink& l) const noexcept {
-    return std::hash<std::uint64_t>{}(
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(l.node))
-         << 32) |
-        static_cast<std::uint32_t>(l.port));
-  }
+  friend auto operator<=>(const DirectedLink&, const DirectedLink&) = default;
 };
 
 struct MacPair {
   MacAddress src = kMacNone;
   MacAddress dst = kMacNone;
 
-  friend bool operator==(const MacPair&, const MacPair&) = default;
-};
-
-struct MacPairHash {
-  std::size_t operator()(const MacPair& p) const noexcept {
-    std::uint64_t h = p.src * 0x9e3779b97f4a7c15ULL;
-    h ^= p.dst + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
+  friend auto operator<=>(const MacPair&, const MacPair&) = default;
 };
 
 /// The input and output port a frame uses at one switch; -1 when unknown.
@@ -83,8 +66,8 @@ using PortOracle = std::function<SwitchPorts(MacAddress src, MacAddress dst)>;
 /// MAC, the output port is a function of dst MAC alone and the input port
 /// a function of the (src, dst) MAC pair.
 struct SwitchRouteView {
-  std::unordered_map<MacAddress, int> out_port_by_dst;
-  std::unordered_map<MacPair, int, MacPairHash> in_port_by_pair;
+  std::map<MacAddress, int> out_port_by_dst;
+  std::map<MacPair, int> in_port_by_pair;
 
   /// -1 when unknown.
   int out_port(MacAddress dst) const {

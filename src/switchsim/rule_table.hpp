@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -165,9 +165,9 @@ class RuleTable {
   // Single-writer by design: rule churn comes only from the owning
   // switch's control-plane callbacks on its partition.
   /// Explicit L2 entries; an empty one hides the oracle's rule.
-  std::unordered_map<net::MacAddress, std::optional<RuleActions>> mac_table_;
+  std::map<net::MacAddress, std::optional<RuleActions>> mac_table_;
   MacOracle mac_oracle_;
-  std::unordered_map<net::FlowKey, RuleActions, net::FlowKeyHash> flow_table_;
+  std::map<net::FlowKey, RuleActions> flow_table_;
   /// The open program's edits in arrival order; empty when none is open.
   std::vector<FlowEdit> edits_;
   /// 0 while no program is open (committed epochs start at 1).

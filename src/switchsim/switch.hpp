@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -194,8 +195,7 @@ class Switch : public net::Node {
 
   /// NetFlow-style per-flow byte/packet counters (only when
   /// flow_accounting). Polling baselines read this map.
-  const std::unordered_map<net::FlowKey, RuleCounters, net::FlowKeyHash>&
-  flow_counters() const {
+  const std::map<net::FlowKey, RuleCounters>& flow_counters() const {
     return flow_counters_;
   }
 
@@ -250,8 +250,7 @@ class Switch : public net::Node {
   std::uint64_t mirror_drops_ = 0;
   std::uint64_t mirror_sent_ = 0;
 
-  std::unordered_map<net::FlowKey, RuleCounters, net::FlowKeyHash>
-      flow_counters_;
+  std::map<net::FlowKey, RuleCounters> flow_counters_;
 
   SFlowHandler sflow_handler_;
   std::uint64_t sflow_counter_ = 0;

@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/addresses.hpp"
@@ -147,7 +147,7 @@ class Host : public net::Node {
   ArpEntry fabric_arp(net::IpAddress ip) const;
 
   /// Entries set or learnt from ARP requests; they override fabric_arp.
-  std::unordered_map<net::IpAddress, ArpEntry> arp_cache_;
+  std::map<net::IpAddress, ArpEntry> arp_cache_;
   int fabric_hosts_ = 0;
   sim::Time fabric_resolved_at_ = -1;
 
@@ -160,9 +160,8 @@ class Host : public net::Node {
 
   std::vector<std::unique_ptr<TcpSender>> senders_;
   std::vector<std::unique_ptr<TcpReceiver>> receivers_;
-  std::unordered_map<net::FlowKey, TcpSender*, net::FlowKeyHash> by_out_key_;
-  std::unordered_map<net::FlowKey, TcpReceiver*, net::FlowKeyHash>
-      by_in_key_;
+  std::map<net::FlowKey, TcpSender*> by_out_key_;
+  std::map<net::FlowKey, TcpReceiver*> by_in_key_;
   std::uint16_t next_src_port_ = 10000;
 
   PacketHook tx_hook_;

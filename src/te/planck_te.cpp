@@ -1,6 +1,5 @@
 #include "te/planck_te.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -133,15 +132,8 @@ void PlanckTe::greedy_route_flow(KnownFlow& flow, bool failover) {
 }
 
 void PlanckTe::handle_link_down() {
-  // Deterministic iteration: the flow map is unordered.
-  std::vector<net::FlowKey> keys;
-  keys.reserve(state_.size());
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [key, flow] : state_.flows()) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
   const controller::Routing& routing = controller_.routing();
-  for (const net::FlowKey& key : keys) {
-    KnownFlow& flow = state_.mutable_flows().at(key);
+  for (auto& [key, flow] : state_.mutable_flows()) {
     // The controller may already have failed this flow over; its
     // assignment is authoritative.
     flow.tree = controller_.tree_of(key);

@@ -37,27 +37,18 @@ void PollTe::poll() {
 
   // Snapshot per-flow byte counters across all switches. A flow's bytes
   // are counted at several switches; take the maximum (its ingress count).
-  std::unordered_map<net::FlowKey, sim::Bytes, net::FlowKeyHash> bytes;
+  std::map<net::FlowKey, sim::Bytes> bytes;
   for (const switchsim::Switch* sw : switches_) {
-    // planck-lint: allow(unordered-iteration) — max-fold is commutative
     for (const auto& [key, counters] : sw->flow_counters()) {
       auto& b = bytes[key];
       b = std::max(b, counters.bytes);
     }
   }
 
-  // Deterministic traversal of the snapshot: the order of `flows` survives
-  // all the way into placement (and its reroute RPCs), so hash order must
-  // not leak into it.
-  std::vector<net::FlowKey> keys;
-  keys.reserve(bytes.size());
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [key, b] : bytes) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-
+  // `flows` is in key order, which survives all the way into placement
+  // (and its reroute RPCs).
   std::vector<KnownFlow> flows;
-  for (const net::FlowKey& key : keys) {
-    const sim::Bytes b = bytes.at(key);
+  for (const auto& [key, b] : bytes) {
     const sim::Bytes prev = prev_bytes_[key];
     prev_bytes_[key] = b;
     if (b <= prev || interval_s <= 0.0) continue;
@@ -204,9 +195,7 @@ void PollTe::place_flows(std::vector<KnownFlow> flows) {
               return a.key < b.key;
             });
 
-  std::unordered_map<net::DirectedLink, sim::BitsPerSecF,
-                     net::DirectedLinkHash>
-      loads;
+  std::map<net::DirectedLink, sim::BitsPerSecF> loads;
   auto add_load = [&](const net::RoutePath& path, sim::BitsPerSecF rate) {
     for (const net::PathHop& hop : path.hops) {
       loads[net::DirectedLink{hop.switch_node, hop.out_port}] += rate;

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "controller/controller.hpp"
@@ -64,8 +64,7 @@ class PollTe {
   PollTeConfig config_;
 
   /// Previous byte counts per flow, for rate-from-delta.
-  std::unordered_map<net::FlowKey, sim::Bytes, net::FlowKeyHash>
-      prev_bytes_;
+  std::map<net::FlowKey, sim::Bytes> prev_bytes_;
   sim::Time prev_poll_time_ = 0;
 
   std::uint64_t polls_ = 0;

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <map>
 
 #include "controller/routing.hpp"
 #include "net/packet.hpp"
@@ -51,13 +51,11 @@ class TeState {
   }
 
   /// Load on every directed link implied by the known flows, optionally
-  /// excluding one flow (the one being rerouted).
-  std::unordered_map<net::DirectedLink, sim::BitsPerSecF,
-                     net::DirectedLinkHash>
-  link_loads(const net::FlowKey* exclude = nullptr) const {
-    std::unordered_map<net::DirectedLink, sim::BitsPerSecF,
-                       net::DirectedLinkHash>
-        loads;
+  /// excluding one flow (the one being rerouted). Each link's load is the
+  /// left fold of its flows' rates in key order.
+  std::map<net::DirectedLink, sim::BitsPerSecF> link_loads(
+      const net::FlowKey* exclude = nullptr) const {
+    std::map<net::DirectedLink, sim::BitsPerSecF> loads;
     for (const auto& [key, flow] : flows_) {
       if (exclude != nullptr && key == *exclude) continue;
       const net::RoutePath path =
@@ -75,8 +73,7 @@ class TeState {
   /// (capacity - load).
   sim::BitsPerSecF path_bottleneck(
       const net::RoutePath& path,
-      const std::unordered_map<net::DirectedLink, sim::BitsPerSecF,
-                               net::DirectedLinkHash>& loads) const {
+      const std::map<net::DirectedLink, sim::BitsPerSecF>& loads) const {
     sim::BitsPerSecF bottleneck{std::numeric_limits<double>::infinity()};
     for (const net::PathHop& hop : path.hops) {
       const net::DirectedLink link{hop.switch_node, hop.out_port};
@@ -91,18 +88,12 @@ class TeState {
   }
 
   std::size_t size() const { return flows_.size(); }
-  const std::unordered_map<net::FlowKey, KnownFlow, net::FlowKeyHash>&
-  flows() const {
-    return flows_;
-  }
-  std::unordered_map<net::FlowKey, KnownFlow, net::FlowKeyHash>&
-  mutable_flows() {
-    return flows_;
-  }
+  const std::map<net::FlowKey, KnownFlow>& flows() const { return flows_; }
+  std::map<net::FlowKey, KnownFlow>& mutable_flows() { return flows_; }
 
  private:
   const controller::Routing& routing_;
-  std::unordered_map<net::FlowKey, KnownFlow, net::FlowKeyHash> flows_;
+  std::map<net::FlowKey, KnownFlow> flows_;
 };
 
 }  // namespace planck::te

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/collector.hpp"
@@ -476,6 +477,28 @@ TEST(FlowTable, EvictIdleCutoffIsClosed) {
   EXPECT_EQ(evicted[0].last_seen, 300);
   ASSERT_EQ(table.size(), 1u);
   EXPECT_NE(table.find(make_data(0, 2, 0).flow_key()), nullptr);
+}
+
+TEST(FlowTable, EvictIdleReturnsKeyOrder) {
+  // The collector unwinds its utilization sums in the order evict_idle
+  // returns the records, so that order must be FlowKey order, whatever
+  // order the flows arrived in.
+  FlowTable table;
+  std::vector<FlowKey> idle;
+  for (int src = 3; src >= 0; --src) {
+    for (int dst = 7; dst >= 4; --dst) {
+      idle.push_back(make_data(src, dst, 0).flow_key());
+      table.upsert(idle.back(), 100);
+    }
+    table.upsert(make_data(src, 8, 0).flow_key(), 500);  // stays
+  }
+  const auto evicted = table.evict_idle(300);
+  std::sort(idle.begin(), idle.end());
+  ASSERT_EQ(evicted.size(), idle.size());
+  for (std::size_t i = 0; i < idle.size(); ++i) {
+    EXPECT_EQ(evicted[i].key, idle[i]) << "record " << i;
+  }
+  EXPECT_EQ(table.size(), 4u);
 }
 
 TEST(FlowTable, FindMissingReturnsNull) {

@@ -12,6 +12,8 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -336,6 +338,91 @@ TEST(Determinism, PartitionedFig15CongestionReachesTheController) {
   }
   EXPECT_EQ(t1.digest, t2.digest);
   report_digest("partitioned-fig15", t1.digest);
+}
+
+/// What Figure 15 reads off a run: when congestion was first detected,
+/// how many congestion events the controller saw, the ARP reroutes, and
+/// each flow's completion time and retransmits. `lookahead` is the
+/// partitioned engine's, the bound on how far detection may move.
+struct Fig15Answers {
+  sim::Duration lookahead = 0;
+  sim::Time first_detection = -1;
+  int congestion_events = 0;
+  std::uint64_t arp_reroutes = 0;
+  sim::Time completed_at[2] = {-1, -1};
+  std::uint64_t retransmits = 0;
+};
+
+/// run_fig15's scenario on the plain Simulation (`threads` == 0) or on the
+/// partitioned engine with `threads` workers.
+Fig15Answers fig15_answers(std::uint64_t seed, int threads) {
+  const auto graph = net::make_fat_tree(4,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  TestbedConfig cfg;
+  cfg.seed = seed;
+  sim::Simulation plain;
+  std::optional<sim::ParallelEngine> engine;
+  std::optional<Testbed> bed;
+  if (threads == 0) {
+    bed.emplace(plain, graph, cfg);
+  } else {
+    engine.emplace(map.num_partitions, map.lookahead(), threads);
+    bed.emplace(*engine, map, graph, cfg);
+  }
+  sim::Simulation& control = engine ? engine->control() : plain;
+  te::PlanckTe te(control, bed->controller(), te::PlanckTeConfig{});
+
+  Fig15Answers out;
+  out.lookahead = map.lookahead();
+  bed->controller().subscribe_congestion(
+      [&out](const core::CongestionEvent& e) {
+        if (out.first_detection < 0) out.first_detection = e.detected_at;
+        ++out.congestion_events;
+      });
+  for (int i : {0, 1}) {
+    bed->host(i)->start_flow(net::host_ip(4 + i), 5001, 50 * 1024 * 1024,
+                             [&out, i](const tcp::FlowStats& s) {
+                               out.completed_at[i] = s.completed_at;
+                               out.retransmits += s.retransmits;
+                             });
+  }
+  if (engine) {
+    engine->run_until(sim::seconds(2));
+  } else {
+    plain.run_until(sim::seconds(2));
+  }
+  out.arp_reroutes = bed->controller().arp_reroutes();
+  return out;
+}
+
+TEST(Determinism, Fig15AnswersAgreeAcrossEngines) {
+  // The digest proves a run reproducible, not right: the partitioned
+  // engine must also give the plain Simulation's answers to Figure 15.
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const Fig15Answers plain = fig15_answers(seed, 0);
+    ASSERT_GE(plain.first_detection, 0) << "seed " << seed;
+    EXPECT_EQ(plain.arp_reroutes, 1u) << "seed " << seed;
+    EXPECT_EQ(plain.retransmits, 0u) << "seed " << seed;
+    for (const int threads : {1, 2}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(threads) + " threads");
+      const Fig15Answers sharded = fig15_answers(seed, threads);
+      EXPECT_LE(std::abs(sharded.first_detection - plain.first_detection),
+                sharded.lookahead);
+      EXPECT_EQ(sharded.congestion_events, plain.congestion_events);
+      EXPECT_EQ(sharded.arp_reroutes, 1u);
+      EXPECT_EQ(sharded.retransmits, 0u);
+      for (int i : {0, 1}) {
+        ASSERT_GT(plain.completed_at[i], 0) << "flow " << i;
+        ASSERT_GT(sharded.completed_at[i], 0) << "flow " << i;
+        EXPECT_NEAR(static_cast<double>(sharded.completed_at[i]),
+                    static_cast<double>(plain.completed_at[i]),
+                    1e-3 * static_cast<double>(plain.completed_at[i]))
+            << "flow " << i;
+      }
+    }
+  }
 }
 
 TEST(Determinism, PartitionedLeafSpineRunsAndIsThreadCountInvariant) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "controller/controller.hpp"
 #include "net/topology.hpp"
@@ -84,6 +85,40 @@ TEST(TeState, OverlappingFlowsSum) {
     EXPECT_DOUBLE_EQ(
         loads.at(net::DirectedLink{up.switch_node, up.out_port}).count(),
         5e9);
+  }
+}
+
+TEST(TeState, LinkLoadsFoldRatesInKeyOrder) {
+  // Floating-point addition is not associative, so a shared link's load
+  // is only reproducible if its rates are summed in one fixed order: the
+  // left fold in FlowKey order, whatever order the flows were heard in.
+  Fixture f;
+  TeState state(f.routing);
+  const double rates[] = {100'000'000.1, 200'000'000.2, 300'000'000.3};
+  std::vector<KnownFlow> flows;  // in key order: ascending source port
+  for (int i = 0; i < 3; ++i) {
+    KnownFlow kf = f.flow(0, 4, 0, rates[i]);
+    kf.key.src_port = static_cast<std::uint16_t>(10000 + i);
+    flows.push_back(kf);
+  }
+  for (auto it = flows.rbegin(); it != flows.rend(); ++it) {
+    state.upsert(it->key) = *it;
+  }
+  double key_order = 0.0;
+  for (const KnownFlow& kf : flows) key_order += kf.rate_bps.count();
+  double reverse_order = 0.0;
+  for (auto it = flows.rbegin(); it != flows.rend(); ++it) {
+    reverse_order += it->rate_bps.count();
+  }
+  ASSERT_NE(key_order, reverse_order);  // the order shows in the last bit
+
+  const auto loads = state.link_loads();
+  const net::RoutePath& p = f.routing.path(0, 4, 0);
+  ASSERT_EQ(loads.size(), p.hops.size());
+  for (const net::PathHop& hop : p.hops) {
+    EXPECT_EQ(
+        loads.at(net::DirectedLink{hop.switch_node, hop.out_port}).count(),
+        key_order);
   }
 }
 

@@ -108,7 +108,7 @@ def registry():
     from . import determinism, units, concurrency, allowances
     return [
         ("wall-clock", determinism.check_wall_clock),
-        ("unordered-iteration", determinism.check_unordered_iteration),
+        ("unordered-container", determinism.check_unordered_container),
         ("pointer-key", determinism.check_pointer_key),
         ("time-unit", determinism.check_time_unit),
         ("raw-cast", determinism.check_raw_cast),

@@ -1,10 +1,7 @@
-"""Determinism checks: wall-clock, unordered-iteration, pointer-key,
-time-unit, raw-cast, trace-wall-clock (DESIGN.md section 7). Ported from
-the single-file seed linter onto the shared IR — unordered-iteration now
-reuses the program-wide taint fixpoint instead of re-extracting every
-function."""
+"""Determinism checks: wall-clock, unordered-container, pointer-key,
+time-unit, raw-cast, trace-wall-clock (DESIGN.md section 7). Each is a
+per-file token scan; none needs the call graph."""
 
-import os
 import re
 
 from ..ir import match_angle, match_paren, split_top_level
@@ -32,86 +29,29 @@ def check_wall_clock(ctx):
 
 
 # --------------------------------------------------------------------------
-# unordered-iteration
+# unordered-container
 # --------------------------------------------------------------------------
 
-def file_stem(path):
-    return os.path.splitext(os.path.basename(path))[0]
+UNORDERED_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
+UNORDERED_INCLUDE_RE = re.compile(
+    r"^[ \t]*#[ \t]*include[ \t]*<(unordered_(?:map|set))>", re.M)
 
 
-def build_unordered_registry(files):
-    """Function names returning an unordered container (global, since calls
-    like collector->flow_table().flows() cross files), and variable names
-    declared with an unordered type, scoped per file *stem* so that a
-    member declared in foo.hpp is visible in foo.cpp but an unrelated
-    same-named member of another class is not (e.g. TeState::flows_ is an
-    unordered_map while Collector::flows_ is a FlowTable)."""
-    vars_by_stem, method_names = {}, set()
-    for sf in files:
-        stem_vars = vars_by_stem.setdefault(file_stem(sf.path), set())
-        for m in re.finditer(r"\bunordered_(?:map|set)\s*<", sf.code):
-            open_idx = m.end() - 1
-            close = match_angle(sf.code, open_idx)
-            if close < 0:
-                continue
-            tail = sf.code[close + 1:close + 160]
-            dm = re.match(r"\s*(?:&\s*)?([A-Za-z_]\w*)\s*([(;={,)])", tail)
-            if not dm:
-                continue
-            name, delim = dm.group(1), dm.group(2)
-            if delim == "(":
-                method_names.add(name)
-            else:
-                stem_vars.add(name)
-    return vars_by_stem, method_names
-
-
-def expr_is_unordered(expr, var_names, method_names):
-    expr = expr.strip()
-    if "unordered_map" in expr or "unordered_set" in expr:
-        return True
-    call = re.search(r"(?:\.|->)\s*([A-Za-z_]\w*)\s*\(\s*\)\s*$", expr)
-    if call and call.group(1) in method_names:
-        return True
-    ident = re.search(r"([A-Za-z_]\w*)\s*$", expr)
-    if ident and ident.group(1) in var_names:
-        return True
-    return False
-
-
-def check_unordered_iteration(ctx):
-    vars_by_stem, method_names = build_unordered_registry(ctx.files)
-    tainted = ctx.program.taint("all")
-
+def check_unordered_container(ctx):
+    """Bans the hash containers outright. A walk over one visits keys in
+    hash order, and that order reaches the schedule or a floating-point
+    fold through paths no call graph sees. std::map walks keys in order
+    (pointer-key keeps it off addresses); dense ids index a vector."""
+    why = ("hash order leaks into every walk of it (event order, "
+           "floating-point folds); use std::map, or a vector indexed by a "
+           "dense id")
     for sf in ctx.files:
-        var_names = vars_by_stem.get(file_stem(sf.path), set())
-        for fn in ctx.ir(sf).functions:
-            via = tainted.get(id(fn))
-            if not via:
-                continue
-            for m in re.finditer(r"\bfor\s*\(", fn.body):
-                open_idx = m.end() - 1
-                close = match_paren(fn.body, open_idx)
-                if close < 0:
-                    continue
-                header = fn.body[open_idx + 1:close]
-                parts = split_top_level(header, ":")
-                hit = None
-                if len(parts) == 2:  # range-for
-                    if expr_is_unordered(parts[1], var_names, method_names):
-                        hit = parts[1].strip()
-                else:  # classic loop: iterator over an unordered container?
-                    it = re.search(r"([A-Za-z_]\w*)\s*(?:\.|->)\s*begin\s*\(",
-                                   header)
-                    if it and it.group(1) in var_names:
-                        hit = f"{it.group(1)}.begin()"
-                if hit is None:
-                    continue
-                ctx.add(sf, fn.start + m.start(), "unordered-iteration",
-                        f"iteration over unordered container '{hit}' in "
-                        f"'{fn.name}' ({via}; hash order becomes "
-                        f"event order — iterate sorted keys or suppress with "
-                        f"a rationale)")
+        for m in UNORDERED_RE.finditer(sf.code):
+            ctx.add(sf, m.start(), "unordered-container",
+                    f"'{m.group(0)}': {why}")
+        for m in UNORDERED_INCLUDE_RE.finditer(sf.raw):
+            ctx.add(sf, m.start(1), "unordered-container",
+                    f"#include <{m.group(1)}>: {why}")
 
 
 # --------------------------------------------------------------------------

@@ -19,8 +19,9 @@ import bisect
 import re
 from dataclasses import dataclass, field
 
-# Scheduling sinks: member/qualified calls through which hash order would
-# become event order. push_back/push_front are not sinks (the (?!_) guard).
+# Scheduling sinks: member/qualified calls that put work on the event
+# loop, so a function that reaches one runs inside it (the event-loop
+# taint). push_back/push_front are not sinks (the (?!_) guard).
 SINK_RE = re.compile(
     r"(?:\.|->|::)\s*"
     r"(schedule(?:_at|_packet|_call(?:_at)?)?|push(?:_packet|_call)?(?!_)|send|call)"

@@ -1,10 +1,7 @@
 // Legitimate patterns that planck-lint must NOT flag: any finding in this
 // file is a selftest false positive. This file is never compiled.
 
-#include <algorithm>
 #include <map>
-#include <unordered_map>
-#include <vector>
 
 struct CleanSim {
   void schedule(int delay);
@@ -12,26 +9,15 @@ struct CleanSim {
 
 struct CleanPatterns {
   CleanSim sim_;
-  std::unordered_map<int, int> table_;
   std::map<int, int> ordered_;  // ordered container: iterate freely
+  // Names that merely contain the banned tokens, and mentions of them in
+  // comments and strings (unordered_map, unordered_set), are not uses.
+  int unordered_mapping_count_ = 0;
+  const char* note_ = "std::unordered_map is banned";
 
-  // The canonical fix for unordered iteration in scheduling paths:
-  // collect-then-sort with a suppression on the collection loop.
-  void sorted_traversal() {
-    std::vector<int> keys;
-    keys.reserve(table_.size());
-    // planck-lint: allow(unordered-iteration) — collect-then-sort
-    for (const auto& kv : table_) keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    for (int k : keys) sim_.schedule(k);
-  }
-
-  // No scheduling reachable: hash order never leaves this function.
-  int pure_sum() const {
-    int sum = 0;
-    for (const auto& kv : table_) sum += kv.second;
-    for (const auto& kv : ordered_) sum += kv.second;
-    return sum;
+  // A std::map walks its keys in order, so its walk may schedule.
+  void ordered_traversal() {
+    for (const auto& kv : ordered_) sim_.schedule(kv.first);
   }
 
   // Widening conversions of timestamps are fine; so are casts between
@@ -53,23 +39,5 @@ struct TracedClean {
   void traced_from_sim_time() {
     PLANCK_TRACE(sim_, "switch.s0", "port_down");
     PLANCK_TRACE_COUNTER(sim_, "sim", "events_executed", events_);
-  }
-};
-
-// 1'000'000-style digit separators must not confuse the string stripper:
-// if they did, everything between two separators would be blanked and the
-// declarations below would vanish from the unordered registry.
-inline constexpr long kCleanRate = 10'000'000'000;
-
-struct SeparatorProbe {
-  CleanSim sim_;
-  std::unordered_map<long, long> after_separator_;
-
-  void still_detected() {
-    std::vector<long> keys;
-    // planck-lint: allow(unordered-iteration) — collect-then-sort
-    for (const auto& kv : after_separator_) keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    for (long k : keys) sim_.schedule(static_cast<int>(k));
   }
 };

@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <map>
-#include <unordered_map>
+#include <unordered_map>                               // EXPECT-LINT: unordered-container
 #include <vector>
 
 struct Sim {
@@ -42,48 +42,23 @@ void traced_wall_clock(Sim& sim) {
   PLANCK_TRACE_COUNTER(sim, "bench", "noise", std::rand());                  // EXPECT-LINT: wall-clock, trace-wall-clock
 }
 
-// --- unordered-iteration -------------------------------------------------
+// --- unordered-container -----------------------------------------------
 
-struct Taint {
-  Sim sim_;
-  std::unordered_map<int, int> table_;
-  std::vector<int> keys_;
+struct HashOrder {
+  std::unordered_map<int, int> table_;                 // EXPECT-LINT: unordered-container
+  std::unordered_multiset<long> bag_;                  // EXPECT-LINT: unordered-container
 
-  void tainted_direct() {
-    for (const auto& kv : table_) {                    // EXPECT-LINT: unordered-iteration
-      sim_.schedule(kv.first);
-    }
-  }
-
-  void helper() { sim_.schedule(1); }
-
-  void tainted_one_hop() {
-    for (const auto& kv : table_) {                    // EXPECT-LINT: unordered-iteration
-      helper();
-      (void)kv;
-    }
-  }
-
-  void tainted_iterator_loop() {
-    for (auto it = table_.begin(); it != table_.end(); ++it) {  // EXPECT-LINT: unordered-iteration
-      sim_.schedule(it->first);
-    }
-  }
-
-  // No scheduling reachable from here: hash order stays internal, the pure
-  // fold below must NOT be flagged.
-  int untainted_fold() {
-    int sum = 0;
-    for (const auto& kv : table_) sum += kv.second;
+  // No scheduling call is reachable from here, and the container is still
+  // banned: a floating-point fold in hash order is not reproducible.
+  static double fold(const std::unordered_multimap<int, double>& rates) {  // EXPECT-LINT: unordered-container
+    double sum = 0.0;
+    for (const auto& kv : rates) sum += kv.second;
     return sum;
   }
 
   // Suppressed with a rationale: must NOT be reported.
-  void suppressed_collect() {
-    // planck-lint: allow(unordered-iteration) — collect-then-sort
-    for (const auto& kv : table_) keys_.push_back(kv.first);
-    sim_.schedule(0);
-  }
+  // planck-lint: allow(unordered-container) — probed, never iterated
+  std::unordered_set<int> seen_;
 };
 
 // --- pointer-key ---------------------------------------------------------
@@ -123,3 +98,12 @@ int suppressed_cast(const double* value) {
   const long bits = *reinterpret_cast<const long*>(value);
   return static_cast<int>(bits & 0xff);
 }
+
+// 1'000'000-style digit separators must not confuse the string stripper:
+// if one opened a char literal, it would blank the rest of this file and
+// the declaration below would go unreported.
+inline constexpr long kRate = 10'000'000'000;
+
+struct SeparatorProbe {
+  std::unordered_set<long> after_separator_;           // EXPECT-LINT: unordered-container
+};
