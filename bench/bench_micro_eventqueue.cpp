@@ -193,7 +193,8 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
 /// installed (metrics registered, tracing off) — the A/B for the
 /// telemetry plane's hot-path cost, which must stay within noise.
 double fat_tree_end_to_end(bool telemetry, std::uint64_t* events,
-                           double* sim_seconds, std::size_t* slab_nodes) {
+                           double* sim_seconds, std::size_t* slab_nodes,
+                           sim::EventQueue::Executed* by_kind) {
   sim::Simulation simulation;
   obs::Telemetry tel;
   if (telemetry) simulation.set_telemetry(&tel);
@@ -210,6 +211,7 @@ double fat_tree_end_to_end(bool telemetry, std::uint64_t* events,
   *events = simulation.events_executed();
   *sim_seconds = static_cast<double>(simulation.now()) / 1e9;
   *slab_nodes = simulation.slab_nodes();
+  *by_kind = simulation.events_by_kind();
   simulation.set_telemetry(nullptr);
   return wall;
 }
@@ -253,8 +255,10 @@ int main(int argc, char** argv) {
   std::uint64_t events = 0;
   double sim_seconds = 0;
   std::size_t slab_nodes = 0;
+  sim::EventQueue::Executed by_kind;
   const double e2e_s = fat_tree_end_to_end(/*telemetry=*/false, &events,
-                                           &sim_seconds, &slab_nodes);
+                                           &sim_seconds, &slab_nodes,
+                                           &by_kind);
   std::printf("  %-22s %9.0f kevents/s   (%llu events, %.0f ms simulated, "
               "%zu slab nodes)\n",
               "fat-tree end-to-end",
@@ -264,13 +268,25 @@ int main(int argc, char** argv) {
   report.add("fat_tree_end_to_end", events, e2e_s, sim_seconds);
   report.metrics().gauge("fat_tree_end_to_end", "slab_nodes")
       .set(static_cast<double>(slab_nodes));
+  // The same events by kind (exact counts; they sum to `events`).
+  std::printf("  %-22s %llu packet deliveries, %llu calls, %llu callbacks\n",
+              "", static_cast<unsigned long long>(by_kind.packets),
+              static_cast<unsigned long long>(by_kind.calls),
+              static_cast<unsigned long long>(by_kind.callbacks));
+  report.metrics().gauge("fat_tree_end_to_end", "packet_events")
+      .set(static_cast<double>(by_kind.packets));
+  report.metrics().gauge("fat_tree_end_to_end", "call_events")
+      .set(static_cast<double>(by_kind.calls));
+  report.metrics().gauge("fat_tree_end_to_end", "callback_events")
+      .set(static_cast<double>(by_kind.callbacks));
 
   // Telemetry A/B: same run with a Telemetry installed (metrics live,
   // tracing off). The delta vs the row above is the plane's whole cost.
   std::uint64_t events_tel = 0;
   double sim_seconds_tel = 0;
-  const double e2e_tel_s = fat_tree_end_to_end(
-      /*telemetry=*/true, &events_tel, &sim_seconds_tel, &slab_nodes);
+  const double e2e_tel_s =
+      fat_tree_end_to_end(/*telemetry=*/true, &events_tel, &sim_seconds_tel,
+                          &slab_nodes, &by_kind);
   std::printf("  %-22s %9.0f kevents/s   (%.2fx vs no telemetry)\n",
               "fat-tree + telemetry",
               static_cast<double>(events_tel) / e2e_tel_s / 1e3,

@@ -271,12 +271,15 @@ void EventQueue::run_top(Time* when) {
   // pushes (growing the slab) while running.
   switch (n.kind) {
     case Kind::kCallback:
+      ++executed_.callbacks;
       n.u.cb();
       break;
     case Kind::kPacket:
+      ++executed_.packets;
       n.u.dp.fn(n.u.dp.target, n.u.dp.aux, n.u.dp.packet);
       break;
     case Kind::kCall:
+      ++executed_.calls;
       n.u.call.fn(n.u.call.target, n.u.call.aux);
       break;
   }

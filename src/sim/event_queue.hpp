@@ -95,6 +95,14 @@ class EventQueue {
   /// Number of live (pending, non-cancelled) events.
   std::size_t size() const { return live_; }
 
+  /// Events executed so far, by kind. They sum to every pop of run_top.
+  struct Executed {
+    std::uint64_t packets = 0;    // typed packet deliveries (push_packet)
+    std::uint64_t calls = 0;      // typed calls (push_call)
+    std::uint64_t callbacks = 0;  // type-erased callbacks (push)
+  };
+  const Executed& executed() const { return executed_; }
+
   /// Slab nodes ever allocated, i.e. the slab's high-water mark. Cancel
   /// frees at once (overflow-heap tombstones aside), so this tracks the
   /// peak of size() plus the event executing at that moment.
@@ -225,6 +233,7 @@ class EventQueue {
   Time cached_when_ = 0;         // when of the cached node (cheap compare)
   std::uint64_t seq_ = 0;
   std::size_t live_ = 0;
+  Executed executed_;
 };
 
 }  // namespace planck::sim

@@ -25,26 +25,14 @@ FrameQueue::FrameQueue(FrameQueue&& other) noexcept
       tail_pos_(std::exchange(other.tail_pos_, 0)),
       size_(std::exchange(other.size_, 0)) {}
 
-void FrameQueue::truncate(std::size_t keep) {
-  if (size_ <= keep) return;
-  Block* rest = head_;  // first block to give back
-  if (keep == 0) {
-    head_ = tail_ = nullptr;
-  } else {
-    // The last kept frame sits `head_pos_ + keep - 1` slots past the start
-    // of head_, counting across the chain.
-    std::size_t last = head_pos_ + keep - 1;
-    tail_ = head_;
-    for (; last >= kBlockFrames; last -= kBlockFrames) tail_ = tail_->next;
-    tail_pos_ = static_cast<std::uint32_t>(last + 1);
-    rest = tail_->next;
-    tail_->next = nullptr;
-  }
-  size_ = static_cast<std::uint32_t>(keep);
-  while (rest != nullptr) {
-    Block* next = rest->next;
-    pool_->give(rest);
-    rest = next;
+void FrameQueue::clear() {
+  Block* block = head_;
+  head_ = tail_ = nullptr;
+  size_ = 0;
+  while (block != nullptr) {
+    Block* next = block->next;
+    pool_->give(block);
+    block = next;
   }
 }
 

@@ -114,9 +114,8 @@ class FrameQueue {
     }
   }
 
-  /// Drops every frame behind the oldest `keep` and gives the blocks they
-  /// filled back to the pool. No-op when size() <= keep.
-  void truncate(std::size_t keep);
+  /// Drops every frame and gives the blocks back to the pool.
+  void clear();
 
  private:
   using Block = FramePool::Block;

@@ -11,7 +11,16 @@ void Simulation::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ != nullptr) {
     telemetry_->metrics().gauge(component_, "events_executed", [this] {
-      return static_cast<double>(events_executed_);
+      return static_cast<double>(events_executed());
+    });
+    telemetry_->metrics().gauge(component_, "packet_events", [this] {
+      return static_cast<double>(queue_.executed().packets);
+    });
+    telemetry_->metrics().gauge(component_, "call_events", [this] {
+      return static_cast<double>(queue_.executed().calls);
+    });
+    telemetry_->metrics().gauge(component_, "callback_events", [this] {
+      return static_cast<double>(queue_.executed().callbacks);
     });
     telemetry_->metrics().gauge(component_, "slab_nodes", [this] {
       return static_cast<double>(slab_nodes());
@@ -61,11 +70,11 @@ void Simulation::run() {
     // next_time found the event in the near wheel, run_top pops that
     // memoized head without scanning the bitmap again.
     now_ = queue_.next_time();
-    ++events_executed_;
     fold_digest();
     queue_.run_top();
   }
-  PLANCK_TRACE_COUNTER(*this, component_, "events_executed", events_executed_);
+  PLANCK_TRACE_COUNTER(*this, component_, "events_executed",
+                       events_executed());
 }
 
 bool Simulation::run_until(Time deadline) {
@@ -74,12 +83,12 @@ bool Simulation::run_until(Time deadline) {
     const Time when = queue_.next_time();
     if (when > deadline) break;
     now_ = when;
-    ++events_executed_;
     fold_digest();
     queue_.run_top();
   }
   if (!stopped_ && now_ < deadline) now_ = deadline;
-  PLANCK_TRACE_COUNTER(*this, component_, "events_executed", events_executed_);
+  PLANCK_TRACE_COUNTER(*this, component_, "events_executed",
+                       events_executed());
   return !queue_.empty();
 }
 

@@ -114,7 +114,15 @@ class Simulation {
   bool stop_requested() const { return stopped_; }
 
   /// Number of events executed so far (for tests and progress reporting).
-  std::uint64_t events_executed() const { return events_executed_; }
+  std::uint64_t events_executed() const {
+    const EventQueue::Executed& e = queue_.executed();
+    return e.packets + e.calls + e.callbacks;
+  }
+  /// The same events by kind: typed packet deliveries, typed calls and
+  /// type-erased callbacks. Exact, so layers compare by counts, not time.
+  const EventQueue::Executed& events_by_kind() const {
+    return queue_.executed();
+  }
 
   /// High-water mark of the scheduler's event slab, in nodes.
   std::size_t slab_nodes() const { return queue_.slab_nodes(); }
@@ -179,7 +187,6 @@ class Simulation {
   FramePool frames_;
   Time now_ = 0;
   bool stopped_ = false;
-  std::uint64_t events_executed_ = 0;
   std::uint64_t digest_ = kFnvOffset;
   obs::Telemetry* telemetry_ = nullptr;
   // Sharded-engine wiring (attach_hub): null/defaults when this Simulation

@@ -148,22 +148,19 @@ bool Switch::finish_commit(std::uint64_t epoch) {
 
 void Switch::flush_queue(int port) {
   Port& p = ports_[static_cast<std::size_t>(port)];
-  // The head frame (if draining) is already on the wire; the pending
-  // finish_tx event expects to pop it, so it stays queued. Its delivery is
-  // killed at the link layer when the cable is the thing that died.
-  const std::size_t keep = p.draining ? 1 : 0;
-  if (p.queue.size() <= keep) return;
-  // The port's buffer occupancy is the sum of its queued frames, so the
-  // dropped frames hold all of it but the head's.
-  const sim::Bytes dropped_bytes =
-      buffer_.queue_bytes(port) -
-      (keep == 1 ? p.queue.front().frame_bytes() : sim::Bytes{0});
-  const std::uint64_t dropped = p.queue.size() - keep;
+  if (ended(p)) settle(port);
+  if (p.queue.empty()) return;
+  // The frame on the wire has left the queue; its delivery is killed at
+  // the link layer when the cable is the thing that died. The port's
+  // buffer occupancy is the waiting frames plus that frame's bytes until
+  // it settles.
+  const sim::Bytes dropped_bytes = buffer_.queue_bytes(port) - p.wire_bytes;
+  const std::uint64_t dropped = p.queue.size();
   buffer_.release(port, dropped_bytes);
   p.counters.drops += sim::packets(dropped);
   p.counters.drop_bytes += dropped_bytes;
   fault_drops_ += dropped;
-  p.queue.truncate(keep);
+  p.queue.clear();
 }
 
 void Switch::set_mirroring(int monitor_port) {
@@ -262,6 +259,7 @@ void Switch::enqueue(int port, const net::Packet& packet, bool is_mirror) {
     if (is_mirror) ++mirror_drops_;
     return;
   }
+  if (ended(p)) settle(port);
   if (!buffer_.admit(port, packet.frame_bytes())) {
     ++p.counters.drops;
     p.counters.drop_bytes += packet.frame_bytes();
@@ -278,20 +276,32 @@ void Switch::enqueue(int port, const net::Packet& packet, bool is_mirror) {
     return;
   }
   if (is_mirror) ++mirror_sent_;
-  p.queue.push_back(packet);
-  if (!p.draining) start_tx(port);
+  if (p.wire_bytes > sim::Bytes{0}) {
+    p.queue.push_back(packet);  // waits for the busy wire
+  } else {
+    start_tx(port, packet);  // an idle wire takes it at once
+  }
+  maybe_schedule_end(port);
 }
 
-void Switch::start_tx(int port) {
+void Switch::start_tx(int port, const net::Packet& frame) {
   Port& p = ports_[static_cast<std::size_t>(port)];
-  if (p.queue.empty()) {
-    p.draining = false;
+  p.wire_end = p.link->transmit(frame);
+  p.wire_bytes = frame.frame_bytes();
+}
+
+void Switch::maybe_schedule_end(int port) {
+  Port& p = ports_[static_cast<std::size_t>(port)];
+  // Nothing waits on a lone frame inside the port's reserve: it holds no
+  // shared-pool bytes, so releasing them late moves no DT threshold, and
+  // the port's next admission settles it first (DESIGN.md section 6).
+  if (p.end_scheduled ||
+      (p.queue.empty() &&
+       buffer_.queue_bytes(port) <= config_.buffer.per_port_reserve)) {
     return;
   }
-  p.draining = true;
-  const net::Packet& pkt = p.queue.front();
-  const sim::Time done = p.link->transmit(pkt);
-  sim_.schedule_call_at(done, this, static_cast<std::uint32_t>(port),
+  p.end_scheduled = true;
+  sim_.schedule_call_at(p.wire_end, this, static_cast<std::uint32_t>(port),
                         [](void* self, std::uint32_t which) {
                           static_cast<Switch*>(self)->finish_tx(
                               static_cast<int>(which));
@@ -300,13 +310,21 @@ void Switch::start_tx(int port) {
 
 void Switch::finish_tx(int port) {
   Port& p = ports_[static_cast<std::size_t>(port)];
-  assert(!p.queue.empty());
-  const net::Packet& pkt = p.queue.front();
-  ++p.counters.tx_packets;
-  p.counters.tx_bytes += pkt.frame_bytes();
-  buffer_.release(port, pkt.frame_bytes());
+  assert(p.wire_bytes > sim::Bytes{0});
+  p.end_scheduled = false;
+  settle(port);
+  if (p.queue.empty()) return;
+  start_tx(port, p.queue.front());
   p.queue.pop_front();
-  start_tx(port);
+  maybe_schedule_end(port);
+}
+
+void Switch::settle(int port) {
+  Port& p = ports_[static_cast<std::size_t>(port)];
+  ++p.counters.tx_packets;
+  p.counters.tx_bytes += p.wire_bytes;
+  buffer_.release(port, p.wire_bytes);
+  p.wire_bytes = sim::Bytes{0};
 }
 
 void Switch::maybe_sflow_sample(const net::Packet& packet, int in_port,

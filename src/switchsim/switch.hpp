@@ -174,8 +174,16 @@ class Switch : public net::Node {
   std::uint64_t fault_drops() const { return fault_drops_; }
 
   // --- observability ----------------------------------------------------
-  const PortCounters& counters(int port) const {
-    return ports_[static_cast<std::size_t>(port)].counters;
+  /// The port's counters, with a lone frame whose serialization has
+  /// ended counted as sent even if the port has not settled it yet.
+  PortCounters counters(int port) const {
+    const Port& p = ports_[static_cast<std::size_t>(port)];
+    PortCounters c = p.counters;
+    if (ended(p)) {
+      ++c.tx_packets;
+      c.tx_bytes += p.wire_bytes;
+    }
+    return c;
   }
   /// Packets dropped because no rule matched.
   std::uint64_t no_route_drops() const { return no_route_drops_; }
@@ -186,11 +194,17 @@ class Switch : public net::Node {
   SharedBuffer& buffer() { return buffer_; }
   const SharedBuffer& buffer() const { return buffer_; }
 
+  /// Bytes and frames the port holds: its waiting queue plus the frame
+  /// still serializing on its wire.
   sim::Bytes queue_depth_bytes(int port) const {
-    return buffer_.queue_bytes(port);
+    const Port& p = ports_[static_cast<std::size_t>(port)];
+    return buffer_.queue_bytes(port) -
+           (ended(p) ? p.wire_bytes : sim::Bytes{0});
   }
   std::size_t queue_depth_packets(int port) const {
-    return ports_[static_cast<std::size_t>(port)].queue.size();
+    const Port& p = ports_[static_cast<std::size_t>(port)];
+    return p.queue.size() +
+           (p.wire_bytes > sim::Bytes{0} && !ended(p) ? 1 : 0);
   }
 
   /// NetFlow-style per-flow byte/packet counters (only when
@@ -206,11 +220,24 @@ class Switch : public net::Node {
     explicit Port(sim::FramePool& pool) : queue(pool) {}
 
     net::Link* link = nullptr;
-    sim::FrameQueue queue;  // blocks from the partition's frame pool
-    bool draining = false;
+    sim::FrameQueue queue;  // frames waiting for the wire, in blocks from
+                            // the partition's frame pool
+    /// The frame last put on the wire: when its serialization ends, and
+    /// its bytes until they are counted sent and released (0 after).
+    sim::Time wire_end = 0;
+    sim::Bytes wire_bytes{0};
+    /// An end-of-serialization event is scheduled for wire_end; without
+    /// one the frame is lone and the port settles it lazily.
+    bool end_scheduled = false;
     bool admin_up = true;
     PortCounters counters;
   };
+
+  /// True when a lone frame (no end event) has ended but is unsettled.
+  bool ended(const Port& p) const {
+    return !p.end_scheduled && p.wire_bytes > sim::Bytes{0} &&
+           p.wire_end <= sim_.now();
+  }
 
   /// Resolves the output port and applies rewrites. Returns -1 on miss.
   int route(net::Packet& packet);
@@ -224,8 +251,15 @@ class Switch : public net::Node {
 
   void enqueue(int port, const net::Packet& packet, bool is_mirror);
   void flush_queue(int port);
-  void start_tx(int port);
+  /// Puts `frame` on the port's idle wire.
+  void start_tx(int port, const net::Packet& frame);
+  /// Schedules the end of the frame on the wire, unless one is scheduled
+  /// or nothing waits on it: no frame queued behind, no shared-pool bytes.
+  void maybe_schedule_end(int port);
   void finish_tx(int port);
+  /// Counts the frame on the wire, whose end has passed, as sent and
+  /// releases its buffer bytes.
+  void settle(int port);
   void maybe_sflow_sample(const net::Packet& packet, int in_port,
                           int out_port);
 

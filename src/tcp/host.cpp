@@ -81,6 +81,7 @@ bool Host::send(net::Packet packet) {
     }
   }
   if (packet.first_sent_at == 0) packet.first_sent_at = sim_.now();
+  if (nic_ended()) settle();
   const sim::Bytes frame = packet.frame_bytes();
   if (nic_bytes_ + frame > config_.nic_queue_bytes) {
     ++nic_drops_;
@@ -88,22 +89,27 @@ bool Host::send(net::Packet packet) {
   }
   nic_bytes_ += frame;
   nic_queue_.push_back(packet);
-  if (!nic_draining_) start_tx();
+  if (nic_draining_) return true;  // a scheduled event starts the next frame
+  if (nic_wire_bytes_ > sim::Bytes{0}) {
+    schedule_end();  // the frame now waits on the busy wire's end
+  } else {
+    start_tx();
+  }
   return true;
 }
 
+void Host::wait_for_nic(TcpSender* sender) {
+  nic_waiters_.push_back(sender);
+  // The waiter wakes at an end of serialization: make sure one is due.
+  if (!nic_draining_ && nic_wire_bytes_ > sim::Bytes{0}) schedule_end();
+}
+
 void Host::start_tx() {
-  if (nic_queue_.empty()) {
-    nic_draining_ = false;
-    return;
-  }
   if (link_ == nullptr) {
-    nic_queue_.truncate(0);
+    nic_queue_.clear();
     nic_bytes_ = sim::Bytes{0};
-    nic_draining_ = false;
     return;
   }
-  nic_draining_ = true;
   // Optional sender-microburst model (see HostConfig): stall between
   // packet trains the way real kernel/NIC pipelines do.
   if (config_.sender_stall_max > 0 &&
@@ -114,6 +120,7 @@ void Host::start_tx() {
                            static_cast<std::uint64_t>(
                                config_.sender_stall_max -
                                config_.sender_stall_min + 1)));
+    nic_draining_ = true;
     sim_.schedule_call(stall, this, 0, [](void* self, std::uint32_t) {
       auto* host = static_cast<Host*>(self);
       host->nic_draining_ = false;
@@ -125,24 +132,37 @@ void Host::start_tx() {
   pkt.sent_at = sim_.now();  // the "tcpdump at the sender" timestamp (§5.2)
   if (tx_hook_) tx_hook_(pkt);
   train_bytes_ += pkt.frame_bytes();
-  const sim::Time done = link_->transmit(pkt);
-  sim_.schedule_call_at(done, this, 0, [](void* self, std::uint32_t) {
+  nic_wire_end_ = link_->transmit(pkt);
+  nic_wire_bytes_ = pkt.frame_bytes();
+  nic_queue_.pop_front();
+  // A lone frame that no sender waits on settles at the next send.
+  if (!nic_queue_.empty() || !nic_waiters_.empty()) schedule_end();
+}
+
+void Host::schedule_end() {
+  nic_draining_ = true;
+  sim_.schedule_call_at(nic_wire_end_, this, 0, [](void* self, std::uint32_t) {
     static_cast<Host*>(self)->finish_tx();
   });
 }
 
 void Host::finish_tx() {
-  assert(!nic_queue_.empty());
-  nic_bytes_ -= nic_queue_.front().frame_bytes();
-  nic_queue_.pop_front();
-
+  assert(nic_wire_bytes_ > sim::Bytes{0});
+  settle();
+  // Woken senders queue behind: nic_draining_ is still set.
   if (!nic_waiters_.empty() &&
       nic_headroom() >= config_.nic_queue_bytes / 2) {
     std::vector<TcpSender*> waiters;
     waiters.swap(nic_waiters_);
     for (TcpSender* s : waiters) s->on_nic_writable();
   }
-  start_tx();
+  nic_draining_ = false;
+  if (!nic_queue_.empty()) start_tx();
+}
+
+void Host::settle() {
+  nic_bytes_ -= nic_wire_bytes_;
+  nic_wire_bytes_ = sim::Bytes{0};
 }
 
 void Host::handle_packet(const net::Packet& packet, int /*in_port*/) {

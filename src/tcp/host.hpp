@@ -96,9 +96,11 @@ class Host : public net::Node {
   /// Returns false and drops when the qdisc is full.
   bool send(net::Packet packet);
 
-  /// Bytes of NIC-queue headroom available.
+  /// Bytes of NIC-queue headroom available. A lone frame whose
+  /// serialization has ended holds none, settled or not.
   sim::Bytes nic_headroom() const {
-    return config_.nic_queue_bytes - nic_bytes_;
+    return config_.nic_queue_bytes - nic_bytes_ +
+           (nic_ended() ? nic_wire_bytes_ : sim::Bytes{0});
   }
 
   void handle_packet(const net::Packet& packet, int in_port) override;
@@ -125,11 +127,19 @@ class Host : public net::Node {
 
   /// TcpSender registers here when the NIC refused a segment; the NIC
   /// notifies when space frees.
-  void wait_for_nic(TcpSender* sender) { nic_waiters_.push_back(sender); }
+  void wait_for_nic(TcpSender* sender);
 
  private:
   void start_tx();
+  void schedule_end();
   void finish_tx();
+  /// Releases the bytes of the frame on the wire, whose end has passed.
+  void settle();
+  /// True when a lone frame (no end event) has ended but is unsettled.
+  bool nic_ended() const {
+    return !nic_draining_ && nic_wire_bytes_ > sim::Bytes{0} &&
+           nic_wire_end_ <= sim_.now();
+  }
   void handle_arp(const net::Packet& packet);
   void handle_tcp(const net::Packet& packet);
 
@@ -151,8 +161,15 @@ class Host : public net::Node {
   int fabric_hosts_ = 0;
   sim::Time fabric_resolved_at_ = -1;
 
-  sim::FrameQueue nic_queue_;  // blocks from the partition's frame pool
-  sim::Bytes nic_bytes_{0};
+  sim::FrameQueue nic_queue_;  // frames waiting for the wire, in blocks
+                               // from the partition's frame pool
+  sim::Bytes nic_bytes_{0};    // the waiting frames plus nic_wire_bytes_
+  /// The frame last put on the wire: when its serialization ends, and its
+  /// bytes until they are released (0 after).
+  sim::Time nic_wire_end_ = 0;
+  sim::Bytes nic_wire_bytes_{0};
+  /// An event is scheduled that starts the next waiting frame: the end of
+  /// the frame on the wire, or of a sender stall.
   bool nic_draining_ = false;
   std::uint64_t nic_drops_ = 0;
   sim::Bytes train_bytes_{0};  // bytes sent since the last stall

@@ -23,6 +23,7 @@
 #include "net/topology.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
+#include "stats/samples.hpp"
 #include "te/planck_te.hpp"
 #include "workload/testbed.hpp"
 
@@ -170,16 +171,16 @@ void report_digest(const char* scenario, std::uint64_t digest) {
   std::printf("[digest] %s %016" PRIx64 "\n", scenario, digest);
 }
 
-// Frozen digests of the three scenarios, recorded at the PR-8
-// state-localization sweep and re-verified since. These freeze the *exact
-// event stream*, not just same-seed stability: any change to scheduling
-// behaviour on the sequential engine — including the partitioned-engine
-// work, which must leave every unsharded call path byte-identical — trips
-// one of these. Update them only for an intentional, explained schedule
-// change.
-constexpr std::uint64_t kFig15Digest = 0x488a0021870cafeaULL;
-constexpr std::uint64_t kFaultDigest = 0x9a6bd3ed98b88428ULL;
-constexpr std::uint64_t kTeFailoverDigest = 0xc39054b01decb1c0ULL;
+// Frozen digests of the three scenarios. These freeze the *exact event
+// stream*, not just same-seed stability: any change to scheduling
+// behaviour on the sequential engine trips one of these. Update them only
+// for an intentional, explained schedule change. Last re-frozen when a
+// transmitter stopped scheduling the end of serialization of a frame
+// that nothing waits behind (DESIGN.md section 6), which removes events
+// and reorders equal-time ties.
+constexpr std::uint64_t kFig15Digest = 0xcb355472088719ccULL;
+constexpr std::uint64_t kFaultDigest = 0x81c2cea7e4f218caULL;
+constexpr std::uint64_t kTeFailoverDigest = 0xfa4163d4b7c8f235ULL;
 
 TEST(Determinism, Fig15ScenarioIsByteIdenticalAcrossRuns) {
   const RunResult a = run_fig15(3);
@@ -421,6 +422,88 @@ TEST(Determinism, Fig15AnswersAgreeAcrossEngines) {
                     1e-3 * static_cast<double>(plain.completed_at[i]))
             << "flow " << i;
       }
+    }
+  }
+}
+
+/// What the loaded ring gives: flows finished, FCT percentiles, and the
+/// engine's digest and event count.
+struct RingAnswers {
+  int flows_done = 0;
+  double fct_p50_ms = 0;
+  double fct_p90_ms = 0;
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+};
+
+/// The benchmark's sharded ring at k=4: host h sends 4 MiB to host h+4,
+/// so every pod carries load, with Planck on and 5 us links. On the plain
+/// Simulation (`threads` == 0) or the partitioned engine with `threads`
+/// workers.
+RingAnswers ring_answers(std::uint64_t seed, int threads) {
+  const auto graph = net::make_fat_tree(4,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  TestbedConfig cfg;
+  cfg.seed = seed;
+  cfg.controller_config.seed = seed ^ 0x5eed;
+  cfg.switch_config.flow_accounting = true;
+  sim::Simulation plain;
+  std::optional<sim::ParallelEngine> engine;
+  std::optional<Testbed> bed;
+  if (threads == 0) {
+    bed.emplace(plain, graph, cfg);
+  } else {
+    engine.emplace(map.num_partitions, map.lookahead(), threads);
+    bed.emplace(*engine, map, graph, cfg);
+  }
+
+  RingAnswers out;
+  stats::Samples fct_ms;
+  const int hosts = graph.num_hosts();
+  const int per_pod = hosts / 4;
+  for (int h = 0; h < hosts; ++h) {
+    bed->host(h)->start_flow(
+        net::host_ip((h + per_pod) % hosts), 5001, 4 * 1024 * 1024,
+        [&out, &fct_ms](const tcp::FlowStats& s) {
+          fct_ms.add(sim::to_milliseconds(s.completed_at - s.started_at));
+          ++out.flows_done;
+        });
+  }
+  if (engine) {
+    engine->run_until(sim::seconds(5));
+    out.digest = engine->determinism_digest();
+    out.events = engine->events_executed();
+  } else {
+    plain.run_until(sim::seconds(5));
+    out.digest = plain.determinism_digest();
+    out.events = plain.events_executed();
+  }
+  out.fct_p50_ms = fct_ms.percentile(50);
+  out.fct_p90_ms = fct_ms.percentile(90);
+  return out;
+}
+
+TEST(Determinism, LoadedRingAnswersAgreeAcrossEngines) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const RingAnswers plain = ring_answers(seed, 0);
+    EXPECT_EQ(plain.flows_done, 16) << "seed " << seed;
+    const RingAnswers t1 = ring_answers(seed, 1);
+    const RingAnswers t2 = ring_answers(seed, 2);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_EQ(t1.flows_done, 16);
+    EXPECT_EQ(t2.flows_done, 16);
+    EXPECT_EQ(t1.digest, t2.digest);
+    EXPECT_EQ(t1.events, t2.events);
+    std::printf("[ring] seed %" PRIu64 " fct p50/p90 ms: plain %.6f/%.6f, "
+                "1 thread %.6f/%.6f, 2 threads %.6f/%.6f\n",
+                seed, plain.fct_p50_ms, plain.fct_p90_ms, t1.fct_p50_ms,
+                t1.fct_p90_ms, t2.fct_p50_ms, t2.fct_p90_ms);
+    for (const RingAnswers* sharded : {&t1, &t2}) {
+      EXPECT_NEAR(sharded->fct_p50_ms, plain.fct_p50_ms,
+                  1e-3 * plain.fct_p50_ms);
+      EXPECT_NEAR(sharded->fct_p90_ms, plain.fct_p90_ms,
+                  1e-3 * plain.fct_p90_ms);
     }
   }
 }

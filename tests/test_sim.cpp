@@ -401,6 +401,35 @@ TEST(Simulation, SlabNodesGaugeReadsTheEventSlab) {
   sim.set_telemetry(nullptr);
 }
 
+TEST(Simulation, CountsExecutedEventsByKind) {
+  obs::Telemetry telemetry;
+  Simulation sim;
+  sim.set_telemetry(&telemetry);
+  int calls = 0;
+  for (int i = 0; i < 3; ++i) sim.schedule(i, [] {});
+  for (int i = 0; i < 2; ++i) {
+    sim.schedule_call(i, &calls, 0, [](void* n, std::uint32_t) {
+      ++*static_cast<int*>(n);
+    });
+  }
+  sim.schedule_packet(1, nullptr, 0,
+                      [](void*, std::uint32_t, const net::Packet&) {},
+                      net::Packet{});
+  const EventId cancelled = sim.schedule(5, [] {});
+  sim.cancel(cancelled);  // never executed, so never counted
+  sim.run();
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(sim.events_by_kind().callbacks, 3u);
+  EXPECT_EQ(sim.events_by_kind().calls, 2u);
+  EXPECT_EQ(sim.events_by_kind().packets, 1u);
+  obs::MetricRegistry& reg = telemetry.metrics();
+  EXPECT_EQ(reg.gauge("sim", "callback_events").value(), 3.0);
+  EXPECT_EQ(reg.gauge("sim", "call_events").value(), 2.0);
+  EXPECT_EQ(reg.gauge("sim", "packet_events").value(), 1.0);
+  EXPECT_EQ(reg.gauge("sim", "events_executed").value(), 6.0);
+  sim.set_telemetry(nullptr);
+}
+
 TEST(Simulation, FrameBlocksGaugeReadsTheFramePool) {
   obs::Telemetry telemetry;
   Simulation sim;
@@ -451,27 +480,24 @@ TEST(FrameQueue, FifoOrderAcrossBlockBoundaries) {
   EXPECT_EQ(popped, pushed);
 }
 
-TEST(FrameQueue, TruncateKeepsTheHeadFrame) {
+TEST(FrameQueue, ClearDropsEveryFrame) {
   FramePool pool;
   FrameQueue queue(pool);
+  queue.clear();  // an empty queue: a no-op
+  EXPECT_TRUE(queue.empty());
   for (std::uint64_t i = 0; i < 3 * kBlock + 2; ++i) queue.push_back(frame(i));
   for (std::size_t i = 0; i < kBlock + 3; ++i) queue.pop_front();
-  queue.truncate(1);
-  ASSERT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue.front().seq, kBlock + 3);
-  // The tail is the head's slot again: pushes continue behind it.
-  for (std::uint64_t i = 100; i < 100 + kBlock; ++i) queue.push_back(frame(i));
-  EXPECT_EQ(queue.front().seq, kBlock + 3);
-  queue.pop_front();
-  for (std::uint64_t i = 100; i < 100 + kBlock; ++i) {
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.size(), 0u);
+  // The queue starts afresh: pushes fill a new head block.
+  for (std::uint64_t i = 100; i < 100 + kBlock + 1; ++i) {
+    queue.push_back(frame(i));
+  }
+  for (std::uint64_t i = 100; i < 100 + kBlock + 1; ++i) {
     ASSERT_EQ(queue.front().seq, i);
     queue.pop_front();
   }
-  EXPECT_TRUE(queue.empty());
-  queue.push_back(frame(7));
-  queue.truncate(1);  // nothing behind the head: a no-op
-  EXPECT_EQ(queue.size(), 1u);
-  queue.truncate(0);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -483,11 +509,11 @@ TEST(FrameQueue, DrainedBlocksGoBackToThePoolAndAreReused) {
     while (!queue.empty()) queue.pop_front();
   }
   EXPECT_EQ(pool.blocks(), 4u);
-  // Truncated blocks return too.
+  // Cleared blocks return too.
   for (std::uint64_t i = 0; i < 4 * kBlock; ++i) queue.push_back(frame(i));
-  queue.truncate(1);
+  queue.clear();
   FrameQueue other(pool);
-  for (std::uint64_t i = 0; i < 3 * kBlock; ++i) other.push_back(frame(i));
+  for (std::uint64_t i = 0; i < 4 * kBlock; ++i) other.push_back(frame(i));
   EXPECT_EQ(pool.blocks(), 4u);
 }
 

@@ -217,8 +217,11 @@ class Sink : public net::Node {
  public:
   void handle_packet(const Packet& packet, int) override {
     packets.push_back(packet);
+    arrivals.push_back(clock->now());
   }
+  const sim::Simulation* clock = nullptr;
   std::vector<Packet> packets;
+  std::vector<sim::Time> arrivals;
 };
 
 struct Fixture {
@@ -229,6 +232,7 @@ struct Fixture {
     for (int p = 0; p < ports; ++p) {
       links.push_back(std::make_unique<net::Link>(
           sim, sim::gigabits_per_sec(10), sim::microseconds(1)));
+      sinks[static_cast<std::size_t>(p)].clock = &sim;
       links.back()->connect(&sinks[static_cast<std::size_t>(p)], 0);
       sw.attach_link(p, links.back().get());
     }
@@ -476,6 +480,99 @@ TEST(Switch, PortDownMidDrainKeepsOnlyTheFrameOnTheWire) {
   EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(sent + 1));
   EXPECT_EQ(f.sw.queue_depth_packets(1), 0u);
   EXPECT_EQ(f.sw.buffer().queue_bytes(1), sim::Bytes{0});
+}
+
+// A 1,462-byte payload makes a 1,540-byte wire frame: exactly 1,232 ns
+// at the fixture's 10 Gb/s, so arrival times carry no rounding.
+constexpr sim::Duration kSer = 1232;
+constexpr sim::Duration kProp = sim::microseconds(1);
+
+TEST(Switch, LoneFrameExecutesOnlyItsDelivery) {
+  Fixture f;
+  const Packet p = f.make_packet(9, 1462);
+  f.sw.inject(p, 1);
+  f.sim.run_until(kSer / 2);  // on the wire: the port still holds it
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 1u);
+  EXPECT_EQ(f.sw.queue_depth_bytes(1), p.frame_bytes());
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(0));
+  f.sim.run();
+  EXPECT_EQ(f.sim.events_executed(), 1u);
+  EXPECT_EQ(f.sim.events_by_kind().packets, 1u);
+  EXPECT_EQ(f.sim.events_by_kind().calls, 0u);
+  ASSERT_EQ(f.sinks[1].arrivals.size(), 1u);
+  EXPECT_EQ(f.sinks[1].arrivals[0], kSer + kProp);
+  // Readers see the frame settled once its serialization has ended.
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(1));
+  EXPECT_EQ(f.sw.counters(1).tx_bytes, p.frame_bytes());
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 0u);
+  EXPECT_EQ(f.sw.queue_depth_bytes(1), sim::Bytes{0});
+}
+
+TEST(Switch, FrameBehindABusyWireStartsAtTheStoredEnd) {
+  Fixture f;
+  const Packet p = f.make_packet(9, 1462);
+  f.sw.inject(p, 1);
+  f.sim.schedule(kSer / 2, [&] { f.sw.inject(p, 1); });
+  f.sim.run();
+  ASSERT_EQ(f.sinks[1].arrivals.size(), 2u);
+  EXPECT_EQ(f.sinks[1].arrivals[0], kSer + kProp);
+  EXPECT_EQ(f.sinks[1].arrivals[1], 2 * kSer + kProp);
+  // One end event, for the first frame: the second went out lone.
+  EXPECT_EQ(f.sim.events_by_kind().calls, 1u);
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(2));
+  EXPECT_EQ(f.sw.queue_depth_bytes(1), sim::Bytes{0});
+}
+
+TEST(Switch, FrameArrivingExactlyAtTheEndStartsAtOnce) {
+  Fixture f;
+  const Packet p = f.make_packet(9, 1462);
+  f.sw.inject(p, 1);
+  f.sim.schedule(kSer, [&] { f.sw.inject(p, 1); });
+  f.sim.run();
+  ASSERT_EQ(f.sinks[1].arrivals.size(), 2u);
+  EXPECT_EQ(f.sinks[1].arrivals[1], 2 * kSer + kProp);
+  EXPECT_EQ(f.sim.events_by_kind().calls, 0u);
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(2));
+}
+
+TEST(Switch, WithoutAReserveEveryFrameGetsItsEndEvent) {
+  // A lone frame then holds shared-pool bytes, which every port's DT
+  // threshold reads, so they are released at the end itself.
+  SwitchConfig cfg;
+  cfg.buffer.per_port_reserve = sim::Bytes{0};
+  Fixture f(4, cfg);
+  const Packet p = f.make_packet(9, 1462);
+  f.sw.inject(p, 1);
+  f.sim.run_until(kSer - 1);
+  EXPECT_EQ(f.sw.buffer().shared_used(), p.frame_bytes());
+  f.sim.run_until(kSer);
+  EXPECT_EQ(f.sw.buffer().shared_used(), sim::Bytes{0});
+  f.sim.run();
+  EXPECT_EQ(f.sim.events_by_kind().calls, 1u);
+  EXPECT_EQ(f.sinks[1].packets.size(), 1u);
+}
+
+TEST(Switch, PortDownUnderALoneFrameDropsNothing) {
+  Fixture f;
+  const Packet p = f.make_packet(9, 1462);
+  f.sw.inject(p, 1);
+  f.sim.run_until(kSer / 2);
+  f.sw.set_port_admin(1, false);
+  EXPECT_EQ(f.sw.counters(1).drops, sim::packets(0));
+  EXPECT_EQ(f.sw.fault_drops(), 0u);
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 1u);
+  EXPECT_EQ(f.sw.queue_depth_bytes(1), p.frame_bytes());
+  f.sim.run_until(kSer);  // its end: the bytes are the port's no more
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 0u);
+  EXPECT_EQ(f.sw.queue_depth_bytes(1), sim::Bytes{0});
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(1));
+  f.sim.run();
+  EXPECT_TRUE(f.sinks[1].packets.empty());  // the cable died under it
+  // Back up, the next admission settles it and holds only its own bytes.
+  f.sw.set_port_admin(1, true);
+  f.sw.inject(p, 1);
+  EXPECT_EQ(f.sw.buffer().queue_bytes(1), p.frame_bytes());
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(1));
 }
 
 TEST(Switch, InjectBypassesRules) {

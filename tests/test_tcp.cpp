@@ -438,6 +438,42 @@ TEST(Host, NicQueueLimitAndHeadroom) {
   EXPECT_LE(host.nic_headroom(), sim::Bytes{0});
 }
 
+TEST(Host, NicWaiterWakesAtTheLoneFrameEnd) {
+  // A NIC of just under two frames: while one data segment is on the wire
+  // the next does not fit, so the sender waits on a lone frame, which has
+  // no end event of its own until the wait asks for one.
+  workload::TestbedConfig cfg = Star::no_planck();
+  cfg.host_config.nic_queue_bytes = sim::bytes(2 * 1500);
+  Star star(2, cfg);
+  std::vector<sim::Time> data_sent;
+  star.bed.host(0)->set_tx_hook([&](const net::Packet& p) {
+    if (p.payload == static_cast<std::uint32_t>(net::kMss)) {
+      data_sent.push_back(p.sent_at);
+    }
+  });
+  FlowStats result;
+  star.bed.host(0)->start_flow(net::host_ip(1), 5001, 10 * net::kMss,
+                               [&](const FlowStats& s) { result = s; });
+  star.sim.run_until(sim::seconds(1));
+  ASSERT_TRUE(result.complete);
+  EXPECT_EQ(star.bed.host(0)->nic_drops(), 0u);
+  // The initial window goes out back to back: each segment starts at the
+  // end of the one before, not when an ACK next wakes the sender.
+  ASSERT_EQ(data_sent.size(), 10u);
+  const net::Packet full = [] {
+    net::Packet p;
+    p.payload = static_cast<std::uint32_t>(net::kMss);
+    return p;
+  }();
+  const sim::Duration ser = sim::serialization_delay(
+      full.wire_bytes(), sim::gigabits_per_sec(10));
+  for (std::size_t i = 1; i < data_sent.size(); ++i) {
+    const sim::Duration gap = data_sent[i] - data_sent[i - 1];
+    EXPECT_LE(gap, ser) << "segment " << i;
+    EXPECT_GE(gap, ser - 1) << "segment " << i;
+  }
+}
+
 TEST(Host, TxHookSeesWireTimestamps) {
   Star star(2);
   std::vector<sim::Time> stamps;

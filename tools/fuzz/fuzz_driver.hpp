@@ -9,16 +9,16 @@
 //  - PLANCK_LIBFUZZER defined: exports LLVMFuzzerTestOneInput for
 //    clang's -fsanitize=fuzzer. Used when the toolchain has libFuzzer.
 //  - otherwise: a standalone main() that replays corpus files and, with
-//    --smoke <seconds> [paths...], replays the corpus then feeds
-//    deterministic pseudo-random inputs until the deadline. This is the
-//    mode CI's gcc-only containers run: no libFuzzer dependency, same
-//    harness body, contracts as the oracle (a violation aborts).
+//    --smoke <inputs> [paths...], replays the corpus then feeds that many
+//    deterministic pseudo-random inputs. This is the mode CI's gcc-only
+//    containers run: no libFuzzer dependency, same harness body,
+//    contracts as the oracle (a violation aborts).
 //
-// Smoke mode is deterministic (fixed splitmix64 seed), so a ctest failure
-// reproduces locally with the same command line.
+// Smoke mode is deterministic (fixed splitmix64 seed and a fixed input
+// count), so a ctest run checks the same inputs on any host, and a
+// failure reproduces locally with the same command line.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -80,11 +80,11 @@ inline std::vector<std::string> corpus_files(const std::string& path) {
 }
 
 inline int standalone_main(int argc, char** argv) {
-  double smoke_seconds = 0;
+  std::uint64_t smoke_inputs = 0;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0 && i + 1 < argc) {
-      smoke_seconds = std::atof(argv[++i]);
+      smoke_inputs = std::strtoull(argv[++i], nullptr, 10);
     } else {
       paths.push_back(argv[i]);
     }
@@ -99,28 +99,22 @@ inline int standalone_main(int argc, char** argv) {
   }
   std::printf("fuzz: replayed %d corpus input(s)\n", corpus_count);
 
-  if (smoke_seconds > 0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(smoke_seconds));
-    std::uint64_t rng = 0x9da2ee5c0f8a1ull;  // fixed: smoke is reproducible
-    std::vector<std::uint8_t> input;
-    std::uint64_t iterations = 0;
-    while (std::chrono::steady_clock::now() < deadline) {
-      const std::size_t len = splitmix64(rng) % 512;
-      input.resize(len);
-      for (std::size_t i = 0; i < len; i += 8) {
-        const std::uint64_t word = splitmix64(rng);
-        for (std::size_t b = 0; b < 8 && i + b < len; ++b) {
-          input[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
-        }
+  std::uint64_t rng = 0x9da2ee5c0f8a1ull;  // fixed: smoke is reproducible
+  std::vector<std::uint8_t> input;
+  for (std::uint64_t n = 0; n < smoke_inputs; ++n) {
+    const std::size_t len = splitmix64(rng) % 512;
+    input.resize(len);
+    for (std::size_t i = 0; i < len; i += 8) {
+      const std::uint64_t word = splitmix64(rng);
+      for (std::size_t b = 0; b < 8 && i + b < len; ++b) {
+        input[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
       }
-      planck_fuzz_one(input.data(), input.size());
-      ++iterations;
     }
-    std::printf("fuzz: smoke ran %llu random input(s) in %.0f s\n",
-                static_cast<unsigned long long>(iterations), smoke_seconds);
+    planck_fuzz_one(input.data(), input.size());
+  }
+  if (smoke_inputs > 0) {
+    std::printf("fuzz: smoke ran %llu random input(s)\n",
+                static_cast<unsigned long long>(smoke_inputs));
   }
   return 0;
 }
