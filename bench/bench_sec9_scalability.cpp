@@ -18,7 +18,8 @@
 // 4,8,16 — 16 to 1024 hosts; CI adds 32, 48 and 62, up to the paper's
 // 64-port point of 59,582 hosts) with a per-pod ring of pod-crossing
 // elephants, for each thread count in <list>. Reports the Testbed build
-// time, the process's peak RSS after the cell, events/sec, speedup over
+// time, the process's peak RSS after the cell, events/sec, the CPU time
+// over the wall time of the run (the parallelism achieved), speedup over
 // the 1-thread cell, and — the exit gate — that every thread count
 // reproduces the 1-thread engine digest bit-for-bit. A radix whose fabric
 // cannot be built (k=64 outgrows the 10.0.x.y address plan) fails its
@@ -306,6 +307,17 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
+/// User plus system CPU seconds the process (every thread) has used so far.
+double cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 struct PartitionedResult {
   int k = 0;
   int threads = 0;
@@ -315,6 +327,7 @@ struct PartitionedResult {
   double setup_seconds = 0;  // Testbed build
   double peak_rss_mb = 0;    // process high-water mark after the cell
   double wall_seconds = 0;
+  double cpu_seconds = 0;  // user + sys over the run
   double sim_seconds = 0;
   std::uint64_t digest = 0;
   int flows_completed = 0;
@@ -361,11 +374,13 @@ PartitionedResult run_partitioned(int k, int threads) {
     ++r.flows_started;
   }
 
+  const double cpu0 = cpu_seconds();
   const auto t0 = std::chrono::steady_clock::now();
   engine.run_until(sim::milliseconds(20));
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  r.cpu_seconds = cpu_seconds() - cpu0;
   r.events = engine.events_executed();
   r.sim_seconds = sim::to_seconds(engine.control().now());
   r.digest = engine.determinism_digest();
@@ -381,8 +396,8 @@ int run_partitioned_sweep(const std::vector<int>& radices,
               "window barriers; peak RSS is the process high-water mark "
               "after the cell, so it is cumulative):\n\n");
   stats::TextTable table({"k", "hosts", "partitions", "threads", "setup s",
-                          "peak RSS MB", "events", "events/sec", "speedup",
-                          "digest ok"});
+                          "peak RSS MB", "events", "events/sec", "CPU/wall",
+                          "speedup", "digest ok"});
   int rc = 0;
   for (int k : radices) {
     double base_eps = 0;
@@ -399,7 +414,7 @@ int run_partitioned_sweep(const std::vector<int>& radices,
         std::fprintf(stderr, "FAIL: k=%d, threads=%d: %s\n", k, t,
                      e.what());
         table.add_row({stats::format("%d", k), "-", "-",
-                       stats::format("%d", t), "-", "-", "-", "-", "-",
+                       stats::format("%d", t), "-", "-", "-", "-", "-", "-",
                        "failed"});
         report.metrics().gauge(name, "scenario_ok").set(0.0);
         rc = 1;
@@ -408,6 +423,8 @@ int run_partitioned_sweep(const std::vector<int>& radices,
       const double eps = r.wall_seconds > 0
                              ? static_cast<double>(r.events) / r.wall_seconds
                              : 0.0;
+      const double parallelism =
+          r.wall_seconds > 0 ? r.cpu_seconds / r.wall_seconds : 0.0;
       if (t == threads.front()) {
         base_eps = eps;
         base_digest = r.digest;
@@ -424,7 +441,7 @@ int run_partitioned_sweep(const std::vector<int>& radices,
            stats::format("%.4f", r.setup_seconds),
            stats::format("%.1f", r.peak_rss_mb),
            stats::format("%llu", static_cast<unsigned long long>(r.events)),
-           stats::format("%.2e", eps),
+           stats::format("%.2e", eps), stats::format("%.2f", parallelism),
            stats::format("%.2fx", base_eps > 0 ? eps / base_eps : 0.0),
            digest_ok ? "yes" : "NO"});
       report.add(name, r.events, r.wall_seconds, r.sim_seconds);
@@ -434,6 +451,8 @@ int run_partitioned_sweep(const std::vector<int>& radices,
       m.gauge(name, "threads").set(static_cast<double>(r.threads));
       m.gauge(name, "setup_s").set(r.setup_seconds);
       m.gauge(name, "peak_rss_mb").set(r.peak_rss_mb);
+      m.gauge(name, "cpu_s").set(r.cpu_seconds);
+      m.gauge(name, "parallelism").set(parallelism);
       m.gauge(name, "flows_completed")
           .set(static_cast<double>(r.flows_completed));
       m.gauge(name, "digest_match").set(digest_ok ? 1.0 : 0.0);

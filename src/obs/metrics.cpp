@@ -50,7 +50,6 @@ MetricRegistry::Entry& MetricRegistry::entry(std::string_view component,
 
 Counter& MetricRegistry::counter(std::string_view component,
                                  std::string_view name) {
-  sim::MutexLock lock(mu_);
   Entry& e = entry(component, name);
   assert(!e.gauge && !e.histogram && "metric re-registered as another kind");
   if (!e.counter) e.counter = std::make_unique<Counter>();
@@ -59,7 +58,6 @@ Counter& MetricRegistry::counter(std::string_view component,
 
 Gauge& MetricRegistry::gauge(std::string_view component,
                              std::string_view name) {
-  sim::MutexLock lock(mu_);
   Entry& e = entry(component, name);
   assert(!e.counter && !e.histogram && "metric re-registered as another kind");
   if (!e.gauge) e.gauge = std::make_unique<Gauge>();
@@ -76,7 +74,6 @@ Gauge& MetricRegistry::gauge(std::string_view component, std::string_view name,
 Histogram& MetricRegistry::histogram(std::string_view component,
                                      std::string_view name, double lo,
                                      double hi, std::size_t buckets) {
-  sim::MutexLock lock(mu_);
   Entry& e = entry(component, name);
   assert(!e.counter && !e.gauge && "metric re-registered as another kind");
   if (!e.histogram) e.histogram = std::make_unique<Histogram>(lo, hi, buckets);
@@ -87,7 +84,6 @@ void MetricRegistry::visit(
     const std::function<void(const std::string&, const std::string&,
                              const Counter*, const Gauge*, const Histogram*)>&
         fn) const {
-  sim::MutexLock lock(mu_);
   for (const auto& [key, e] : metrics_) {
     (void)key;
     fn(e.component, e.name, e.counter.get(), e.gauge.get(),
@@ -96,7 +92,6 @@ void MetricRegistry::visit(
 }
 
 std::string MetricRegistry::to_json() const {
-  sim::MutexLock lock(mu_);
   std::string out = "{\"schema\":\"planck-metrics-v1\",\"metrics\":[";
   bool first = true;
   for (const auto& [key, e] : metrics_) {

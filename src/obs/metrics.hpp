@@ -9,16 +9,15 @@
 #include <string>
 #include <string_view>
 
-#include "sim/thread_annotations.hpp"
 #include "stats/histogram.hpp"
 
 namespace planck::obs {
 
 /// Monotone event count owned by the registry. Components hold a pointer
 /// and bump it through PLANCK_METRIC so the write compiles away when the
-/// telemetry plane is disabled. The count is a relaxed atomic: increments
-/// from a partition thread and reads from a concurrent exporter never
-/// tear, and no ordering is implied — a counter is a tally, not a fence.
+/// telemetry plane is disabled. The count is a relaxed atomic, so
+/// increments from several threads never lose a count, and no ordering is
+/// implied — a counter is a tally, not a fence.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
@@ -35,15 +34,9 @@ class Counter {
 /// Point-in-time value. Either set directly (bench results) or backed by a
 /// callback that reads the owning component's state at export time — the
 /// callback form keeps hot paths untouched: nothing is written per event,
-/// the registry pulls when a report is produced.
-///
-/// The direct value is an atomic so set() and a concurrent export never
-/// tear; the callback slot is partition-owned — set_source() runs at
-/// registration time, before any partition thread exists, and a
-/// callback's reads of component state are synchronized by whoever calls
-/// value() (export happens between runs or under the exporting thread's
-/// own discipline, never concurrently with the owning partition's event
-/// processing).
+/// the registry pulls when a report is produced. The direct value is a
+/// relaxed atomic; set_source() is registration and a callback runs only
+/// at export (the rule on MetricRegistry).
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
@@ -55,42 +48,26 @@ class Gauge {
   }
 
  private:
-  PLANCK_PARTITION_OWNED;
   std::atomic<double> value_{0.0};
   std::function<double()> source_;
 };
 
 /// Distribution metric over a fixed range; thin wrapper over
-/// stats::Histogram that adds quantile readout for report export. A
-/// multi-word update (two tail counters plus a bucket vector) cannot be
-/// atomic, so the whole distribution sits behind a mutex; observe() takes
-/// it for a handful of arithmetic ops, which is invisible next to the
-/// event-processing cost around any real observation.
+/// stats::Histogram that adds quantile readout for report export. Not
+/// atomic: each histogram has one observing partition (the rule on
+/// MetricRegistry).
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t buckets) : h_(lo, hi, buckets) {}
 
-  void observe(double v) PLANCK_EXCLUDES(mu_) {
-    sim::MutexLock lock(mu_);
-    h_.add(v);
-  }
-  std::uint64_t count() const PLANCK_EXCLUDES(mu_) {
-    sim::MutexLock lock(mu_);
-    return h_.total();
-  }
-  std::uint64_t underflow() const PLANCK_EXCLUDES(mu_) {
-    sim::MutexLock lock(mu_);
-    return h_.underflow();
-  }
-  std::uint64_t overflow() const PLANCK_EXCLUDES(mu_) {
-    sim::MutexLock lock(mu_);
-    return h_.overflow();
-  }
+  void observe(double v) { h_.add(v); }
+  std::uint64_t count() const { return h_.total(); }
+  std::uint64_t underflow() const { return h_.underflow(); }
+  std::uint64_t overflow() const { return h_.overflow(); }
 
   /// Upper edge of the first bucket whose cumulative fraction reaches `q`
   /// (0..1). Underflow resolves to the range's lower edge; 0 when empty.
-  double quantile(double q) const PLANCK_EXCLUDES(mu_) {
-    sim::MutexLock lock(mu_);
+  double quantile(double q) const {
     if (h_.total() == 0) return 0.0;
     if (static_cast<double>(h_.underflow()) /
             static_cast<double>(h_.total()) >=
@@ -104,8 +81,7 @@ class Histogram {
   }
 
  private:
-  mutable sim::Mutex mu_;
-  stats::Histogram h_ PLANCK_GUARDED_BY(mu_);
+  stats::Histogram h_;
 };
 
 /// Named metrics, registered by component ("switch.s0", "collector.c3",
@@ -119,27 +95,25 @@ class Histogram {
 /// report (to_json/write_json/visit) only while those components are
 /// alive. The registry itself never invokes callbacks outside export.
 ///
-/// Thread discipline: the map is mutex-guarded, so registration and
-/// export may race each other safely (entries are std::map nodes, so the
-/// references handed out stay valid across later registrations). visit()
-/// and to_json() hold the lock while running callbacks — do not
-/// re-register from inside a visit callback or a gauge source.
+/// Rule: one Telemetry per engine or plain Simulation; register before
+/// the run; export after it. Registration happens at setup (component
+/// constructors, Simulation::set_telemetry) and export after run_until has
+/// joined its workers, so the map has no concurrent writer and needs no
+/// lock. During the run a partition thread only bumps its components'
+/// counters and observes a histogram only its partition observes (the
+/// one, te/reroute_latency_us, on the control partition). Entries are
+/// std::map nodes, so the references handed out stay valid across later
+/// registrations.
 class MetricRegistry {
  public:
-  Counter& counter(std::string_view component, std::string_view name)
-      PLANCK_EXCLUDES(mu_);
-  Gauge& gauge(std::string_view component, std::string_view name)
-      PLANCK_EXCLUDES(mu_);
+  Counter& counter(std::string_view component, std::string_view name);
+  Gauge& gauge(std::string_view component, std::string_view name);
   Gauge& gauge(std::string_view component, std::string_view name,
-               std::function<double()> source) PLANCK_EXCLUDES(mu_);
+               std::function<double()> source);
   Histogram& histogram(std::string_view component, std::string_view name,
-                       double lo, double hi, std::size_t buckets)
-      PLANCK_EXCLUDES(mu_);
+                       double lo, double hi, std::size_t buckets);
 
-  std::size_t size() const PLANCK_EXCLUDES(mu_) {
-    sim::MutexLock lock(mu_);
-    return metrics_.size();
-  }
+  std::size_t size() const { return metrics_.size(); }
 
   /// Visits every metric in key order: fn(component, name, kind, metric
   /// pointer for its kind, nullptr for the others).
@@ -147,15 +121,14 @@ class MetricRegistry {
                                       const std::string& name,
                                       const Counter* counter,
                                       const Gauge* gauge,
-                                      const Histogram* histogram)>& fn) const
-      PLANCK_EXCLUDES(mu_);
+                                      const Histogram* histogram)>& fn) const;
 
   /// One JSON schema for every producer (benches, CI, tools):
   /// {"schema":"planck-metrics-v1","metrics":[{component,name,kind,...}]}.
   /// Counters carry integer "value"; gauges a double "value"; histograms
   /// "count"/"p50"/"p90"/"p99" plus the tail counts.
-  std::string to_json() const PLANCK_EXCLUDES(mu_);
-  bool write_json(const std::string& path) const PLANCK_EXCLUDES(mu_);
+  std::string to_json() const;
+  bool write_json(const std::string& path) const;
 
  private:
   struct Entry {
@@ -166,11 +139,9 @@ class MetricRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  Entry& entry(std::string_view component, std::string_view name)
-      PLANCK_REQUIRES(mu_);
+  Entry& entry(std::string_view component, std::string_view name);
 
-  mutable sim::Mutex mu_;
-  std::map<std::string, Entry> metrics_ PLANCK_GUARDED_BY(mu_);
+  std::map<std::string, Entry> metrics_;
 };
 
 }  // namespace planck::obs

@@ -14,13 +14,15 @@
 
 #include "obs/telemetry.hpp"
 
-/// Record an instant event on `component`'s trace track at sim-now.
-/// `sim_expr` is anything with .telemetry() and .now() (a Simulation).
+/// Record an instant event on `component`'s trace track at sim-now, in
+/// the shard of the simulation's partition. `sim_expr` is anything with
+/// .telemetry(), .now() and .partition_id() (a Simulation).
 #define PLANCK_TRACE(sim_expr, component, name)                            \
   do {                                                                     \
     ::planck::obs::Telemetry* planck_obs_tel_ = (sim_expr).telemetry();    \
     if (planck_obs_tel_ != nullptr && planck_obs_tel_->tracing()) {        \
-      planck_obs_tel_->tracer().instant((sim_expr).now(), (component),     \
+      planck_obs_tel_->tracer().instant((sim_expr).partition_id(),         \
+                                        (sim_expr).now(), (component),     \
                                         (name));                           \
     }                                                                      \
   } while (0)
@@ -31,7 +33,8 @@
   do {                                                                     \
     ::planck::obs::Telemetry* planck_obs_tel_ = (sim_expr).telemetry();    \
     if (planck_obs_tel_ != nullptr && planck_obs_tel_->tracing()) {        \
-      planck_obs_tel_->tracer().instant((sim_expr).now(), (component),     \
+      planck_obs_tel_->tracer().instant((sim_expr).partition_id(),         \
+                                        (sim_expr).now(), (component),     \
                                         (name), (args_expr));              \
     }                                                                      \
   } while (0)
@@ -41,7 +44,8 @@
   do {                                                                     \
     ::planck::obs::Telemetry* planck_obs_tel_ = (sim_expr).telemetry();    \
     if (planck_obs_tel_ != nullptr && planck_obs_tel_->tracing()) {        \
-      planck_obs_tel_->tracer().counter((sim_expr).now(), (component),     \
+      planck_obs_tel_->tracer().counter((sim_expr).partition_id(),         \
+                                        (sim_expr).now(), (component),     \
                                         (name),                            \
                                         static_cast<double>(value_expr));  \
     }                                                                      \

@@ -5,13 +5,13 @@
 
 namespace planck::obs {
 
-/// The per-simulation telemetry bundle: one MetricRegistry plus one
-/// Tracer, installed on a sim::Simulation with set_telemetry() *before*
+/// The telemetry bundle of one engine or plain Simulation: one
+/// MetricRegistry plus one Tracer, installed with set_telemetry() *before*
 /// components are constructed (components register their metrics in their
-/// constructors). Tracing starts disabled; metrics registration is always
-/// active once installed. Neither facility reads a clock or perturbs
-/// scheduling, so installing telemetry — with tracing on or off — leaves
-/// Simulation::determinism_digest() unchanged.
+/// constructors) and exported after the run. Tracing starts disabled;
+/// metrics registration is always active once installed. Neither facility
+/// reads a clock or perturbs scheduling, so installing telemetry — with
+/// tracing on or off — leaves determinism_digest() unchanged.
 class Telemetry {
  public:
   MetricRegistry& metrics() { return metrics_; }

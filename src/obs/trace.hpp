@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace planck::obs {
@@ -19,63 +18,61 @@ std::string argf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// event format (load the file at chrome://tracing or ui.perfetto.dev).
 ///
 /// Every timestamp is a sim::Time handed in by the caller — the tracer
-/// never consults a clock — and events are appended in execution order,
-/// so same-seed runs serialize byte-identically. Components map to trace
-/// "threads": the first event from a component allocates the next tid and
-/// a thread_name metadata record, and execution order is deterministic,
-/// so tid assignment is too.
+/// never consults a clock. Events go to one shard per partition
+/// (Simulation::partition_id(), 0 when unsharded), in that partition's
+/// execution order, and each shard is written only by the thread running
+/// its partition. Export merges the shards in (sim time, partition id,
+/// emission order), so a sharded run serializes byte-identically at any
+/// thread count; with one shard the merge is plain emission order.
+/// Components map to trace "threads": tids are assigned in first-use
+/// order over the merged stream, each with a thread_name metadata record.
 ///
-/// Event kinds used here: "I" (instant, a point occurrence like a drop or
-/// reroute), "C" (counter, a stepped time series), "X" (complete, a span
-/// with a duration).
+/// Event kinds: "I" (instant, a point occurrence like a drop or reroute)
+/// and "C" (counter, a stepped time series).
 ///
-/// Thread discipline: the event and component vectors grow from whatever
-/// thread emits, so both sit behind one mutex; emission order under
-/// concurrent writers follows lock-acquisition order. Determinism claims
-/// above therefore assume single-threaded emission (one simulation, or
-/// one tracer per partition) — the lock makes concurrent emission safe,
-/// not ordered.
+/// Rule: one Telemetry per engine or plain Simulation; register before
+/// the run; export after it. add_shard() is registration: it runs at
+/// setup (Simulation::set_telemetry), and an emission never grows the
+/// shard list.
 class Tracer {
  public:
+  /// Makes sure `partition` has a shard. Setup only.
+  void add_shard(int partition);
+
   /// A point event, e.g. a drop, a congestion detection, a reroute.
-  void instant(sim::Time t, std::string_view component, std::string_view name,
-               std::string args = std::string()) PLANCK_EXCLUDES(mu_);
+  void instant(int partition, sim::Time t, std::string_view component,
+               std::string_view name, std::string args = std::string());
 
   /// One point of a stepped time series rendered as a counter track.
-  void counter(sim::Time t, std::string_view component, std::string_view name,
-               double value) PLANCK_EXCLUDES(mu_);
+  void counter(int partition, sim::Time t, std::string_view component,
+               std::string_view name, double value);
 
-  /// A span [t, t+dur), e.g. a whole simulation run.
-  void complete(sim::Time t, sim::Duration dur, std::string_view component,
-                std::string_view name, std::string args = std::string())
-      PLANCK_EXCLUDES(mu_);
-
-  std::size_t size() const PLANCK_EXCLUDES(mu_) {
-    sim::MutexLock lock(mu_);
-    return events_.size();
-  }
-  void clear() PLANCK_EXCLUDES(mu_);
+  std::size_t size() const;
+  /// Drops every recorded event; the shards stay.
+  void clear();
 
   /// Full Chrome trace JSON document. Deterministic: depends only on the
   /// recorded events, which depend only on sim execution order.
-  std::string to_json() const PLANCK_EXCLUDES(mu_);
-  bool write_json(const std::string& path) const PLANCK_EXCLUDES(mu_);
+  std::string to_json() const;
+  bool write_json(const std::string& path) const;
 
  private:
   struct Event {
-    char ph;            // 'I', 'C' or 'X'
-    sim::Time ts;       // nanoseconds of sim time
-    sim::Duration dur;  // 'X' only
-    std::size_t tid;
+    char ph;                // 'I' or 'C'
+    sim::Time ts;           // nanoseconds of sim time
+    std::size_t component;  // index into the shard's components
     std::string name;
     std::string args;  // JSON object body, may be empty
   };
+  struct Shard {
+    std::vector<Event> events;
+    std::vector<std::string> components;
+  };
 
-  std::size_t tid_for(std::string_view component) PLANCK_REQUIRES(mu_);
+  void emit(int partition, char ph, sim::Time t, std::string_view component,
+            std::string_view name, std::string args);
 
-  mutable sim::Mutex mu_;
-  std::vector<Event> events_ PLANCK_GUARDED_BY(mu_);
-  std::vector<std::string> components_ PLANCK_GUARDED_BY(mu_);  // index == tid
+  std::vector<Shard> shards_;  // index == partition id
 };
 
 }  // namespace planck::obs

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -8,14 +7,6 @@
 
 namespace planck::sim {
 namespace {
-
-// Min-heap on (when, seq) via the std heap algorithms' max-heap order.
-struct OverflowLater {
-  bool operator()(const auto& a, const auto& b) const {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-};
 
 std::uint32_t scan_bits(const std::uint64_t* bits, int nwords,
                         std::uint32_t start) {
@@ -46,8 +37,8 @@ void clear_bit(std::uint64_t* bits, std::uint32_t i) {
 EventQueue::EventQueue() = default;
 
 EventQueue::~EventQueue() {
-  // Pending nodes still own payloads (overflow tombstones were destroyed at
-  // cancel time); release them before the chunks go away.
+  // Pending nodes still own payloads; release them before the chunks go
+  // away.
   for (std::uint32_t i = 0; i < node_count_; ++i) {
     Node& n = node(i);
     if (n.state == State::kPending) destroy_payload(n);
@@ -174,8 +165,7 @@ void EventQueue::insert(std::uint32_t idx) {
     }
   }
   n.level = kOverflowLevel;
-  overflow_.push_back(OverflowEntry{when, n.seq, idx});
-  std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+  overflow_.emplace(std::pair{when, n.seq}, idx);
 }
 
 void EventQueue::unlink(std::uint32_t idx) {
@@ -228,13 +218,10 @@ void EventQueue::cancel(EventId id) {
   --live_;
   if (cached_ == idx) cached_ = kNil;  // any other memo is still the minimum
   if (n.level == kOverflowLevel) {
-    // Deleting from the middle of a binary heap would need every sift to
-    // track positions. Events ~137 s out are rare, so the heap keeps a
-    // tombstone, freed when it surfaces in peek() or advance().
-    n.state = State::kCancelled;
-    return;
+    overflow_.erase(std::pair{n.when, n.seq});
+  } else {
+    unlink(idx);
   }
-  unlink(idx);
   free_node(idx);
 }
 
@@ -307,10 +294,9 @@ std::uint32_t EventQueue::find_next() {
 std::uint32_t EventQueue::peek() {
   if (cached_ != kNil) return cached_;
   assert(live_ > 0);
-  // A pure read of the earliest (when, seq): it may free overflow
-  // tombstones (invisible to callers) but never moves cursor_ and never
-  // cascades live nodes, so probing the queue cannot affect where later
-  // pushes land.
+  // A pure read of the earliest (when, seq): it never moves cursor_ and
+  // never cascades live nodes, so probing the queue cannot affect where
+  // later pushes land.
   //
   // Level containment makes this a short walk: every event resident in a
   // far level is strictly later than every event one level below (the
@@ -345,14 +331,8 @@ std::uint32_t EventQueue::peek() {
     cached_when_ = node(best).when;
     return best;
   }
-  while (!overflow_.empty() &&
-         node(overflow_.front().idx).state == State::kCancelled) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    free_node(overflow_.back().idx);
-    overflow_.pop_back();
-  }
   if (!overflow_.empty()) {
-    const std::uint32_t idx = overflow_.front().idx;
+    const std::uint32_t idx = overflow_.begin()->second;
     cached_ = idx;
     cached_when_ = node(idx).when;
     return idx;
@@ -379,23 +359,18 @@ bool EventQueue::advance() {
     return true;
   }
   if (overflow_.empty()) return false;
-  // Pull the next occupied L3 page out of the overflow heap. Popping in
+  // Pull the next occupied L3 page out of the overflow map. Taking in
   // (when, seq) order keeps equal-time events in push order, preserving the
   // FIFO invariant through the re-bucketing.
-  const Time page = overflow_.front().when >> kOverflowShift;
+  const Time page = overflow_.begin()->first.first >> kOverflowShift;
   if (page != (cursor_ >> kOverflowShift)) {
     cursor_ = page << kOverflowShift;
   }
   while (!overflow_.empty() &&
-         (overflow_.front().when >> kOverflowShift) == page) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    const std::uint32_t idx = overflow_.back().idx;
-    overflow_.pop_back();
-    if (node(idx).state == State::kCancelled) {
-      free_node(idx);
-    } else {
-      insert(idx);
-    }
+         (overflow_.begin()->first.first >> kOverflowShift) == page) {
+    const std::uint32_t idx = overflow_.begin()->second;
+    overflow_.erase(overflow_.begin());
+    insert(idx);
   }
   return true;
 }

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -27,7 +29,8 @@ using EventId = std::uint64_t;
 ///   level 1    256 slots x 8.192 us  — covers ~2.1 ms
 ///   level 2    256 slots x ~2.1 ms   — covers ~537 ms
 ///   level 3    256 slots x ~537 ms   — covers ~137 s
-///   overflow   binary min-heap       — events further out than ~137 s
+///   overflow   std::map on (time, push order) — events further out than
+///              ~137 s
 ///
 /// An event lands in the lowest level whose current page contains its
 /// timestamp; when the cursor crosses into a far slot, that slot's events
@@ -104,8 +107,8 @@ class EventQueue {
   const Executed& executed() const { return executed_; }
 
   /// Slab nodes ever allocated, i.e. the slab's high-water mark. Cancel
-  /// frees at once (overflow-heap tombstones aside), so this tracks the
-  /// peak of size() plus the event executing at that moment.
+  /// frees at once, so this tracks the peak of size() plus the event
+  /// executing at that moment.
   std::size_t slab_nodes() const { return node_count_; }
 
   /// Time of the earliest live event. Precondition: !empty(). A pure peek:
@@ -136,14 +139,14 @@ class EventQueue {
   // Bit position where each far level's slot index starts; level i spans
   // [kFarShift[i], kFarShift[i] + kFarBits).
   static constexpr int kFarShift[kFarLevels] = {13, 21, 29};
-  static constexpr int kOverflowShift = 37;  // beyond the L3 page: heap
-  // Node::level of an event in the overflow heap; 0 is the near wheel and
+  static constexpr int kOverflowShift = 37;  // beyond the L3 page: map
+  // Node::level of an event in the overflow map; 0 is the near wheel and
   // 1..kFarLevels the far wheels.
   static constexpr auto kOverflowLevel =
       static_cast<std::uint8_t>(kFarLevels + 1);
 
   enum class Kind : std::uint8_t { kCallback, kPacket, kCall };
-  enum class State : std::uint8_t { kFree, kPending, kCancelled, kExecuting };
+  enum class State : std::uint8_t { kFree, kPending, kExecuting };
 
   struct DeliverPacket {
     PacketFn fn;
@@ -165,7 +168,7 @@ class EventQueue {
     std::uint32_t prev = kNil; // slot list back link, for O(1) unlink
     State state = State::kFree;
     Kind kind = Kind::kCallback;
-    std::uint8_t level = 0;    // which wheel (or the heap) holds the node
+    std::uint8_t level = 0;    // which wheel (or the overflow) holds it
     union Payload {
       Callback cb;
       DeliverPacket dp;
@@ -181,12 +184,6 @@ class EventQueue {
   struct Slot {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
-  };
-
-  struct OverflowEntry {
-    Time when;
-    std::uint64_t seq;
-    std::uint32_t idx;
   };
 
   // --- slab ---------------------------------------------------------------
@@ -222,7 +219,9 @@ class EventQueue {
   Slot far_[kFarLevels][kFarSlots];
   std::uint64_t l0_bits_[kL0Words] = {};
   std::uint64_t far_bits_[kFarLevels][kFarWords] = {};
-  std::vector<OverflowEntry> overflow_;  // min-heap on (when, seq)
+  // Events past the L3 page: node index by (when, seq), so cancel erases
+  // one at once and the first entry is the earliest.
+  std::map<std::pair<Time, std::uint64_t>, std::uint32_t> overflow_;
 
   // Time of the last popped event. Only run_top() moves it: next_time() is
   // a pure peek, so probing the queue (e.g. run_until breaking on a far

@@ -109,9 +109,10 @@ class ParallelEngine {
     return stalls_[static_cast<std::size_t>(pid)];
   }
 
-  /// Installs telemetry on every partition (components "sim.p0"..) and
-  /// registers the engine's window/stall gauges (component "engine").
-  /// Single-threaded setup, before run_until().
+  /// Installs telemetry on every partition (components "sim.p0"..), which
+  /// gives each its trace shard, and registers the engine's window/stall
+  /// gauges (component "engine"). Single-threaded setup, before
+  /// run_until().
   void set_telemetry(obs::Telemetry* telemetry);
 
   // --- outbox API (called by Simulation::post / post_packet) -------------

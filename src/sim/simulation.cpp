@@ -10,6 +10,7 @@ namespace planck::sim {
 void Simulation::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ != nullptr) {
+    telemetry_->tracer().add_shard(partition_id_);
     telemetry_->metrics().gauge(component_, "events_executed", [this] {
       return static_cast<double>(events_executed());
     });

@@ -144,12 +144,13 @@ class Simulation {
 
   bool pending() const { return !queue_.empty(); }
 
-  /// Installs the telemetry plane (DESIGN.md §9). Not owned; must outlive
-  /// the simulation (or be detached with set_telemetry(nullptr)). Install
-  /// before constructing components — they register their metrics in
-  /// their constructors. Telemetry is read-only with respect to the
-  /// schedule, so determinism_digest() is unchanged by installing it or
-  /// by toggling tracing.
+  /// Installs the telemetry plane (DESIGN.md §9) and adds this
+  /// partition's trace shard. Not owned; must outlive the simulation (or
+  /// be detached with set_telemetry(nullptr)). Install before
+  /// constructing components — they register their metrics in their
+  /// constructors. Telemetry is read-only with respect to the schedule,
+  /// so determinism_digest() is unchanged by installing it or by toggling
+  /// tracing.
   void set_telemetry(obs::Telemetry* telemetry);
   obs::Telemetry* telemetry() const { return telemetry_; }
 
@@ -172,9 +173,9 @@ class Simulation {
 
  private:
   // Single-writer by design: one Simulation is one partition's event
-  // core and packet memory; only telemetry_ points at shared state, and
-  // installing it is a pre-run, single-threaded operation (set_telemetry
-  // above).
+  // core and packet memory. telemetry_ is shared with the other
+  // partitions, but this partition writes only its own trace shard and
+  // its components' metrics (DESIGN.md section 12).
   void fold_digest() {
     digest_ = (digest_ ^ static_cast<std::uint64_t>(now_)) * kFnvPrime;
     digest_ = (digest_ ^ queue_.size()) * kFnvPrime;

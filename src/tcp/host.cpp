@@ -88,6 +88,14 @@ bool Host::send(net::Packet packet) {
     return false;
   }
   nic_bytes_ += frame;
+  // An idle wire with no drain pending has an empty queue: put the frame
+  // straight on the wire unless it must wait out a sender stall.
+  if (!nic_draining_ && nic_wire_bytes_ == sim::Bytes{0} &&
+      link_ != nullptr && !stall_due()) {
+    transmit(packet);
+    if (!nic_waiters_.empty()) schedule_end();
+    return true;
+  }
   nic_queue_.push_back(packet);
   if (nic_draining_) return true;  // a scheduled event starts the next frame
   if (nic_wire_bytes_ > sim::Bytes{0}) {
@@ -112,8 +120,7 @@ void Host::start_tx() {
   }
   // Optional sender-microburst model (see HostConfig): stall between
   // packet trains the way real kernel/NIC pipelines do.
-  if (config_.sender_stall_max > 0 &&
-      train_bytes_ >= config_.stall_every_bytes) {
+  if (stall_due()) {
     train_bytes_ = sim::Bytes{0};
     const auto stall = config_.sender_stall_min +
                        static_cast<sim::Duration>(rng_.below(
@@ -128,15 +135,18 @@ void Host::start_tx() {
     });
     return;
   }
-  net::Packet& pkt = nic_queue_.front();
+  transmit(nic_queue_.front());
+  nic_queue_.pop_front();
+  // A lone frame that no sender waits on settles at the next send.
+  if (!nic_queue_.empty() || !nic_waiters_.empty()) schedule_end();
+}
+
+void Host::transmit(net::Packet& pkt) {
   pkt.sent_at = sim_.now();  // the "tcpdump at the sender" timestamp (§5.2)
   if (tx_hook_) tx_hook_(pkt);
   train_bytes_ += pkt.frame_bytes();
   nic_wire_end_ = link_->transmit(pkt);
   nic_wire_bytes_ = pkt.frame_bytes();
-  nic_queue_.pop_front();
-  // A lone frame that no sender waits on settles at the next send.
-  if (!nic_queue_.empty() || !nic_waiters_.empty()) schedule_end();
 }
 
 void Host::schedule_end() {

@@ -131,6 +131,14 @@ class Host : public net::Node {
 
  private:
   void start_tx();
+  /// Puts `pkt` on the idle wire: stamps sent_at and runs the tx hook.
+  void transmit(net::Packet& pkt);
+  /// A train of stall_every_bytes has gone out: the next frame waits out
+  /// a sender stall.
+  bool stall_due() const {
+    return config_.sender_stall_max > 0 &&
+           train_bytes_ >= config_.stall_every_bytes;
+  }
   void schedule_end();
   void finish_tx();
   /// Releases the bytes of the frame on the wire, whose end has passed.

@@ -1,20 +1,21 @@
-// Concurrency smoke: the shared-state surfaces hardened for the
-// partitioned engine (DESIGN.md §12), exercised from real std::threads so
-// ThreadSanitizer has races to hunt. Three surfaces:
+// Concurrency smoke: the state that threads of the partitioned engine
+// share (DESIGN.md section 12), exercised from real std::threads so
+// ThreadSanitizer has races to hunt. Four surfaces:
 //
-//   1. obs::MetricRegistry — concurrent registration + counter bumps +
-//      histogram observations from N writer threads while an exporter
-//      thread renders to_json() in a loop.
-//   2. obs::Tracer — concurrent event emission from N component threads
-//      while a reader polls size() and renders to_json().
-//   3. sim::Simulation — one engine per thread, same seed, no sharing:
+//   1. obs::Counter — four threads bump one pre-registered counter, the
+//      one metric several threads may write.
+//   2. sim::Simulation — one engine per thread, same seed, no sharing:
 //      the partition-owned model. Digests must come out equal, proving
 //      engine state has no hidden cross-instance channel (a mutable
 //      global would show up here as a digest divergence or a TSan race).
+//   3. sim::ParallelEngine — the sharded engine at 4 worker threads
+//      through its lookahead-window barriers.
+//   4. The telemetry plane on that engine: a traced sharded run, where
+//      each partition writes its own trace shard and the export must be
+//      byte-identical at any thread count.
 //
 // The plain build runs this as an ordinary test; the dedicated TSan CI
-// job builds it with -fsanitize=thread, where any unguarded access found
-// by planck-lint's guarded-field check would fail loudly.
+// job builds it with -fsanitize=thread.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +26,12 @@
 
 #include "net/partition.hpp"
 #include "net/topology.hpp"
-#include "tcp/host.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
+#include "tcp/host.hpp"
+#include "te/planck_te.hpp"
 #include "workload/testbed.hpp"
 
 namespace planck {
@@ -38,79 +40,19 @@ namespace {
 constexpr int kThreads = 4;
 constexpr int kOpsPerThread = 2000;
 
-TEST(ConcurrencySmoke, RegistryExportRacesWriters) {
+TEST(ConcurrencySmoke, SharedCounterCountsEveryAdd) {
   obs::MetricRegistry reg;
-  // Pre-register one shared counter every writer bumps, so the atomic
-  // add path is contended as well as the per-thread registration path.
   obs::Counter& shared = reg.counter("smoke", "shared_ops");
-
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&reg, &shared, t] {
-      const std::string component = "smoke.t" + std::to_string(t);
-      obs::Counter& own = reg.counter(component, "ops");
-      obs::Histogram& lat = reg.histogram(component, "lat_us", 0.0, 100.0, 50);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        shared.add();
-        own.add();
-        lat.observe(static_cast<double>(i % 100));
-        reg.gauge(component, "last_i").set(static_cast<double>(i));
-      }
+    writers.emplace_back([&shared] {
+      for (int i = 0; i < kOpsPerThread; ++i) shared.add();
     });
-  }
-
-  // Exporter races the writers: every render must be a well-formed
-  // planck-metrics-v1 document over whatever subset is registered so far.
-  std::string last;
-  for (int round = 0; round < 50; ++round) {
-    last = reg.to_json();
-    ASSERT_NE(last.find("\"schema\":\"planck-metrics-v1\""), std::string::npos);
   }
   for (std::thread& w : writers) w.join();
-
   EXPECT_EQ(shared.value(),
             static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
-  for (int t = 0; t < kThreads; ++t) {
-    const std::string component = "smoke.t" + std::to_string(t);
-    EXPECT_EQ(reg.counter(component, "ops").value(),
-              static_cast<std::uint64_t>(kOpsPerThread));
-    EXPECT_EQ(reg.histogram(component, "lat_us", 0.0, 100.0, 50).count(),
-              static_cast<std::uint64_t>(kOpsPerThread));
-  }
-  EXPECT_NE(reg.to_json().find("\"shared_ops\""), std::string::npos);
-}
-
-TEST(ConcurrencySmoke, TracerEmissionRacesReader) {
-  obs::Tracer tracer;
-
-  std::vector<std::thread> emitters;
-  emitters.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    emitters.emplace_back([&tracer, t] {
-      const std::string component = "part" + std::to_string(t);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const sim::Time now{static_cast<std::int64_t>(i) * 1000};
-        tracer.instant(now, component, "tick");
-        tracer.counter(now, component, "depth", static_cast<double>(i));
-      }
-    });
-  }
-
-  // Reader races the emitters; each snapshot must be internally
-  // consistent JSON (every event's tid resolves to a named component).
-  for (int round = 0; round < 25; ++round) {
-    const std::string doc = tracer.to_json();
-    ASSERT_NE(doc.find("\"traceEvents\""), std::string::npos);
-  }
-  for (std::thread& e : emitters) e.join();
-
-  EXPECT_EQ(tracer.size(),
-            static_cast<std::size_t>(kThreads) * kOpsPerThread * 2);
-  const std::string doc = tracer.to_json();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_NE(doc.find("part" + std::to_string(t)), std::string::npos);
-  }
 }
 
 /// One full testbed run on a private Simulation; returns its digest.
@@ -188,6 +130,65 @@ TEST(ConcurrencySmoke, PartitionedEngineUnderFourWorkerThreads) {
   // Repeat under thread churn: a second 4-thread run must reproduce.
   EXPECT_EQ(run_sharded(42, 4), threaded);
   EXPECT_NE(run_sharded(43, 4), threaded);
+}
+
+/// The Figure-15 scenario (two elephants collide, PlanckTE reroutes one)
+/// on the sharded engine with telemetry installed and tracing on.
+struct TracedShardedRun {
+  std::string trace_json;
+  std::string metrics_json;
+  std::size_t trace_events = 0;
+};
+
+TracedShardedRun run_traced_sharded_fig15(int threads) {
+  const auto graph = net::make_fat_tree(4,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  sim::ParallelEngine engine(map.num_partitions, map.lookahead(), threads);
+  obs::Telemetry tel;
+  engine.set_telemetry(&tel);  // before the testbed: components register
+  tel.enable_tracing();
+  workload::TestbedConfig cfg;
+  cfg.seed = 1;
+  workload::Testbed bed(engine, map, graph, cfg);
+  te::PlanckTe te(engine.control(), bed.controller(), te::PlanckTeConfig{});
+  for (int i : {0, 1}) {
+    bed.host(i)->start_flow(net::host_ip(4 + i), 5001, 8 * 1024 * 1024);
+  }
+  engine.run_until(sim::milliseconds(60));
+  TracedShardedRun out;
+  out.trace_json = tel.tracer().to_json();
+  out.metrics_json = tel.metrics().to_json();
+  out.trace_events = tel.tracer().size();
+  engine.set_telemetry(nullptr);
+  return out;
+}
+
+/// `json` without its engine/threads gauge, the one metric that names the
+/// thread count.
+std::string without_thread_count(std::string json) {
+  const std::size_t at =
+      json.find("{\"component\":\"engine\",\"name\":\"threads\"");
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) json.erase(at, json.find('}', at) + 1 - at);
+  return json;
+}
+
+TEST(ConcurrencySmoke, TracedShardedRunIsByteIdenticalAtAnyThreadCount) {
+  // Every partition writes only its own trace shard, and export merges
+  // the shards in (sim time, partition id, emission order): the trace and
+  // the metrics cannot depend on which thread ran which partition when.
+  const TracedShardedRun t1 = run_traced_sharded_fig15(1);
+  EXPECT_GT(t1.trace_events, 0u);
+  EXPECT_NE(t1.trace_json.find("\"reroute\""), std::string::npos);
+  for (int threads : {2, 4}) {
+    const TracedShardedRun tn = run_traced_sharded_fig15(threads);
+    EXPECT_EQ(tn.trace_events, t1.trace_events) << threads << " threads";
+    EXPECT_TRUE(tn.trace_json == t1.trace_json) << threads << " threads";
+    EXPECT_EQ(without_thread_count(tn.metrics_json),
+              without_thread_count(t1.metrics_json))
+        << threads << " threads";
+  }
 }
 
 }  // namespace

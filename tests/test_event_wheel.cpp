@@ -303,9 +303,9 @@ TEST(EventWheelSlab, CancelledTimersDoNotAccumulate) {
 // the new event, and the new event fires.
 TEST(EventWheelSlab, CancelReusesTheNodeAtEveryWheelLevel) {
   // From a cursor at 0: the near wheel, then the far wheels of 8.192 us,
-  // ~2.1 ms and ~537 ms slots.
+  // ~2.1 ms and ~537 ms slots, then the overflow past ~137 s.
   for (const Duration offset : {nanoseconds(100), microseconds(100),
-                                milliseconds(10), seconds(1)}) {
+                                milliseconds(10), seconds(1), seconds(200)}) {
     SCOPED_TRACE(offset);
     EventQueue q;
     bool stale_fired = false;

@@ -92,10 +92,10 @@ TEST(Tracer, ArgfFormatsJsonBody) {
 
 TEST(Tracer, EmitsChromeTraceShapes) {
   obs::Tracer t;
-  t.instant(1500, "link", "drop", obs::argf("\"port\":%d", 2));
-  t.counter(2000, "sim", "events", 7.0);
-  t.complete(0, 1000, "sim", "run");
-  EXPECT_EQ(t.size(), 3u);
+  t.add_shard(0);
+  t.instant(0, 1500, "link", "drop", obs::argf("\"port\":%d", 2));
+  t.counter(0, 2000, "sim", "events", 7.0);
+  EXPECT_EQ(t.size(), 2u);
   const std::string json = t.to_json();
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   // Timestamps are microseconds with fixed-point ns precision: 1500 ns ->
@@ -103,19 +103,54 @@ TEST(Tracer, EmitsChromeTraceShapes) {
   EXPECT_NE(json.find("\"ts\":1.500"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"I\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"port\":2}"), std::string::npos);
   // Components become named threads, tids in first-use order.
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_LT(json.find("\"name\":\"link\""), json.find("\"name\":\"sim\""));
 }
 
+TEST(Tracer, MergesShardsByTimeThenPartition) {
+  // Two partitions' shards whose events interleave in time. Export orders
+  // them by (ts, partition id), emission order within a shard, and hands
+  // out tids in that merged order: partition 1's "b" is first used before
+  // partition 0's "a", so it is tid 0.
+  obs::Tracer t;
+  t.add_shard(1);  // adds shard 0 too
+  t.instant(0, 2000, "a", "a1");
+  t.instant(0, 3000, "a", "a2");
+  t.instant(0, 3000, "a", "a3");
+  t.instant(1, 1000, "b", "b1");
+  t.instant(1, 3000, "b", "b2");
+  t.counter(1, 4000, "a", "depth", 1.0);
+  EXPECT_EQ(t.size(), 6u);
+  EXPECT_EQ(t.to_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\","
+            "\"args\":{\"name\":\"b\"}},\n"
+            "{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\","
+            "\"args\":{\"name\":\"a\"}},\n"
+            "{\"ph\":\"I\",\"pid\":0,\"tid\":0,\"ts\":1.000,\"s\":\"t\","
+            "\"name\":\"b1\"},\n"
+            "{\"ph\":\"I\",\"pid\":0,\"tid\":1,\"ts\":2.000,\"s\":\"t\","
+            "\"name\":\"a1\"},\n"
+            "{\"ph\":\"I\",\"pid\":0,\"tid\":1,\"ts\":3.000,\"s\":\"t\","
+            "\"name\":\"a2\"},\n"
+            "{\"ph\":\"I\",\"pid\":0,\"tid\":1,\"ts\":3.000,\"s\":\"t\","
+            "\"name\":\"a3\"},\n"
+            "{\"ph\":\"I\",\"pid\":0,\"tid\":0,\"ts\":3.000,\"s\":\"t\","
+            "\"name\":\"b2\"},\n"
+            "{\"ph\":\"C\",\"pid\":0,\"tid\":1,\"ts\":4.000,"
+            "\"name\":\"depth\",\"args\":{\"value\":1.000000}}\n"
+            "]}\n");
+}
+
 TEST(Tracer, ClearResetsEventsAndJsonIsReproducible) {
   obs::Tracer a;
   obs::Tracer b;
   for (obs::Tracer* t : {&a, &b}) {
-    t->instant(10, "x", "e1");
-    t->counter(20, "y", "c", 1.5);
+    t->add_shard(0);
+    t->instant(0, 10, "x", "e1");
+    t->counter(0, 20, "y", "c", 1.5);
   }
   EXPECT_EQ(a.to_json(), b.to_json());
   a.clear();

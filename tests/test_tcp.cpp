@@ -438,6 +438,36 @@ TEST(Host, NicQueueLimitAndHeadroom) {
   EXPECT_LE(host.nic_headroom(), sim::Bytes{0});
 }
 
+TEST(Host, FrameOnAnIdleWireSkipsTheQueue) {
+  // An idle wire with no stall due takes the frame at once: it never
+  // enters the NIC queue, so the partition's frame pool carves no block.
+  // The next frame finds the wire busy and queues.
+  sim::Simulation sim;
+  Host host(sim, 0, HostConfig{});
+  net::Link link(sim, sim::megabits_per_sec(1), 0);
+  struct NullSink : net::Node {
+    void handle_packet(const net::Packet&, int) override {}
+  } sink;
+  link.connect(&sink, 0);
+  host.attach_link(&link);
+  host.set_arp(net::host_ip(1), net::host_mac(1));
+  std::vector<sim::Time> sent;
+  host.set_tx_hook(
+      [&sent](const net::Packet& p) { sent.push_back(p.sent_at); });
+  net::Packet p;
+  p.dst_ip = net::host_ip(1);
+  p.payload = 1460;
+  EXPECT_TRUE(host.send(p));
+  EXPECT_TRUE(link.busy());
+  EXPECT_EQ(sent, std::vector<sim::Time>{0});
+  EXPECT_EQ(sim.frame_pool().blocks(), 0u);
+  EXPECT_TRUE(host.send(p));
+  EXPECT_EQ(sim.frame_pool().blocks(), 1u);
+  sim.run();
+  EXPECT_EQ(sent.size(), 2u);
+  EXPECT_EQ(link.packets_sent().count(), 2u);
+}
+
 TEST(Host, NicWaiterWakesAtTheLoneFrameEnd) {
   // A NIC of just under two frames: while one data segment is on the wire
   // the next does not fit, so the sender waits on a lone frame, which has

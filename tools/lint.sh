@@ -19,16 +19,11 @@
 #                              violations before we trust a clean tree.
 #   2. planck-lint           — project-specific determinism/invariant and
 #                              concurrency-readiness checks.
-#   3. thread-safety         — clang++ -fsyntax-only -Wthread-safety -Werror
-#                              over the annotated TUs + the probe TU
-#                              (tools/thread_safety_probe.cpp); statically
-#                              proves the PLANCK_GUARDED_BY lock discipline.
-#                              Gated: skipped with a notice when clang++ is
-#                              not installed.
-#   4. clang-tidy            — curated baseline in .clang-tidy (gated the
-#                              same way).
-#   5. clang-format          — style drift check, --dry-run only (gated;
-#                              never rewrites files unless --fix).
+#   3. clang-tidy            — curated baseline in .clang-tidy. Gated:
+#                              skipped with a notice when clang-tidy is not
+#                              installed.
+#   4. clang-format          — style drift check, --dry-run only (gated the
+#                              same way; never rewrites files unless --fix).
 #
 # Every stage runs even when an earlier one fails; the exit status
 # aggregates all of them and a PASS/FAIL/SKIP summary prints at the end,
@@ -62,7 +57,7 @@ while [ "$#" -gt 0 ]; do
       shift
       ;;
     -h|--help)
-      sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *)
@@ -149,21 +144,6 @@ fi
 if [ "$fast" -eq 1 ]; then
   summarize
   exit "$status"
-fi
-
-note "clang thread-safety"
-if command -v clang++ >/dev/null 2>&1; then
-  # The probe TU pulls in every annotated header; the obs TUs carry the
-  # out-of-line locked bodies. -Werror: an unannotated access to guarded
-  # state is a failure, not a notice.
-  if clang++ -fsyntax-only -std=c++20 -Isrc -Wthread-safety -Werror \
-      tools/thread_safety_probe.cpp src/obs/metrics.cpp src/obs/trace.cpp; then
-    record thread-safety PASS
-  else
-    record thread-safety FAIL
-  fi
-else
-  missing_tool thread-safety clang++
 fi
 
 note "clang-tidy"

@@ -5,10 +5,9 @@ Package layout:
 
   source.py     preprocessor-aware source model: comment/string/directive
                 stripping, line/column index, allowance parsing.
-  ir.py         per-file structural IR (functions, class records,
-                lock-acquisition sites) built in one linear pass, plus the
-                whole-program view (call graph, taint fixpoints) every
-                cross-file check consumes.
+  ir.py         per-file structural IR (functions, brace scopes) built
+                in one linear pass, plus the whole-program view (call
+                graph, taint fixpoints) every cross-file check consumes.
   cache.py      content-hash cache of the per-file IR (.lint-cache/).
   report.py     Finding (file:line:col) and planck-lint-findings-v1 JSON.
   checks/       one module per check family; checks/__init__.py holds the
@@ -20,4 +19,4 @@ deliberately conservative project lint, not a compiler.
 """
 
 # Bumped whenever the on-disk IR layout changes; invalidates .lint-cache.
-IR_VERSION = 5
+IR_VERSION = 6

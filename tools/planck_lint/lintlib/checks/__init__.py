@@ -26,7 +26,6 @@ CHECK_SCOPE = {
     "unit-mixing": UNITS_SCOPE,
     "unpaired-enqueue": UNITS_SCOPE,
     "mutable-global": CONCURRENCY_SCOPE,
-    "guarded-field": CONCURRENCY_SCOPE,
     "partition-escape": CONCURRENCY_SCOPE,
     "blocking-in-partition": CONCURRENCY_SCOPE,
 }
@@ -35,16 +34,6 @@ CHECK_SCOPE = {
 # the check does not apply.
 PATH_EXEMPTIONS = {
     "wall-clock": ["src/sim/random.hpp", "bench/"],
-    # src/obs IS the shared plane: the macro layer and the Telemetry
-    # accessors legitimately hold what is a cross-partition handle
-    # everywhere else. Its own thread-safety is enforced by guarded-field
-    # and the Clang -Wthread-safety annotations instead.
-    "partition-escape": ["src/obs/"],
-    # The shared plane's short lock scopes are the one sanctioned blocking
-    # primitive inside event-loop-reachable code (guarded-field + TSan
-    # police them); its export paths do file I/O but run between runs,
-    # never from the event loop.
-    "blocking-in-partition": ["src/obs/"],
 }
 
 
@@ -117,7 +106,6 @@ def registry():
         ("unit-mixing", units.check_unit_mixing),
         ("unpaired-enqueue", units.check_unpaired_enqueue),
         ("mutable-global", concurrency.check_mutable_global),
-        ("guarded-field", concurrency.check_guarded_field),
         ("partition-escape", concurrency.check_partition_escape),
         ("blocking-in-partition", concurrency.check_blocking_in_partition),
         ("stale-allowance", allowances.check_stale_allowances),

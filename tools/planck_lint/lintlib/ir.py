@@ -7,8 +7,7 @@ module scans each file once:
 
   * every brace is classified (namespace / class / function / other) from
     a bounded statement head;
-  * call names, scheduling sinks and sim::MutexLock acquisition sites are
-    collected per function body.
+  * call names and scheduling sinks are collected per function body.
 
 ProgramIR then builds the whole-program view: a name-based call graph and
 memoized reachability fixpoints (event-loop taint, release-reachability),
@@ -32,21 +31,11 @@ CALL_NAME_RE = re.compile(r"(?:\.|->|::|\b)([A-Za-z_]\w*)\s*\(")
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return", "sizeof",
                     "alignof", "decltype", "static_assert", "assert"}
 
-# RAII lock acquisition: `sim::MutexLock guard(expr)` (or unqualified
-# MutexLock inside planck::sim). The expression names the mutex.
-MUTEX_LOCK_RE = re.compile(
-    r"\b(?:sim::)?MutexLock\s+[A-Za-z_]\w*\s*[({]\s*([^;)}]*?)\s*[)}]")
-
 FUNC_TRAILER_RE = re.compile(r"(?:\s*(?:const|noexcept|override|final|mutable))*$")
 TRAILING_RETURN_RE = re.compile(r"->\s*[\w:<>&*\s]+$")
 NAMESPACE_HEAD_RE = re.compile(
     r"(?:\binline\s+)?\bnamespace\b(?:\s+[\w:]+)?\s*$|\bextern\s*$")
-CLASS_STMT_RE = re.compile(r"\b(class|struct|union)\b")
-# The optional PLANCK_* group skips attribute macros between the keyword
-# and the name (class PLANCK_CAPABILITY("mutex") Mutex, ...).
-CLASS_NAME_RE = re.compile(
-    r"\b(?:class|struct|union)\s+(?:PLANCK_\w+\s*(?:\([^)]*\)\s*)?)?"
-    r"([A-Za-z_]\w*)")
+CLASS_NAME_RE = re.compile(r"\b(?:class|struct|union)\s+([A-Za-z_]\w*)")
 NAME_BEFORE_PAREN_RE = re.compile(r"([A-Za-z_~]\w*)\s*$")
 
 
@@ -58,45 +47,16 @@ class Function:
     body: str
     has_sink: bool = False
     calls: set = field(default_factory=set)
-    locks: list = field(default_factory=list)  # (offset-in-body, mutex expr)
-
-
-@dataclass
-class ClassInfo:
-    name: str
-    kind: str  # class | struct | union
-    body_open: int
-    body_close: int
 
 
 @dataclass
 class FileIR:
     path: str
     functions: list = field(default_factory=list)
-    classes: list = field(default_factory=list)
     # (open_offset, close_offset, kind) per brace, in open order; kind is
-    # namespace | class | function | other.
+    # namespace | class | function | other, and close_offset is -1 except
+    # for a function body.
     braces: list = field(default_factory=list)
-
-
-def mask_nested_braces(body):
-    """Returns `body` with everything below its top brace level blanked
-    (newlines kept), so member scans do not see method bodies, nested
-    classes, or default-initializer innards."""
-    out = list(body)
-    depth = 0
-    for i, c in enumerate(body):
-        if c == "{":
-            depth += 1
-            if depth > 1 and body[i] != "\n":
-                out[i] = " "
-        elif c == "}":
-            if depth > 1 and body[i] != "\n":
-                out[i] = " "
-            depth -= 1
-        elif depth > 1 and c != "\n":
-            out[i] = " "
-    return "".join(out)
 
 
 def match_paren(code, open_idx, open_ch="(", close_ch=")"):
@@ -171,32 +131,25 @@ def _statement_head(code, brace, window=3000):
 
 
 def _classify_and_name(code, brace):
-    """Classification of the '{' at `brace` plus the facts the scanner
-    needs: ('function', name, ''), ('namespace', '', ''),
-    ('class', class_name, kind), or ('other', '', '')."""
+    """Classification of the '{' at `brace` plus the function's name:
+    ('function', name), ('namespace', ''), ('class', '') or
+    ('other', '')."""
     head, head_lo = _statement_head(code, brace)
     head = head.rstrip()
     if NAMESPACE_HEAD_RE.search(head):
-        return "namespace", "", ""
+        return "namespace", ""
     stripped = FUNC_TRAILER_RE.sub("", head)
     stripped = TRAILING_RETURN_RE.sub("", stripped).rstrip()
     if stripped.endswith(")") or stripped.endswith("]"):
         # A ')' head is a function body, lambda, or control-flow block.
         return "function", _function_name(code, head_lo + len(stripped),
-                                          brace), ""
+                                          brace)
     stmt = head  # the statement head this brace terminates
     if re.search(r"\benum\b", stmt):
-        return "other", "", ""
-    # Attribute-style annotation macros (PLANCK_CAPABILITY("mutex"), ...)
-    # sit between the class keyword and the name; drop them before
-    # deciding whether the head is a class declaration.
-    stmt = re.sub(r"\bPLANCK_\w+\s*(?:\([^()]*\)\s*)?", "", stmt)
-    if CLASS_STMT_RE.search(stmt) and "(" not in stmt:
-        nm = CLASS_NAME_RE.search(stmt)
-        if nm:
-            kind = CLASS_STMT_RE.search(stmt).group(1)
-            return "class", nm.group(1), kind
-    return "other", "", ""
+        return "other", ""
+    if "(" not in stmt and CLASS_NAME_RE.search(stmt):
+        return "class", ""
+    return "other", ""
 
 
 def _function_name(code, head_end, brace):
@@ -248,7 +201,7 @@ def build_file_ir(sf):
         i = m.start()
         if i < skip_until or code[i] == "}":
             continue
-        kind, name, extra = _classify_and_name(code, i)
+        kind, name = _classify_and_name(code, i)
         if kind == "function" and name:
             close = match_paren(code, i, "{", "}")
             if close < 0:
@@ -259,19 +212,11 @@ def build_file_ir(sf):
             fn.has_sink = SINK_RE.search(body) is not None
             fn.calls = {c for c in CALL_NAME_RE.findall(body)
                         if c not in CONTROL_KEYWORDS}
-            fn.locks = [(lm.start(), lm.group(1).strip())
-                        for lm in MUTEX_LOCK_RE.finditer(body)]
             ir.functions.append(fn)
             ir.braces.append((i, close, "function"))
             skip_until = close + 1
             continue
-        if kind == "class":
-            close = match_paren(code, i, "{", "}")
-            ir.classes.append(ClassInfo(name=name, kind=extra, body_open=i,
-                                        body_close=close))
-            ir.braces.append((i, close, "class"))
-            continue
-        ir.braces.append((i, -1, kind if kind == "namespace" else "other"))
+        ir.braces.append((i, -1, kind))
 
     return ir
 

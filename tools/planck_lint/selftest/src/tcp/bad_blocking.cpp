@@ -1,12 +1,9 @@
 // Fixture: blocking calls in event-loop-reachable code (DESIGN.md
 // section 13). A partition thread that sleeps, touches the filesystem, or
 // contends on a lock stalls every partition waiting at the next lookahead
-// barrier — blocking work belongs in setup/teardown code or behind the
-// obs plane's audited lock discipline (src/obs/ is path-exempt). Never
-// compiled.
+// barrier — blocking work belongs in setup/teardown code. Never compiled.
 
 #include "sim/simulation.hpp"
-#include "sim/thread_annotations.hpp"
 
 namespace planck::tcp {
 
@@ -20,11 +17,9 @@ void retransmit_tick(sim::Simulation& sim) {
 }
 
 // Tainted transitively through retransmit_tick(): lock acquisition in
-// event-loop-reachable fabric code contends across partitions (only the
-// obs plane's audited short scopes are sanctioned).
+// event-loop-reachable fabric code contends across partitions.
 void share_cwnd_estimate(sim::Simulation& sim) {
   retransmit_tick(sim);
-  sim::MutexLock guard(estimate_mu_);  // EXPECT-LINT: blocking-in-partition
   std::lock_guard<std::mutex> fallback(raw_mu_);  // EXPECT-LINT: blocking-in-partition
 }
 
