@@ -19,11 +19,14 @@
 // 64-port point of 59,582 hosts) with a per-pod ring of pod-crossing
 // elephants, for each thread count in <list>. Reports the Testbed build
 // time, the process's peak RSS after the cell, events/sec, the CPU time
-// over the wall time of the run (the parallelism achieved), speedup over
-// the 1-thread cell, and — the exit gate — that every thread count
-// reproduces the 1-thread engine digest bit-for-bit. A radix whose fabric
-// cannot be built (k=64 outgrows the 10.0.x.y address plan) fails its
-// cell with the reason; the sweep goes on and exits 1.
+// over the wall time of the run (the CPUs the run got, barrier waits
+// included), the balance of the partition-to-worker assignment
+// (critical-path events times threads over events: 1 is perfect, the
+// thread count is one worker doing everything), speedup over the
+// 1-thread cell, and — the exit gate — that every thread count
+// reproduces the 1-thread engine digest bit-for-bit. A radix whose fabric cannot be built (k=64 outgrows the
+// 10.0.x.y address plan) fails its cell with the reason; the sweep goes
+// on and exits 1.
 
 #include <sys/resource.h>
 
@@ -328,6 +331,8 @@ struct PartitionedResult {
   double peak_rss_mb = 0;    // process high-water mark after the cell
   double wall_seconds = 0;
   double cpu_seconds = 0;  // user + sys over the run
+  double balance = 0;      // critical-path events x threads / events
+  std::uint64_t reassignments = 0;
   double sim_seconds = 0;
   std::uint64_t digest = 0;
   int flows_completed = 0;
@@ -382,6 +387,11 @@ PartitionedResult run_partitioned(int k, int threads) {
           .count();
   r.cpu_seconds = cpu_seconds() - cpu0;
   r.events = engine.events_executed();
+  r.balance = r.events > 0
+                  ? static_cast<double>(engine.critical_path_events()) *
+                        engine.threads() / static_cast<double>(r.events)
+                  : 0.0;
+  r.reassignments = engine.reassignments();
   r.sim_seconds = sim::to_seconds(engine.control().now());
   r.digest = engine.determinism_digest();
   for (std::uint8_t d : done) r.flows_completed += d;
@@ -397,7 +407,7 @@ int run_partitioned_sweep(const std::vector<int>& radices,
               "after the cell, so it is cumulative):\n\n");
   stats::TextTable table({"k", "hosts", "partitions", "threads", "setup s",
                           "peak RSS MB", "events", "events/sec", "CPU/wall",
-                          "speedup", "digest ok"});
+                          "balance", "speedup", "digest ok"});
   int rc = 0;
   for (int k : radices) {
     double base_eps = 0;
@@ -415,7 +425,7 @@ int run_partitioned_sweep(const std::vector<int>& radices,
                      e.what());
         table.add_row({stats::format("%d", k), "-", "-",
                        stats::format("%d", t), "-", "-", "-", "-", "-", "-",
-                       "failed"});
+                       "-", "failed"});
         report.metrics().gauge(name, "scenario_ok").set(0.0);
         rc = 1;
         continue;
@@ -442,6 +452,7 @@ int run_partitioned_sweep(const std::vector<int>& radices,
            stats::format("%.1f", r.peak_rss_mb),
            stats::format("%llu", static_cast<unsigned long long>(r.events)),
            stats::format("%.2e", eps), stats::format("%.2f", parallelism),
+           stats::format("%.2f", r.balance),
            stats::format("%.2fx", base_eps > 0 ? eps / base_eps : 0.0),
            digest_ok ? "yes" : "NO"});
       report.add(name, r.events, r.wall_seconds, r.sim_seconds);
@@ -453,6 +464,9 @@ int run_partitioned_sweep(const std::vector<int>& radices,
       m.gauge(name, "peak_rss_mb").set(r.peak_rss_mb);
       m.gauge(name, "cpu_s").set(r.cpu_seconds);
       m.gauge(name, "parallelism").set(parallelism);
+      m.gauge(name, "balance").set(r.balance);
+      m.gauge(name, "reassignments")
+          .set(static_cast<double>(r.reassignments));
       m.gauge(name, "flows_completed")
           .set(static_cast<double>(r.flows_completed));
       m.gauge(name, "digest_match").set(digest_ok ? 1.0 : 0.0);

@@ -75,13 +75,6 @@ std::size_t Tracer::size() const {
   return n;
 }
 
-void Tracer::clear() {
-  for (Shard& shard : shards_) {
-    shard.events.clear();
-    shard.components.clear();
-  }
-}
-
 std::string Tracer::to_json() const {
   // A k-way merge of the shards on (ts, partition id): each shard is in
   // its partition's execution order, whose clock never runs backwards, so

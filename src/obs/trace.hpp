@@ -48,8 +48,6 @@ class Tracer {
                std::string_view name, double value);
 
   std::size_t size() const;
-  /// Drops every recorded event; the shards stay.
-  void clear();
 
   /// Full Chrome trace JSON document. Deterministic: depends only on the
   /// recorded events, which depend only on sim execution order.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -33,27 +34,33 @@ namespace planck::sim {
 /// event in its past, and the windows never need rollback (classic
 /// conservative/bounded-lag synchronization).
 ///
-/// Cross-partition events ride per-source-partition outboxes
-/// (Simulation::post / post_packet) and are merged at the window barrier
-/// in (source partition id, FIFO) order. Because the timing wheel breaks
-/// equal-time ties by push order, that merge order — a pure function of
-/// partition state — makes the whole schedule independent of thread
-/// count: determinism_digest() is byte-identical for a fixed partition
-/// count whether the windows run on 1 thread or N.
+/// Cross-partition events ride per-(source, destination) outboxes
+/// (Simulation::post / post_packet), double-buffered by window parity.
+/// Each destination drains what was posted to it in the previous window
+/// at the start of its own run, in (source partition id, FIFO) order.
+/// Because the timing wheel breaks equal-time ties by push order, that
+/// drain order — a pure function of partition state — makes the whole
+/// schedule independent of thread count: determinism_digest() is
+/// byte-identical for a fixed partition count whether the windows run on
+/// 1 thread or N. run_until() drains the leftovers before it returns, so
+/// between calls every event sits in its destination's wheel.
 ///
 /// The control partition never runs concurrently with data partitions:
-/// it executes serially inside the barrier, while every data thread is
-/// parked. Controller RPC closures may therefore keep touching switch
-/// and host state directly (their effects land at the window bound — the
+/// it executes serially inside the barrier, while every data thread
+/// waits. Controller RPC closures may therefore keep touching switch and
+/// host state directly (their effects land at the window bound — the
 /// lookahead grid — rather than mid-window, which is deterministic and
 /// documented). Data-plane code talks *to* the control partition only
-/// through post(), at least one lookahead ahead like every cross-partition
-/// event.
+/// through post(), at least one lookahead ahead like every
+/// cross-partition event.
 ///
-/// Threads: run_until() drives the data partitions on `threads` worker
-/// threads (static round-robin partition assignment; the calling thread
-/// is worker 0). One thread runs the same window loop with no thread
-/// started — event-identical, same digest.
+/// Threads: run_until() drives the data partitions on `threads` workers
+/// (the calling thread is worker 0). Before each window the serial phase
+/// assigns partitions to workers in longest-processing-time order over
+/// their cumulative executed-event counts, so the busiest partitions are
+/// spread first and an assignment, once balanced, rarely changes. One
+/// thread runs the same window loop with no thread started —
+/// event-identical, same digest.
 class ParallelEngine {
  public:
   /// `data_partitions` >= 1 topology partitions plus one control
@@ -68,8 +75,8 @@ class ParallelEngine {
   /// Total partitions including the control partition.
   int num_partitions() const { return static_cast<int>(partitions_.size()); }
   int data_partitions() const { return num_partitions() - 1; }
-  /// The control partition's id (always the last — its outbox flushes
-  /// after every data partition's in the deterministic merge order).
+  /// The control partition's id (always the last — its posts drain after
+  /// every data partition's in the deterministic merge order).
   int control_partition() const { return num_partitions() - 1; }
   int threads() const { return threads_; }
   Duration lookahead() const { return lookahead_; }
@@ -108,6 +115,16 @@ class ParallelEngine {
   std::uint64_t barrier_stalls(int pid) const {
     return stalls_[static_cast<std::size_t>(pid)];
   }
+  /// Sum over windows of the most-loaded worker's executed events under
+  /// the assignment in force, plus the control partition's events (the
+  /// serial phase runs on one thread). A deterministic stand-in for the
+  /// run's critical path: critical_path_events() * threads() /
+  /// events_executed() is 1 for a perfect balance and threads() when one
+  /// worker does everything.
+  std::uint64_t critical_path_events() const { return critical_path_; }
+  /// Windows whose partition-to-worker assignment differs from the
+  /// previous window's.
+  std::uint64_t reassignments() const { return reassignments_; }
 
   /// Installs telemetry on every partition (components "sim.p0"..), which
   /// gives each its trace shard, and registers the engine's window/stall
@@ -116,12 +133,14 @@ class ParallelEngine {
   void set_telemetry(obs::Telemetry* telemetry);
 
   // --- outbox API (called by Simulation::post / post_packet) -------------
-  /// Appends a cross-partition event to partition `src`'s outbox. Single
-  /// writer per outbox: the thread currently running partition `src`
-  /// (workers never share a partition inside a window, and the barrier
-  /// orders outbox writes before the merge reads them). `when` must not
-  /// precede the current window bound — the destination may already have
-  /// run that far. PLANCK_CONTRACT checks it in contract builds.
+  /// Appends a cross-partition event to the outbox from partition `src`
+  /// to `dst` for the current window parity. Single writer per outbox:
+  /// the thread currently running partition `src` (workers never share a
+  /// partition inside a window). `dst` drains it in the next window, and
+  /// the barrier between the two orders the writes before the reads.
+  /// `when` must not precede the current window bound — the destination
+  /// may already have run that far. PLANCK_CONTRACT checks it in contract
+  /// builds.
   void enqueue(int src, Simulation& dst, Time when, EventQueue::Callback cb);
   void enqueue_packet(int src, Simulation& dst, Time when, void* target,
                       std::uint32_t aux, EventQueue::PacketFn fn,
@@ -129,41 +148,68 @@ class ParallelEngine {
 
  private:
   // Coordinator-owned by design: workers touch only their assigned
-  // partitions and their own outboxes between barriers; every member
-  // below is written either before threads exist or inside the barrier's
-  // serial completion phase, whose end synchronizes-with each worker's
-  // next window.
+  // partitions, the outboxes those partitions write this window and the
+  // inboxes they drain from the last one; every other member below is
+  // written either before threads exist or inside the barrier's serial
+  // phase, whose end synchronizes-with each worker's next window.
   static constexpr Time kNever = std::numeric_limits<Time>::max();
 
-  struct CrossEvent {
-    Simulation* dst;
+  // The typed DeliverPacket path keeps its no-type-erasure property
+  // across the boundary, and a packet record carries no Callback.
+  struct PacketPost {
     Time when;
-    // Exactly one of the two payloads is live, discriminated by `packet_fn`:
-    // the typed DeliverPacket path keeps its no-type-erasure property
-    // across the boundary.
-    EventQueue::Callback cb;
-    EventQueue::PacketFn packet_fn = nullptr;
-    void* target = nullptr;
-    std::uint32_t aux = 0;
+    EventQueue::PacketFn fn;
+    void* target;
+    std::uint32_t aux;
     net::Packet packet;
   };
+  struct CallbackPost {
+    Time when;
+    std::size_t after;  // packets posted before it: the FIFO position
+    EventQueue::Callback cb;
+  };
+  /// One source's posts to one destination within one window.
+  struct Mailbox {
+    std::vector<PacketPost> packets;
+    std::vector<CallbackPost> callbacks;
+  };
+  /// One source's posts within one window, written only by the thread
+  /// running that source.
+  struct alignas(64) Outbox {
+    std::vector<Mailbox> to;  // indexed by destination pid
+    Time earliest = kNever;   // smallest `when` posted since the last bound
+  };
 
+  Outbox& outbox(int src) {
+    return outboxes_[phase_][static_cast<std::size_t>(src)];
+  }
+  /// Moves every post to `dst` of window parity `parity` into its wheel,
+  /// in (source partition id, FIFO) order.
+  void drain_inbox(int dst, int parity);
+  /// Drains every destination's inbox of the current parity: the posts
+  /// made since the last window, between or before run_until() calls.
+  void drain_all();
   /// Picks the next window bound; false when nothing remains <= deadline.
   bool prepare_window(Time deadline);
-  /// The serial phase at each barrier: control partition, stall
-  /// accounting, outbox merge, stop detection, next bound.
+  /// Records every partition's event count at the window's start and
+  /// assigns data partitions to workers, longest processing time first
+  /// over their cumulative executed-event counts.
+  void start_window();
+  /// The serial phase at each barrier: control partition, stall and
+  /// load accounting, stop detection, next bound, next assignment.
   void serial_phase(Time deadline);
-  /// Merges every outbox into its destinations, source-partition-id
-  /// order, FIFO within a source.
-  void flush_outboxes();
 
   Duration lookahead_;
   int threads_;
   std::vector<std::unique_ptr<Simulation>> partitions_;
-  std::vector<std::vector<CrossEvent>> outboxes_;  // indexed by source pid
+  std::array<std::vector<Outbox>, 2> outboxes_;  // [parity][source pid]
+  int phase_ = 0;  // the parity this window's posts go to
+  std::vector<int> owner_;  // data pid -> worker, for the current window
   std::vector<std::uint64_t> stalls_;
   std::vector<std::uint64_t> events_at_window_start_;
   std::uint64_t windows_ = 0;
+  std::uint64_t critical_path_ = 0;
+  std::uint64_t reassignments_ = 0;
   Time bound_ = 0;
   bool closing_ = false;  // current window is the final deadline stretch
   bool finished_ = true;

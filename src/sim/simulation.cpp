@@ -74,8 +74,7 @@ void Simulation::run() {
     fold_digest();
     queue_.run_top();
   }
-  PLANCK_TRACE_COUNTER(*this, component_, "events_executed",
-                       events_executed());
+  trace_events_executed();
 }
 
 bool Simulation::run_until(Time deadline) {
@@ -88,9 +87,16 @@ bool Simulation::run_until(Time deadline) {
     queue_.run_top();
   }
   if (!stopped_ && now_ < deadline) now_ = deadline;
+  trace_events_executed();
+  return !queue_.empty();
+}
+
+void Simulation::trace_events_executed() {
+  // A partition runs once per lookahead window; its engine emits the point
+  // once per ParallelEngine::run_until instead.
+  if (hub_ != nullptr) return;
   PLANCK_TRACE_COUNTER(*this, component_, "events_executed",
                        events_executed());
-  return !queue_.empty();
 }
 
 }  // namespace planck::sim

@@ -68,7 +68,7 @@ class Simulation {
   }
 
   /// schedule_packet at an absolute time (clamped to now if in the past).
-  /// Used by the parallel engine's barrier flush, which carries the
+  /// Used by the parallel engine's inbox drain, which carries the
   /// sender-relative delivery time across partitions as an absolute stamp.
   EventId schedule_packet_at(Time when, void* target, std::uint32_t aux,
                              PacketFn fn, const net::Packet& packet) {
@@ -78,13 +78,13 @@ class Simulation {
 
   /// Schedules `cb` on partition `dst` at `delay` from *this* partition's
   /// clock. Same-partition (or unsharded) calls degrade to a plain
-  /// schedule; cross-partition calls ride the engine's mailbox and are
-  /// merged into `dst` at the next lookahead barrier (deterministically:
+  /// schedule; cross-partition calls ride the engine's outboxes and are
+  /// drained into `dst` when its next window starts (deterministically:
   /// source partition id, then FIFO). A cross-partition delay must be at
   /// least the engine's conservative lookahead (cross_lookahead()), so the
   /// event lands at or past the current window bound; no post relies on
-  /// the barrier merge clamping a late event forward. Posting below the
-  /// bound is a contract violation (ParallelEngine::enqueue).
+  /// the drain clamping a late event forward. Posting below the bound is
+  /// a contract violation (ParallelEngine::enqueue).
   void post(Simulation& dst, Duration delay, EventQueue::Callback cb);
 
   /// Typed cross-partition packet delivery: the boundary-link flavor of
@@ -176,6 +176,9 @@ class Simulation {
   // core and packet memory. telemetry_ is shared with the other
   // partitions, but this partition writes only its own trace shard and
   // its components' metrics (DESIGN.md section 12).
+  /// The `events_executed` counter point closing run() and run_until().
+  void trace_events_executed();
+
   void fold_digest() {
     digest_ = (digest_ ^ static_cast<std::uint64_t>(now_)) * kFnvPrime;
     digest_ = (digest_ ^ queue_.size()) * kFnvPrime;

@@ -120,9 +120,10 @@ TEST(ConcurrencySmoke, PartitionedEngineUnderFourWorkerThreads) {
   // The sharded engine itself under TSan: 4 worker threads drive 5 data
   // partitions (4 pods + core) through lookahead-window barriers, with
   // cross-partition traffic on every agg<->core cable. Any unsynchronized
-  // access in the barrier protocol — an outbox write racing the merge, a
-  // bound_ read racing the completion phase — is a TSan hit here, and any
-  // ordering leak is a digest divergence against the 1-thread run.
+  // access in the barrier protocol — an outbox write racing its
+  // destination's drain, a bound_ read racing the serial phase — is a TSan
+  // hit here, and any ordering leak is a digest divergence against the
+  // 1-thread run.
   const std::uint64_t sequential = run_sharded(42, 1);
   const std::uint64_t threaded = run_sharded(42, 4);
   EXPECT_EQ(sequential, threaded);

@@ -144,7 +144,7 @@ TEST(Tracer, MergesShardsByTimeThenPartition) {
             "]}\n");
 }
 
-TEST(Tracer, ClearResetsEventsAndJsonIsReproducible) {
+TEST(Tracer, SameEventsGiveTheSameJson) {
   obs::Tracer a;
   obs::Tracer b;
   for (obs::Tracer* t : {&a, &b}) {
@@ -152,9 +152,8 @@ TEST(Tracer, ClearResetsEventsAndJsonIsReproducible) {
     t->instant(0, 10, "x", "e1");
     t->counter(0, 20, "y", "c", 1.5);
   }
+  EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(a.to_json(), b.to_json());
-  a.clear();
-  EXPECT_EQ(a.size(), 0u);
 }
 
 // Macro layer ---------------------------------------------------------------

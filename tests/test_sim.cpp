@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -720,6 +721,76 @@ TEST(ParallelEngine, PostAtTheLookaheadLandsOnTheDestination) {
   });
   engine.run_until(microseconds(20));
   EXPECT_EQ(delivered, microseconds(6));
+}
+
+/// A typed packet handler that records "packet <aux>" in the vector at
+/// `target`.
+void record_packet(void* target, std::uint32_t aux, const net::Packet&) {
+  static_cast<std::vector<std::string>*>(target)->push_back(
+      "packet " + std::to_string(aux));
+}
+
+TEST(ParallelEngine, PostsDrainInSourceThenFifoOrderBeforeRunUntilReturns) {
+  // Two sources post equal-time callbacks and a typed packet to one
+  // destination in the window a stop() ends, and one more callback
+  // arrives between calls. Each destination drains its posts in (source
+  // partition id, FIFO) order, packets and callbacks alike, and run_until
+  // drains the last window's posts before it returns, so they wait in the
+  // destination's wheel between calls and the later post runs after them.
+  for (int threads : {1, 2}) {
+    ParallelEngine engine(3, microseconds(1), threads);
+    Simulation& dst = engine.partition(2);
+    const Time when = microseconds(6);
+    std::vector<std::string> order;  // appended only by dst's events
+    const auto post = [&](int src, std::string tag) {
+      Simulation& from = engine.partition(src);
+      from.post(dst, when - from.now(),
+                [&order, tag = std::move(tag)] { order.push_back(tag); });
+    };
+    for (int src : {1, 0}) {
+      engine.partition(src).schedule(microseconds(5), [&, src] {
+        Simulation& from = engine.partition(src);
+        const std::string id = std::to_string(src);
+        post(src, id + "a");
+        from.post_packet(dst, when - from.now(), &order,
+                         static_cast<std::uint32_t>(src), record_packet,
+                         net::Packet{});
+        post(src, id + "b");
+        if (src == 1) from.stop();
+      });
+    }
+    engine.run_until(microseconds(20));
+    ASSERT_TRUE(engine.stopped()) << threads << " threads";
+    ASSERT_TRUE(dst.pending()) << threads << " threads";
+    EXPECT_EQ(dst.next_event_time(), when) << threads << " threads";
+    post(0, "between calls");
+    engine.run_until(microseconds(20));
+    EXPECT_EQ(order, (std::vector<std::string>{"0a", "packet 0", "0b", "1a",
+                                               "packet 1", "1b",
+                                               "between calls"}))
+        << threads << " threads";
+  }
+}
+
+TEST(ParallelEngine, CriticalPathCountsTheBusiestWorkerOfEachWindow) {
+  // Partition 0 runs three events per microsecond, partition 1 one and
+  // partition 2 none; each 1 us lookahead window covers two microseconds.
+  // The first window finds every cumulative count at zero, so worker 0
+  // runs all three partitions; from then on partition 0 has worker 0 to
+  // itself: 8 + 4 x 6 = 32 events on the critical path at two threads.
+  for (int threads : {1, 2}) {
+    ParallelEngine engine(3, microseconds(1), threads);
+    for (int us = 1; us <= 10; ++us) {
+      for (int i = 0; i < 3; ++i) {
+        engine.partition(0).schedule(microseconds(us), [] {});
+      }
+      engine.partition(1).schedule(microseconds(us), [] {});
+    }
+    engine.run_until(microseconds(10));
+    EXPECT_EQ(engine.events_executed(), 40u);
+    EXPECT_EQ(engine.critical_path_events(), threads == 1 ? 40u : 32u);
+    EXPECT_EQ(engine.reassignments(), threads == 1 ? 0u : 1u);
+  }
 }
 
 TEST(ParallelEngineDeathTest, PostBelowTheLookaheadViolatesTheContract) {
