@@ -7,8 +7,11 @@
 //
 // Supports --json <path> (see bench_util.hpp) so CI can smoke-check the
 // speedup without scraping stdout. Each wheel churn loop also reports its
-// slab high-water and peak live-event count: exact counts, which CI gates
-// on (cancel must free the node, so the slab never outgrows the live set).
+// slab and callback-pool high-waters beside its peak live events and live
+// callbacks: exact counts, which CI gates on (cancel must free the node and
+// the callback slot, so neither outgrows the live set). The fat-tree row
+// reports the wheel's work counts (far files, re-files, far-slot nodes
+// walked by a peek), and CI bounds its re-files by its events.
 
 #include <algorithm>
 #include <chrono>
@@ -72,11 +75,13 @@ sim::Duration replacement_delay(sim::Duration d) {
   return d >= sim::milliseconds(200) ? sim::microseconds(200) : d;
 }
 
-/// A wheel churn loop's memory: slab nodes ever allocated, and the peak
-/// number of live events.
+/// A wheel churn loop's memory: slab nodes and callback slots ever
+/// allocated, and the peak numbers of live events and live callbacks.
 struct SlabUse {
   std::size_t slab_nodes = 0;
   std::size_t peak_live = 0;
+  std::size_t callback_slots = 0;
+  std::size_t peak_live_callbacks = 0;
 };
 
 double churn_heap(const std::vector<sim::Duration>& delays,
@@ -136,7 +141,8 @@ double churn_wheel(const std::vector<sim::Duration>& delays,
     }
   }
   *pops = static_cast<std::uint64_t>(kPops);
-  *slab = SlabUse{q.slab_nodes(), peak_live};
+  // Every event of this loop is a callback.
+  *slab = SlabUse{q.slab_nodes(), peak_live, q.callback_slots(), peak_live};
   benchmark_guard(sink);
   return seconds_since(t0);
 }
@@ -182,7 +188,8 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
     }
   }
   *pops = static_cast<std::uint64_t>(kPops);
-  *slab = SlabUse{q.slab_nodes(), peak_live};
+  // No event of this loop is a callback.
+  *slab = SlabUse{q.slab_nodes(), peak_live, q.callback_slots(), 0};
   benchmark_guard(sink);
   return seconds_since(t0);
 }
@@ -194,7 +201,8 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
 /// telemetry plane's hot-path cost, which must stay within noise.
 double fat_tree_end_to_end(bool telemetry, std::uint64_t* events,
                            double* sim_seconds, std::size_t* slab_nodes,
-                           sim::EventQueue::Executed* by_kind) {
+                           sim::EventQueue::Executed* by_kind,
+                           sim::EventQueue::WheelWork* work) {
   sim::Simulation simulation;
   obs::Telemetry tel;
   if (telemetry) simulation.set_telemetry(&tel);
@@ -212,6 +220,7 @@ double fat_tree_end_to_end(bool telemetry, std::uint64_t* events,
   *sim_seconds = static_cast<double>(simulation.now()) / 1e9;
   *slab_nodes = simulation.slab_nodes();
   *by_kind = simulation.events_by_kind();
+  *work = simulation.wheel_work();
   simulation.set_telemetry(nullptr);
   return wall;
 }
@@ -232,10 +241,16 @@ int main(int argc, char** argv) {
   const auto add_slab = [&report](const char* name, const SlabUse& slab) {
     std::printf("  %-22s %9zu slab nodes for %zu peak live events\n", "",
                 slab.slab_nodes, slab.peak_live);
+    std::printf("  %-22s %9zu callback slots for %zu peak live callbacks\n",
+                "", slab.callback_slots, slab.peak_live_callbacks);
     report.metrics().gauge(name, "slab_nodes")
         .set(static_cast<double>(slab.slab_nodes));
     report.metrics().gauge(name, "peak_live")
         .set(static_cast<double>(slab.peak_live));
+    report.metrics().gauge(name, "callback_slots")
+        .set(static_cast<double>(slab.callback_slots));
+    report.metrics().gauge(name, "peak_live_callbacks")
+        .set(static_cast<double>(slab.peak_live_callbacks));
   };
 
   SlabUse slab;
@@ -256,9 +271,10 @@ int main(int argc, char** argv) {
   double sim_seconds = 0;
   std::size_t slab_nodes = 0;
   sim::EventQueue::Executed by_kind;
+  sim::EventQueue::WheelWork work;
   const double e2e_s = fat_tree_end_to_end(/*telemetry=*/false, &events,
                                            &sim_seconds, &slab_nodes,
-                                           &by_kind);
+                                           &by_kind, &work);
   std::printf("  %-22s %9.0f kevents/s   (%llu events, %.0f ms simulated, "
               "%zu slab nodes)\n",
               "fat-tree end-to-end",
@@ -279,6 +295,17 @@ int main(int argc, char** argv) {
       .set(static_cast<double>(by_kind.calls));
   report.metrics().gauge("fat_tree_end_to_end", "callback_events")
       .set(static_cast<double>(by_kind.callbacks));
+  // The wheel's work beyond filing each event once (exact counts).
+  std::printf("  %-22s %llu far files, %llu re-files, %llu peek-walked\n",
+              "", static_cast<unsigned long long>(work.far_files),
+              static_cast<unsigned long long>(work.refiles),
+              static_cast<unsigned long long>(work.peek_walked));
+  report.metrics().gauge("fat_tree_end_to_end", "far_files")
+      .set(static_cast<double>(work.far_files));
+  report.metrics().gauge("fat_tree_end_to_end", "refiles")
+      .set(static_cast<double>(work.refiles));
+  report.metrics().gauge("fat_tree_end_to_end", "peek_walked")
+      .set(static_cast<double>(work.peek_walked));
 
   // Telemetry A/B: same run with a Telemetry installed (metrics live,
   // tracing off). The delta vs the row above is the plane's whole cost.
@@ -286,7 +313,7 @@ int main(int argc, char** argv) {
   double sim_seconds_tel = 0;
   const double e2e_tel_s =
       fat_tree_end_to_end(/*telemetry=*/true, &events_tel, &sim_seconds_tel,
-                          &slab_nodes, &by_kind);
+                          &slab_nodes, &by_kind, &work);
   std::printf("  %-22s %9.0f kevents/s   (%.2fx vs no telemetry)\n",
               "fat-tree + telemetry",
               static_cast<double>(events_tel) / e2e_tel_s / 1e3,

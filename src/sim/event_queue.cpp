@@ -1,6 +1,8 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <new>
 #include <utility>
 
 #include "sim/contract.hpp"
@@ -34,18 +36,23 @@ void clear_bit(std::uint64_t* bits, std::uint32_t i) {
 
 }  // namespace
 
-EventQueue::EventQueue() = default;
+EventQueue::EventQueue() {
+  std::fill(std::begin(near_), std::end(near_), kNil);
+  for (auto& level : far_) std::fill(std::begin(level), std::end(level), kNil);
+}
 
 EventQueue::~EventQueue() {
-  // Pending nodes still own payloads; release them before the chunks go
-  // away.
+  // Pending callbacks still own their closures; release them before the
+  // pool's chunks go away.
   for (std::uint32_t i = 0; i < node_count_; ++i) {
-    Node& n = node(i);
-    if (n.state == State::kPending) destroy_payload(n);
+    const Node& n = node(i);
+    if (n.state == State::kPending && n.kind == Kind::kCallback) {
+      callback_slot(n.aux).cb.~Callback();
+    }
   }
 }
 
-// --- slab -----------------------------------------------------------------
+// --- slab and callback pool -------------------------------------------------
 
 std::uint32_t EventQueue::alloc_node() {
   if (free_head_ != kNil) {
@@ -54,9 +61,9 @@ std::uint32_t EventQueue::alloc_node() {
     return idx;
   }
   const std::uint32_t idx = node_count_;
-  if ((idx & (kChunkSize - 1)) == 0) {
-    chunks_.emplace_back(new Node[kChunkSize]);
-  }
+  const std::uint32_t slot = idx & (kChunkSize - 1);
+  if (slot == 0) chunks_.emplace_back(new NodeSlot[kChunkSize]);
+  ::new (&chunks_.back()[slot].node) Node;
   ++node_count_;
   return idx;
 }
@@ -69,23 +76,30 @@ void EventQueue::free_node(std::uint32_t idx) {
   free_head_ = idx;
 }
 
-void EventQueue::destroy_payload(Node& n) {
-  switch (n.kind) {
-    case Kind::kCallback:
-      n.u.cb.~Callback();
-      break;
-    case Kind::kPacket:
-      n.u.dp.~DeliverPacket();
-      break;
-    case Kind::kCall:
-      n.u.call.~Call();
-      break;
+std::uint32_t EventQueue::alloc_callback(Callback&& cb) {
+  std::uint32_t slot = callback_free_;
+  if (slot != kNil) {
+    callback_free_ = callback_slot(slot).next_free;
+  } else {
+    slot = callback_count_++;
+    if ((slot & (kCallbackChunkSize - 1)) == 0) {
+      callback_chunks_.emplace_back(new CallbackSlot[kCallbackChunkSize]);
+    }
   }
+  ::new (&callback_slot(slot).cb) Callback(std::move(cb));
+  return slot;
+}
+
+void EventQueue::free_callback(std::uint32_t slot) {
+  CallbackSlot& c = callback_slot(slot);
+  c.cb.~Callback();  // release captured resources promptly
+  c.next_free = callback_free_;
+  callback_free_ = slot;
 }
 
 // --- scheduling -----------------------------------------------------------
 
-std::uint32_t EventQueue::prepare(Time when) {
+std::uint32_t EventQueue::prepare(Time when, Kind kind, std::uint32_t aux) {
   if (when < cursor_) when = cursor_;  // time never moves backwards
   if (cached_ != kNil && when < cached_when_) {
     cached_ = kNil;  // the new event beats the memoized minimum
@@ -93,116 +107,130 @@ std::uint32_t EventQueue::prepare(Time when) {
   const std::uint32_t idx = alloc_node();
   Node& n = node(idx);
   n.when = when;
-  n.seq = ++seq_;
-  n.next = kNil;
   n.state = State::kPending;
+  n.kind = kind;
+  n.aux = aux;
   return idx;
 }
 
-EventId EventQueue::push(Time when, Callback cb) {
-  const std::uint32_t idx = prepare(when);
-  Node& n = node(idx);
-  n.kind = Kind::kCallback;
-  ::new (&n.u.cb) Callback(std::move(cb));
-  insert(idx);
+EventId EventQueue::commit(std::uint32_t idx) {
+  if (!file(idx)) ++work_.far_files;
   ++live_;
-  return (static_cast<EventId>(idx + 1) << 32) | n.gen;
+  return (static_cast<EventId>(idx + 1) << 32) | node(idx).gen;
+}
+
+EventId EventQueue::push(Time when, Callback cb) {
+  const std::uint32_t idx =
+      prepare(when, Kind::kCallback, alloc_callback(std::move(cb)));
+  return commit(idx);
 }
 
 EventId EventQueue::push_packet(Time when, void* target, std::uint32_t aux,
                                 PacketFn fn, const net::Packet& packet) {
-  const std::uint32_t idx = prepare(when);
-  Node& n = node(idx);
-  n.kind = Kind::kPacket;
-  ::new (&n.u.dp) DeliverPacket{fn, target, aux, packet};
-  insert(idx);
-  ++live_;
-  return (static_cast<EventId>(idx + 1) << 32) | n.gen;
+  const std::uint32_t idx = prepare(when, Kind::kPacket, aux);
+  ::new (&node(idx).u.dp) DeliverPacket{fn, target, packet};
+  return commit(idx);
 }
 
 EventId EventQueue::push_call(Time when, void* target, std::uint32_t aux,
                               CallFn fn) {
-  const std::uint32_t idx = prepare(when);
-  Node& n = node(idx);
-  n.kind = Kind::kCall;
-  ::new (&n.u.call) Call{fn, target, aux};
-  insert(idx);
-  ++live_;
-  return (static_cast<EventId>(idx + 1) << 32) | n.gen;
+  const std::uint32_t idx = prepare(when, Kind::kCall, aux);
+  ::new (&node(idx).u.call) Call{fn, target};
+  return commit(idx);
 }
 
-void EventQueue::append(Slot& slot, std::uint64_t* bits,
-                        std::uint32_t slot_index, std::uint32_t idx) {
-  Node& n = node(idx);
-  n.next = kNil;
-  n.prev = slot.tail;
-  if (slot.head == kNil) {
-    slot.head = idx;
-    set_bit(bits, slot_index);
-  } else {
-    node(slot.tail).next = idx;
+int EventQueue::far_level(Time when) const {
+  for (int level = 0; level < kFarLevels; ++level) {
+    const int page = kFarShift[level] + kFarBits;
+    if ((when >> page) == (cursor_ >> page)) return level;
   }
-  slot.tail = idx;
+  return kFarLevels;
 }
 
-void EventQueue::insert(std::uint32_t idx) {
+bool EventQueue::file(std::uint32_t idx) {
   Node& n = node(idx);
-  const Time when = n.when;
-  if ((when >> kL0Bits) == (cursor_ >> kL0Bits)) {
-    const auto s = static_cast<std::uint32_t>(when) & (kL0Slots - 1);
-    n.level = 0;
-    append(l0_[s], l0_bits_, s, idx);
+  // The near ring holds the cursor's block and the next one (when >=
+  // cursor_, so the block difference is never negative).
+  if ((n.when >> kBlockBits) - (cursor_ >> kBlockBits) > 1) {
+    file_far(idx);
+    return false;
+  }
+  const std::uint32_t s = near_slot(n.when);
+  n.level = 0;
+  link(near_[s], near_bits_, s, idx);
+  return true;
+}
+
+void EventQueue::file_far(std::uint32_t idx) {
+  Node& n = node(idx);
+  const int level = far_level(n.when);
+  if (level == kFarLevels) {
+    n.level = kOverflowLevel;
+    overflow_.emplace(n.when, idx);  // after every equal key: push order
     return;
   }
-  for (int level = 0; level < kFarLevels; ++level) {
-    const int shift = kFarShift[level];
-    if ((when >> (shift + kFarBits)) == (cursor_ >> (shift + kFarBits))) {
-      const auto s = static_cast<std::uint32_t>(when >> shift) &
-                     (kFarSlots - 1);
-      n.level = static_cast<std::uint8_t>(level + 1);
-      append(far_[level][s], far_bits_[level], s, idx);
-      return;
-    }
+  const std::uint32_t s = far_slot(level, n.when);
+  n.level = static_cast<std::uint8_t>(level + 1);
+  link(far_[level][s], far_bits_[level], s, idx);
+}
+
+void EventQueue::link(std::uint32_t& head, std::uint64_t* bits,
+                      std::uint32_t slot, std::uint32_t idx) {
+  Node& n = node(idx);
+  if (head == kNil) {
+    head = idx;
+    n.next = n.prev = idx;
+    set_bit(bits, slot);
+    return;
   }
-  n.level = kOverflowLevel;
-  overflow_.emplace(std::pair{when, n.seq}, idx);
+  // Append at the tail, which is the head's `prev`.
+  Node& first = node(head);
+  const std::uint32_t tail = first.prev;
+  n.prev = tail;
+  n.next = head;
+  node(tail).next = idx;
+  first.prev = idx;
 }
 
 void EventQueue::unlink(std::uint32_t idx) {
-  // A wheel node's slot follows from its level and time: insert() filed it
-  // by exactly these bits, and a cascade re-files (and re-tags) it.
+  // A wheel node's slot follows from its level and time: file() placed it
+  // by exactly these bits, and a re-file re-places (and re-tags) it.
   Node& n = node(idx);
-  Slot* slot = nullptr;
+  std::uint32_t* head = nullptr;
   std::uint64_t* bits = nullptr;
   std::uint32_t s = 0;
   if (n.level == 0) {
-    s = static_cast<std::uint32_t>(n.when) & (kL0Slots - 1);
-    slot = &l0_[s];
-    bits = l0_bits_;
+    s = near_slot(n.when);
+    head = &near_[s];
+    bits = near_bits_;
   } else {
     const int level = n.level - 1;
-    s = static_cast<std::uint32_t>(n.when >> kFarShift[level]) &
-        (kFarSlots - 1);
-    slot = &far_[level][s];
+    s = far_slot(level, n.when);
+    head = &far_[level][s];
     bits = far_bits_[level];
   }
-  PLANCK_CONTRACT(n.prev == kNil ? slot->head == idx : node(n.prev).next == idx,
-                  "an unlinked node's predecessor (or its slot's head) "
-                  "names it");
-  PLANCK_CONTRACT(n.next == kNil ? slot->tail == idx : node(n.next).prev == idx,
-                  "an unlinked node's successor (or its slot's tail) "
-                  "names it");
-  if (n.prev == kNil) {
-    slot->head = n.next;
-  } else {
-    node(n.prev).next = n.next;
+  PLANCK_CONTRACT(node(n.prev).next == idx && node(n.next).prev == idx,
+                  "an unlinked node's neighbours in its slot ring name it");
+  if (n.next == idx) {  // the slot's only node
+    PLANCK_CONTRACT(*head == idx, "a slot's only node is its head");
+    *head = kNil;
+    clear_bit(bits, s);
+    return;
   }
-  if (n.next == kNil) {
-    slot->tail = n.prev;
-  } else {
-    node(n.next).prev = n.prev;
+  node(n.prev).next = n.next;
+  node(n.next).prev = n.prev;
+  if (*head == idx) *head = n.next;
+}
+
+void EventQueue::erase_overflow(std::uint32_t idx) {
+  const auto [lo, hi] = overflow_.equal_range(node(idx).when);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second == idx) {
+      overflow_.erase(it);
+      return;
+    }
   }
-  if (slot->head == kNil) clear_bit(bits, s);
+  PLANCK_CONTRACT(false, "an overflow node is in the overflow map");
 }
 
 // --- cancellation ---------------------------------------------------------
@@ -214,11 +242,11 @@ void EventQueue::cancel(EventId id) {
   Node& n = node(idx);
   if (n.gen != static_cast<std::uint32_t>(id)) return;  // fired: safe no-op
   if (n.state != State::kPending) return;  // executing right now: no-op
-  destroy_payload(n);  // release captured resources promptly
+  if (n.kind == Kind::kCallback) free_callback(n.aux);
   --live_;
   if (cached_ == idx) cached_ = kNil;  // any other memo is still the minimum
   if (n.level == kOverflowLevel) {
-    overflow_.erase(std::pair{n.when, n.seq});
+    erase_overflow(idx);
   } else {
     unlink(idx);
   }
@@ -234,159 +262,137 @@ Time EventQueue::next_time() {
 }
 
 void EventQueue::run_top(Time* when) {
-  // A near-wheel memo is the head of the first occupied level-0 slot,
-  // exactly what find_next would scan for; a far or overflow memo still
-  // needs find_next's cascade.
-  std::uint32_t idx = cached_;
-  if (idx != kNil && node(idx).level == 0) {
-    cursor_ = node(idx).when;
-  } else {
-    idx = find_next();
-  }
+  const std::uint32_t idx = peek();
   assert(idx != kNil);
   Node& n = node(idx);
-  if (when != nullptr) *when = n.when;
+  const Time t = n.when;
+  if ((t >> kBlockBits) != (cursor_ >> kBlockBits)) enter_block(t);
+  cursor_ = t;
+  if (when != nullptr) *when = t;
 
-  // find_next always leaves its result at the head of a level-0 slot.
-  assert(n.level == 0 && n.prev == kNil);
+  // Entering the block filed every event of it in the near ring, and the
+  // earliest is its slot's head.
+  assert(n.level == 0 && near_[near_slot(t)] == idx);
   unlink(idx);
   cached_ = kNil;
   --live_;
   n.state = State::kExecuting;  // cancel(own id) during execution: no-op
 
-  // Execute in place: the chunked slab keeps `n` stable even if the event
-  // pushes (growing the slab) while running.
+  // Execute in place: the chunked slab and pool keep `n` and the closure
+  // stable even if the event pushes (growing them) while running.
   switch (n.kind) {
     case Kind::kCallback:
       ++executed_.callbacks;
-      n.u.cb();
+      callback_slot(n.aux).cb();
+      free_callback(n.aux);
       break;
     case Kind::kPacket:
       ++executed_.packets;
-      n.u.dp.fn(n.u.dp.target, n.u.dp.aux, n.u.dp.packet);
+      n.u.dp.fn(n.u.dp.target, n.aux, n.u.dp.packet);
       break;
     case Kind::kCall:
       ++executed_.calls;
-      n.u.call.fn(n.u.call.target, n.u.call.aux);
+      n.u.call.fn(n.u.call.target, n.aux);
       break;
   }
-  destroy_payload(n);
   free_node(idx);
-}
-
-std::uint32_t EventQueue::find_next() {
-  assert(live_ > 0);
-  for (;;) {
-    // Cancel unlinks at once, so every occupied slot's head is live: the
-    // first occupied near slot from the cursor holds the next event.
-    const std::uint32_t s = scan_bits(l0_bits_, kL0Words,
-                                      static_cast<std::uint32_t>(cursor_) &
-                                          (kL0Slots - 1));
-    if (s != kNotFound) {
-      const std::uint32_t h = l0_[s].head;
-      cursor_ = node(h).when;
-      return h;
-    }
-    if (!advance()) return kNil;  // unreachable while live_ > 0
-  }
 }
 
 std::uint32_t EventQueue::peek() {
   if (cached_ != kNil) return cached_;
   assert(live_ > 0);
-  // A pure read of the earliest (when, seq): it never moves cursor_ and
-  // never cascades live nodes, so probing the queue cannot affect where
-  // later pushes land.
+  // A pure read of the earliest event: it never moves cursor_ and never
+  // re-files, so probing the queue cannot affect where later pushes land.
   //
+  // Every near-ring event is earlier than every far one, and the ring read
+  // from the cursor's slot, wrapping once, is in time order: slots behind
+  // the cursor are empty. A one-nanosecond slot's head is its earliest
+  // pushed event.
+  const std::uint32_t from = near_slot(cursor_);
+  std::uint32_t s = scan_bits(near_bits_, kNearWords, from);
+  if (s == kNotFound) {
+    s = scan_bits(near_bits_, static_cast<int>(from >> 6) + 1, 0);
+  }
+  const std::uint32_t best = s != kNotFound ? near_[s] : far_min();
+  cached_ = best;
+  cached_when_ = node(best).when;
+  return best;
+}
+
+std::uint32_t EventQueue::far_min() {
   // Level containment makes this a short walk: every event resident in a
   // far level is strictly later than every event one level below (the
-  // cursor entering a page cascades that page's slot first), so the first
+  // cursor entering a page re-files that page's slot first), so the first
   // level with an event holds the minimum, and within a level the first
-  // occupied slot does.
-  const std::uint32_t s = scan_bits(l0_bits_, kL0Words,
-                                    static_cast<std::uint32_t>(cursor_) &
-                                        (kL0Slots - 1));
-  if (s != kNotFound) {
-    // A level-0 slot spans one nanosecond and lists append in push order,
-    // so the head is the slot's (when, seq) minimum.
-    const std::uint32_t h = l0_[s].head;
-    cached_ = h;
-    cached_when_ = node(h).when;
-    return h;
-  }
+  // occupied slot does. The slots at and behind the cursor's are empty.
   for (int level = 0; level < kFarLevels; ++level) {
-    const int shift = kFarShift[level];
-    const auto from = static_cast<std::uint32_t>(cursor_ >> shift) &
-                      (kFarSlots - 1);
-    const std::uint32_t fs = scan_bits(far_bits_[level], kFarWords, from);
+    const std::uint32_t fs =
+        scan_bits(far_bits_[level], kFarWords, far_slot(level, cursor_));
     if (fs == kNotFound) continue;
-    // A far slot spans many nanoseconds; walk it for the minimum.
-    std::uint32_t best = far_[level][fs].head;
-    for (std::uint32_t h = node(best).next; h != kNil; h = node(h).next) {
-      const Node& a = node(h);
-      const Node& b = node(best);
-      if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) best = h;
+    // A far slot spans many nanoseconds; walk its ring for the minimum.
+    // Equal times sit in push order, so the first one met wins.
+    const std::uint32_t head = far_[level][fs];
+    std::uint32_t best = head;
+    ++work_.peek_walked;
+    for (std::uint32_t h = node(head).next; h != head; h = node(h).next) {
+      ++work_.peek_walked;
+      if (node(h).when < node(best).when) best = h;
     }
-    cached_ = best;
-    cached_when_ = node(best).when;
     return best;
   }
-  if (!overflow_.empty()) {
-    const std::uint32_t idx = overflow_.begin()->second;
-    cached_ = idx;
-    cached_when_ = node(idx).when;
-    return idx;
-  }
-  return kNil;  // unreachable while live_ > 0
+  assert(!overflow_.empty());
+  return overflow_.begin()->second;
 }
 
-bool EventQueue::advance() {
-  // The near page is drained; cascade the next occupied far slot down one
-  // level. The far slot covering the *current* position at each level is
-  // always empty (it was cascaded when the cursor entered it), so scanning
-  // from the current index inclusive is safe.
-  for (int level = 0; level < kFarLevels; ++level) {
-    const int shift = kFarShift[level];
-    const auto from = static_cast<std::uint32_t>(cursor_ >> shift) &
-                      (kFarSlots - 1);
-    const std::uint32_t s = scan_bits(far_bits_[level], kFarWords, from);
-    if (s == kNotFound) continue;
-    // Jump the cursor to the base of that slot (lower-level indices reset
-    // to zero) before re-bucketing, so insert() routes into the new page.
-    const Time page_mask = (Time{1} << (shift + kFarBits)) - 1;
-    cursor_ = (cursor_ & ~page_mask) | (static_cast<Time>(s) << shift);
-    cascade(level, s);
-    return true;
+void EventQueue::enter_block(Time when) {
+  // The cursor moves only forward and only to the earliest event, so
+  // nothing is behind it, and each far wheel holds events of the cursor's
+  // own page only. Re-file top down, so every event re-files straight to
+  // the level the new cursor calls for: first the overflow's events of
+  // the cursor's L3 page, then the slot holding the cursor at each far
+  // level, which is occupied only when the cursor entered that slot's page.
+  cursor_ = when;
+  pull_overflow(((when >> kOverflowShift) + 1) << kOverflowShift);
+  for (int level = kFarLevels - 1; level >= 0; --level) {
+    refile(level, far_slot(level, when));
   }
-  if (overflow_.empty()) return false;
-  // Pull the next occupied L3 page out of the overflow map. Taking in
-  // (when, seq) order keeps equal-time events in push order, preserving the
-  // FIFO invariant through the re-bucketing.
-  const Time page = overflow_.begin()->first.first >> kOverflowShift;
-  if (page != (cursor_ >> kOverflowShift)) {
-    cursor_ = page << kOverflowShift;
+  // Then the slot holding the next block, which the near ring now covers.
+  // A level-1 slot is that block alone. A level-2 or -3 slot is re-filed
+  // whole; its events past the next block go back into it.
+  const Time next = ((when >> kBlockBits) + 1) << kBlockBits;
+  const int level = far_level(next);
+  if (level == kFarLevels) {
+    pull_overflow(next + kBlock);
+  } else {
+    refile(level, far_slot(level, next));
   }
-  while (!overflow_.empty() &&
-         (overflow_.begin()->first.first >> kOverflowShift) == page) {
+}
+
+void EventQueue::refile(int level, std::uint32_t slot) {
+  std::uint32_t& head = far_[level][slot];
+  if (head == kNil) return;
+  const std::uint32_t first = head;
+  const std::uint32_t last = node(first).prev;
+  head = kNil;
+  clear_bit(far_bits_[level], slot);
+  // In list order: equal times keep their push order in the slot they
+  // land in, which holds none of those times yet.
+  for (std::uint32_t h = first;;) {
+    const std::uint32_t next = node(h).next;
+    ++work_.refiles;
+    file(h);
+    if (h == last) break;
+    h = next;
+  }
+}
+
+void EventQueue::pull_overflow(Time end) {
+  // In key order: time, then push order.
+  while (!overflow_.empty() && overflow_.begin()->first < end) {
     const std::uint32_t idx = overflow_.begin()->second;
     overflow_.erase(overflow_.begin());
-    insert(idx);
-  }
-  return true;
-}
-
-void EventQueue::cascade(int level, std::uint32_t slot_index) {
-  Slot& slot = far_[level][slot_index];
-  std::uint32_t h = slot.head;
-  slot.head = slot.tail = kNil;
-  clear_bit(far_bits_[level], slot_index);
-  // Re-bucketing in list order preserves the relative order of equal-time
-  // events (lists are appended in push order), which is what keeps FIFO
-  // ties exact across cascades.
-  while (h != kNil) {
-    const std::uint32_t next = node(h).next;
-    insert(h);
-    h = next;
+    ++work_.refiles;
+    file(idx);
   }
 }
 

@@ -23,6 +23,15 @@ void Simulation::set_telemetry(obs::Telemetry* telemetry) {
     telemetry_->metrics().gauge(component_, "callback_events", [this] {
       return static_cast<double>(queue_.executed().callbacks);
     });
+    telemetry_->metrics().gauge(component_, "far_files", [this] {
+      return static_cast<double>(queue_.wheel_work().far_files);
+    });
+    telemetry_->metrics().gauge(component_, "refiles", [this] {
+      return static_cast<double>(queue_.wheel_work().refiles);
+    });
+    telemetry_->metrics().gauge(component_, "peek_walked", [this] {
+      return static_cast<double>(queue_.wheel_work().peek_walked);
+    });
     telemetry_->metrics().gauge(component_, "slab_nodes", [this] {
       return static_cast<double>(slab_nodes());
     });

@@ -124,6 +124,12 @@ class Simulation {
     return queue_.executed();
   }
 
+  /// The scheduler's work beyond filing each event once (far-wheel
+  /// files, re-files, far-slot nodes walked by a peek). Exact counts.
+  const EventQueue::WheelWork& wheel_work() const {
+    return queue_.wheel_work();
+  }
+
   /// High-water mark of the scheduler's event slab, in nodes.
   std::size_t slab_nodes() const { return queue_.slab_nodes(); }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <utility>
 
 #include "sim/simulation.hpp"
@@ -18,6 +19,9 @@ namespace planck::sim {
 /// each cancel the queued event, which the engine frees at once. A TCP
 /// receiver's delayed-ACK timer takes that path on every ACK it sends
 /// (TcpReceiver::send_ack cancels it).
+///
+/// The queued event is a typed call on the timer itself, not a closure, so
+/// arming one never touches the scheduler's callback pool.
 class Timer {
  public:
   Timer(Simulation& simulation, EventQueue::Callback on_fire)
@@ -54,15 +58,18 @@ class Timer {
  private:
   void arm(Time when) {
     queued_at_ = when;
-    id_ = sim_.schedule_at(when, [this] {
-      id_ = 0;  // consumed; schedule() must not take the lazy path now
-      if (deadline_ > sim_.now()) {
-        arm(deadline_);  // deadline was pushed back: re-arm
-        return;
-      }
-      deadline_ = -1;
-      on_fire_();
-    });
+    id_ = sim_.schedule_call_at(when, this, 0, &Timer::fire);
+  }
+
+  static void fire(void* target, std::uint32_t /*aux*/) {
+    auto& timer = *static_cast<Timer*>(target);
+    timer.id_ = 0;  // consumed; schedule() must not take the lazy path now
+    if (timer.deadline_ > timer.sim_.now()) {
+      timer.arm(timer.deadline_);  // deadline was pushed back: re-arm
+      return;
+    }
+    timer.deadline_ = -1;
+    timer.on_fire_();
   }
 
   Simulation& sim_;

@@ -2,10 +2,12 @@
 // naive sorted-vector reference model through randomized push / cancel /
 // pop / run_until interleavings and require identical pop order — including
 // FIFO tie-breaks at equal timestamps. Horizons are drawn from every wheel
-// level (near, the three far wheels, and the overflow heap) so cascades and
-// page advances are exercised, and pushes use all three event kinds so the
-// typed paths share the ordering proof. Some events cancel another live
-// event while they run, so cancels also land inside run_top.
+// level (the near ring, the three far wheels, and the overflow heap) and
+// from the block edges, so re-files and page advances are exercised, and
+// pushes use all three event kinds so the typed paths share the ordering
+// proof. Some events cancel another live event while they run, so cancels
+// also land inside run_top. Directed tests put the cursor in a page's last
+// block and count the wheel's work for events within a block.
 //
 // The slab tests below pin the memory side: cancel frees a node at once,
 // so the slab holds live events, not cancelled timers.
@@ -109,16 +111,22 @@ class ReferenceQueue {
 };
 
 /// One offset drawn from a horizon class chosen to hit a specific wheel
-/// level: same-tick, near wheel, each far wheel, and the overflow heap.
+/// level: same-tick, near ring, each far wheel, and the overflow heap; and
+/// the block edges, one block (8,192 ns) and two blocks from the cursor,
+/// where the near ring's two blocks end.
 Duration random_offset(Rng& rng) {
-  switch (rng.below(6)) {
+  switch (rng.below(11)) {
     case 0: return 0;                                            // same ns
     case 1: return static_cast<Duration>(rng.below(8192));       // near
     case 2: return static_cast<Duration>(rng.below(1u << 21));   // level 1
     case 3: return static_cast<Duration>(rng.below(1u << 29));   // level 2
     case 4: return static_cast<Duration>(rng.below(1ull << 37)); // level 3
-    default:
-      return static_cast<Duration>(rng.below(1ull << 40));       // overflow
+    case 5: return static_cast<Duration>(rng.below(1ull << 40)); // overflow
+    case 6: return 8191;
+    case 7: return 8192;
+    case 8: return 8193;
+    case 9: return 16383;
+    default: return 16384;
   }
 }
 
@@ -268,6 +276,113 @@ TEST(EventWheelProperty, MassiveTieBreakIsFifo) {
   for (int i = 0; i < 5000; ++i) {
     ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
   }
+}
+
+// The cursor in the last block of an L1, an L2 and an L3 page (the 2^21,
+// 2^29 and 2^37 ns boundaries): the near ring's next block lies in the
+// next page, so entering the last block re-files a far slot of the level
+// above (or the overflow), and entering the next page re-files the rest.
+// Events filed from a cursor at 0, and then by the event that moves the
+// cursor into the last block, while it runs, into the next block and
+// beyond, pop in the reference model's order, equal times in push order.
+TEST(EventWheelEdges, CursorInTheLastBlockOfAPage) {
+  struct Run {
+    EventQueue q;
+    ReferenceQueue model;
+    std::vector<int> popped;
+    int next_tag = 0;
+    std::vector<Time> on_first_run;  // pushed by the first event to run
+
+    void push(Time when) {
+      const int tag = next_tag++;
+      q.push_call(when, this, static_cast<std::uint32_t>(tag), &Run::fire);
+      model.push(when, tag);
+    }
+    static void fire(void* target, std::uint32_t tag) {
+      auto& run = *static_cast<Run*>(target);
+      run.popped.push_back(static_cast<int>(tag));
+      for (const Time when : std::exchange(run.on_first_run, {})) {
+        run.push(when);
+      }
+    }
+  };
+  for (const int bits : {21, 29, 37}) {
+    SCOPED_TRACE(bits);
+    const Time page = Time{1} << bits;
+    const Time entry = page - 8192 + 3;  // in the page's last block
+    const std::vector<Time> times = {entry,
+                                     page - 1,
+                                     page,
+                                     page + 1,
+                                     page + 8191,
+                                     page + 8192,
+                                     page + 16384,
+                                     page + (Time{1} << 21),
+                                     2 * page - 1,
+                                     2 * page,
+                                     2 * page + 8192};
+    Run run;
+    // Filed from a cursor at 0: far wheels and the overflow, twice each
+    // so equal times test FIFO.
+    for (int round = 0; round < 2; ++round) {
+      for (const Time when : times) run.push(when);
+    }
+    // The event at `entry` runs first. It pushes every time once more,
+    // after the two copies filed far, and then the block edges from its
+    // own time: the rest of its block, the next block (the next page),
+    // two blocks on and further.
+    run.on_first_run = times;
+    for (const Duration offset :
+         {Duration{0}, Duration{8188}, Duration{8189}, Duration{8191},
+          Duration{8192}, Duration{8193}, Duration{16383}, Duration{16384},
+          Duration{16385}, Duration{1} << 21, page, page + 8189}) {
+      run.on_first_run.push_back(entry + offset);
+    }
+    while (!run.q.empty()) {
+      ASSERT_EQ(run.q.next_time(), run.model.next_time());
+      const auto [ref_when, ref_tag] = run.model.pop();
+      Time when = 0;
+      run.q.run_top(&when);
+      ASSERT_EQ(when, ref_when);
+      ASSERT_EQ(run.popped.back(), ref_tag);
+    }
+    ASSERT_TRUE(run.model.empty());
+    ASSERT_EQ(run.popped.size(), 3 * times.size() + 12);
+  }
+}
+
+// Delays of at most one block (8,192 ns) file every event in the near
+// ring, which holds the cursor's block and the next: under churn with
+// cancels, no event is ever filed far, re-filed or walked by a peek.
+TEST(EventWheel, EventsWithinABlockAreFiledOnce) {
+  EventQueue q;
+  Rng rng(5);
+  std::uint64_t fired = 0;
+  const auto call_fn = [](void* target, std::uint32_t) {
+    ++*static_cast<std::uint64_t*>(target);
+  };
+  std::vector<EventId> ids;
+  for (int i = 0; i < 512; ++i) {
+    ids.push_back(q.push_call(static_cast<Time>(rng.below(8193)), &fired, 0,
+                              call_fn));
+  }
+  Time t = 0;
+  for (int i = 0; i < 200000; ++i) {
+    q.run_top(&t);
+    const EventId id =
+        q.push_call(t + static_cast<Duration>(rng.below(8193)), &fired, 0,
+                    call_fn);
+    if (rng.below(4) == 0) {
+      q.cancel(ids[rng.below(ids.size())]);  // often already fired
+      q.push_call(t + static_cast<Duration>(rng.below(8193)), &fired, 0,
+                  call_fn);
+    }
+    ids[rng.below(ids.size())] = id;
+  }
+  EXPECT_EQ(fired, 200000u);
+  EXPECT_EQ(q.wheel_work().far_files, 0u);
+  EXPECT_EQ(q.wheel_work().refiles, 0u);
+  EXPECT_EQ(q.wheel_work().peek_walked, 0u);
 }
 
 // A TCP receiver cancels and re-arms its 40 ms delayed-ACK timer on every

@@ -635,6 +635,20 @@ TEST(Timer, FiringCanReschedule) {
   EXPECT_EQ(sim.now(), milliseconds(3));
 }
 
+// The queued event is a typed call on the timer, not a closure: firing
+// adds one call to the executed events and no callback.
+TEST(Timer, FiresThroughATypedCall) {
+  Simulation sim;
+  int fired = 0;
+  Timer t(sim, [&] { ++fired; });
+  t.schedule(milliseconds(1));
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_by_kind().calls, 1u);
+  EXPECT_EQ(sim.events_by_kind().callbacks, 0u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Rng
 // ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@
 // with the step at which the schedulers disagreed.
 //
 // Time deltas are generated as base << shift with shift up to 39 bits so
-// inputs exercise every wheel level — the 8192-slot nanosecond wheel, all
-// three far wheels, cascade boundaries, and the >137 s overflow heap.
+// inputs exercise every wheel level — the near ring, all three far wheels,
+// re-file boundaries, and the >137 s overflow heap — or drawn from the
+// block edges: one block (8,192 ns) and two blocks from the cursor, where
+// the near ring's two blocks end.
 // Cancels come three ways: of a live event, of a stale id (one already
 // popped or cancelled), and from inside a popped callback.
 
@@ -124,9 +126,14 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
     const std::uint8_t op = in.u8() % 6;
     if (op <= 1) {  // push (weighted 2x: keeps the queues populated)
       const std::uint64_t base = in.u8();
-      const int shift = in.u8() % 40;  // up to ~2^39 ns spans the overflow
-      const planck::sim::Time when = now + static_cast<planck::sim::Time>(
-                                               base << shift);
+      const std::uint8_t horizon = in.u8();
+      // 200 of 256 horizons shift base by up to 39 bits (~2^39 ns spans
+      // the overflow); the other 56 pick a block edge.
+      constexpr planck::sim::Time kEdges[] = {8191, 8192, 8193, 16383, 16384};
+      const planck::sim::Time delta =
+          horizon < 200 ? static_cast<planck::sim::Time>(base << (horizon % 40))
+                        : kEdges[horizon % 5];
+      const planck::sim::Time when = now + delta;
       const std::uint64_t seq = next_seq++;
       const auto wheel_id = wheel.push(when, [seq, &wheel] {
         g_wheel_seq = seq;
