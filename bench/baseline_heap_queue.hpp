@@ -4,7 +4,9 @@
 // baseline for bench_micro_eventqueue: a binary min-heap on (when, id) with
 // a tombstone set for lazy cancellation. Kept out of src/ on purpose — the
 // simulator no longer uses it; it exists so the bench can put a number on
-// the wheel's speedup against the exact seed implementation.
+// the wheel's speedup against the exact seed implementation, and so
+// fuzz_wheel_vs_heap has a reference order. Its closure type follows the
+// simulator's (sim::EventQueue::Callback).
 //
 // planck-lint: allow-file(unordered-container) — the seed heap is kept
 // verbatim as the reference; its tombstone set is only probed, never
@@ -16,7 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/inline_function.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace planck::bench {
@@ -26,7 +28,7 @@ namespace planck::bench {
 /// are skipped when they reach the top of the heap.
 class BaselineHeapQueue {
  public:
-  using Callback = sim::InlineFunction<void(), 136>;
+  using Callback = sim::EventQueue::Callback;
   using EventId = std::uint64_t;
 
   BaselineHeapQueue() = default;

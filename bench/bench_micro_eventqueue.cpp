@@ -7,11 +7,11 @@
 //
 // Supports --json <path> (see bench_util.hpp) so CI can smoke-check the
 // speedup without scraping stdout. Each wheel churn loop also reports its
-// slab and callback-pool high-waters beside its peak live events and live
-// callbacks: exact counts, which CI gates on (cancel must free the node and
-// the callback slot, so neither outgrows the live set). The fat-tree row
-// reports the wheel's work counts (far files, re-files, far-slot nodes
-// walked by a peek), and CI bounds its re-files by its events.
+// slab high-water beside its peak live events: exact counts, which CI gates
+// on (cancel must free the node at once, so the slab never outgrows the
+// live set). The fat-tree row reports the wheel's work counts (far files,
+// re-files, far-slot nodes walked by a peek), and CI bounds its re-files by
+// its events.
 
 #include <algorithm>
 #include <chrono>
@@ -75,13 +75,11 @@ sim::Duration replacement_delay(sim::Duration d) {
   return d >= sim::milliseconds(200) ? sim::microseconds(200) : d;
 }
 
-/// A wheel churn loop's memory: slab nodes and callback slots ever
-/// allocated, and the peak numbers of live events and live callbacks.
+/// A wheel churn loop's memory: slab nodes ever allocated, and the peak
+/// number of live events.
 struct SlabUse {
   std::size_t slab_nodes = 0;
   std::size_t peak_live = 0;
-  std::size_t callback_slots = 0;
-  std::size_t peak_live_callbacks = 0;
 };
 
 double churn_heap(const std::vector<sim::Duration>& delays,
@@ -141,8 +139,7 @@ double churn_wheel(const std::vector<sim::Duration>& delays,
     }
   }
   *pops = static_cast<std::uint64_t>(kPops);
-  // Every event of this loop is a callback.
-  *slab = SlabUse{q.slab_nodes(), peak_live, q.callback_slots(), peak_live};
+  *slab = SlabUse{q.slab_nodes(), peak_live};
   benchmark_guard(sink);
   return seconds_since(t0);
 }
@@ -188,8 +185,7 @@ double churn_wheel_typed(const std::vector<sim::Duration>& delays,
     }
   }
   *pops = static_cast<std::uint64_t>(kPops);
-  // No event of this loop is a callback.
-  *slab = SlabUse{q.slab_nodes(), peak_live, q.callback_slots(), 0};
+  *slab = SlabUse{q.slab_nodes(), peak_live};
   benchmark_guard(sink);
   return seconds_since(t0);
 }
@@ -241,16 +237,10 @@ int main(int argc, char** argv) {
   const auto add_slab = [&report](const char* name, const SlabUse& slab) {
     std::printf("  %-22s %9zu slab nodes for %zu peak live events\n", "",
                 slab.slab_nodes, slab.peak_live);
-    std::printf("  %-22s %9zu callback slots for %zu peak live callbacks\n",
-                "", slab.callback_slots, slab.peak_live_callbacks);
     report.metrics().gauge(name, "slab_nodes")
         .set(static_cast<double>(slab.slab_nodes));
     report.metrics().gauge(name, "peak_live")
         .set(static_cast<double>(slab.peak_live));
-    report.metrics().gauge(name, "callback_slots")
-        .set(static_cast<double>(slab.callback_slots));
-    report.metrics().gauge(name, "peak_live_callbacks")
-        .set(static_cast<double>(slab.peak_live_callbacks));
   };
 
   SlabUse slab;

@@ -24,9 +24,9 @@
 // (critical-path events times threads over events: 1 is perfect, the
 // thread count is one worker doing everything), speedup over the
 // 1-thread cell, and — the exit gate — that every thread count
-// reproduces the 1-thread engine digest bit-for-bit. A radix whose fabric cannot be built (k=64 outgrows the
-// 10.0.x.y address plan) fails its cell with the reason; the sweep goes
-// on and exits 1.
+// reproduces the 1-thread engine digest bit-for-bit. A radix whose fabric
+// cannot be built (k=64 outgrows the 10.0.x.y address plan) fails its cell
+// with the reason; the sweep goes on and exits 1.
 
 #include <sys/resource.h>
 

@@ -42,17 +42,17 @@ EventQueue::EventQueue() {
 }
 
 EventQueue::~EventQueue() {
-  // Pending callbacks still own their closures; release them before the
-  // pool's chunks go away.
+  // Pending callbacks still own their closures; the slab's raw storage
+  // would not release them.
   for (std::uint32_t i = 0; i < node_count_; ++i) {
-    const Node& n = node(i);
+    Node& n = node(i);
     if (n.state == State::kPending && n.kind == Kind::kCallback) {
-      callback_slot(n.aux).cb.~Callback();
+      n.u.cb.~Callback();
     }
   }
 }
 
-// --- slab and callback pool -------------------------------------------------
+// --- slab -------------------------------------------------------------------
 
 std::uint32_t EventQueue::alloc_node() {
   if (free_head_ != kNil) {
@@ -74,27 +74,6 @@ void EventQueue::free_node(std::uint32_t idx) {
   n.state = State::kFree;
   n.next = free_head_;
   free_head_ = idx;
-}
-
-std::uint32_t EventQueue::alloc_callback(Callback&& cb) {
-  std::uint32_t slot = callback_free_;
-  if (slot != kNil) {
-    callback_free_ = callback_slot(slot).next_free;
-  } else {
-    slot = callback_count_++;
-    if ((slot & (kCallbackChunkSize - 1)) == 0) {
-      callback_chunks_.emplace_back(new CallbackSlot[kCallbackChunkSize]);
-    }
-  }
-  ::new (&callback_slot(slot).cb) Callback(std::move(cb));
-  return slot;
-}
-
-void EventQueue::free_callback(std::uint32_t slot) {
-  CallbackSlot& c = callback_slot(slot);
-  c.cb.~Callback();  // release captured resources promptly
-  c.next_free = callback_free_;
-  callback_free_ = slot;
 }
 
 // --- scheduling -----------------------------------------------------------
@@ -120,8 +99,8 @@ EventId EventQueue::commit(std::uint32_t idx) {
 }
 
 EventId EventQueue::push(Time when, Callback cb) {
-  const std::uint32_t idx =
-      prepare(when, Kind::kCallback, alloc_callback(std::move(cb)));
+  const std::uint32_t idx = prepare(when, Kind::kCallback, 0);
+  ::new (&node(idx).u.cb) Callback(std::move(cb));
   return commit(idx);
 }
 
@@ -242,7 +221,7 @@ void EventQueue::cancel(EventId id) {
   Node& n = node(idx);
   if (n.gen != static_cast<std::uint32_t>(id)) return;  // fired: safe no-op
   if (n.state != State::kPending) return;  // executing right now: no-op
-  if (n.kind == Kind::kCallback) free_callback(n.aux);
+  if (n.kind == Kind::kCallback) n.u.cb.~Callback();  // release promptly
   --live_;
   if (cached_ == idx) cached_ = kNil;  // any other memo is still the minimum
   if (n.level == kOverflowLevel) {
@@ -278,13 +257,13 @@ void EventQueue::run_top(Time* when) {
   --live_;
   n.state = State::kExecuting;  // cancel(own id) during execution: no-op
 
-  // Execute in place: the chunked slab and pool keep `n` and the closure
-  // stable even if the event pushes (growing them) while running.
+  // Execute in place: the chunked slab keeps `n` and its closure stable
+  // even if the event pushes (growing the slab) while running.
   switch (n.kind) {
     case Kind::kCallback:
       ++executed_.callbacks;
-      callback_slot(n.aux).cb();
-      free_callback(n.aux);
+      n.u.cb();
+      n.u.cb.~Callback();
       break;
     case Kind::kPacket:
       ++executed_.packets;

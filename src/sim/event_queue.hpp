@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 namespace planck::sim {
@@ -57,21 +57,18 @@ using EventId = std::uint64_t;
 ///    type-erasure round trip.
 ///  - Call: a typed (function-pointer, target, aux) event for small
 ///    high-frequency events: ends of serialization, NIC stalls, timers.
-///  - Callback: type-erased closure (the general-purpose path), rare. Its
-///    closure lives in a side pool that the node indexes, so a node stays
-///    128 bytes: two cache lines.
+///  - Callback: a std::function (the general-purpose path), rare. It sits
+///    in the node beside the other two payloads, so a node stays 128
+///    bytes: two cache lines.
 ///
 /// Timestamps must not move backwards: pushing earlier than the last popped
 /// event's time clamps to it (the Simulation driver already guarantees
 /// monotonicity by clamping to now()).
 class EventQueue {
  public:
-  // 136 bytes of inline storage so closures that carry an 80-byte Packet
-  // never heap-allocate: the controller's ARP inject (Packet, switch, port)
-  // is 96 bytes and the switch's sFlow sample (Packet, std::function
-  // handler, ports, rate) 128. Both are rare, so callbacks live in a side
-  // pool, not in the slab node.
-  using Callback = InlineFunction<void(), 136>;
+  // Callbacks are at most 0.03% of events, so a closure too big for
+  // std::function's local buffer may take a heap allocation.
+  using Callback = std::function<void()>;
   /// Typed packet-delivery handler: (target, aux, packet). `aux` is a free
   /// 32-bit payload — links pass their delivery epoch, switches a port.
   using PacketFn = void (*)(void* target, std::uint32_t aux,
@@ -95,9 +92,9 @@ class EventQueue {
   /// Schedules a typed small event: at `when`, `fn(target, aux)` runs.
   EventId push_call(Time when, void* target, std::uint32_t aux, CallFn fn);
 
-  /// Cancels a pending event and frees its slab node (and callback slot).
-  /// O(1). Safe no-op if the event already ran, was already cancelled, or
-  /// the id is invalid.
+  /// Cancels a pending event, destroys its closure if it has one, and
+  /// frees its slab node. O(1). Safe no-op if the event already ran, was
+  /// already cancelled, or the id is invalid.
   void cancel(EventId id);
 
   /// True when no runnable (non-cancelled) event remains. O(1).
@@ -130,10 +127,6 @@ class EventQueue {
   /// frees at once, so this tracks the peak of size() plus the event
   /// executing at that moment.
   std::size_t slab_nodes() const { return node_count_; }
-
-  /// Callback pool slots ever allocated: the high-water of pending
-  /// callbacks plus the one executing, since cancel frees a slot at once.
-  std::size_t callback_slots() const { return callback_count_; }
 
   /// Time of the earliest live event. Precondition: !empty(). A pure peek:
   /// probing never affects where later pushes may land.
@@ -190,58 +183,43 @@ class EventQueue {
     std::uint32_t gen = 1;      // bumped on free; stale ids cancel as no-ops
     std::uint32_t next = kNil;  // slot ring / free list link
     std::uint32_t prev = kNil;  // slot ring back link, for O(1) unlink
-    std::uint32_t aux = 0;      // a typed event's aux, or a callback's slot
-                                // in the callback pool
+    std::uint32_t aux = 0;      // a typed event's aux
     State state = State::kFree;
     Kind kind = Kind::kCallback;
     std::uint8_t level = 0;     // which wheel (or the overflow) holds it
+    // The active member follows `kind`; the queue constructs and
+    // destroys a Callback explicitly (DeliverPacket and Call are trivial).
     union Payload {
       DeliverPacket dp;
       Call call;
-      Payload() {}  // NOLINT(modernize-use-equals-default)
+      Callback cb;
+      Payload() {}   // NOLINT(modernize-use-equals-default)
+      ~Payload() {}  // NOLINT(modernize-use-equals-default)
     } u;
   };
   // A 32-byte header and the largest payload, a packet delivery: two
   // cache lines.
   static_assert(sizeof(Node) == 128);
 
-  // --- slab and callback pool ---------------------------------------------
+  // --- slab ---------------------------------------------------------------
   // Chunked so node addresses stay stable while an event executes in place
   // (the running event may push, growing the slab). A chunk is raw storage:
   // a node is constructed, and its page touched, only when first handed
   // out, so a chunk's unused tail costs no resident memory.
   union NodeSlot {
     Node node;
-    NodeSlot() {}  // NOLINT(modernize-use-equals-default)
+    NodeSlot() {}   // NOLINT(modernize-use-equals-default)
+    ~NodeSlot() {}  // NOLINT(modernize-use-equals-default)
   };
   static constexpr std::uint32_t kChunkBits = 9;  // 512 nodes per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
-  // A callback slot holds a closure while its event is pending or
-  // executing, and the free-list link otherwise. Chunks stay small: most
-  // partitions hold a handful of callbacks at a time.
-  union CallbackSlot {
-    Callback cb;
-    std::uint32_t next_free;
-    CallbackSlot() {}   // NOLINT(modernize-use-equals-default)
-    ~CallbackSlot() {}  // NOLINT(modernize-use-equals-default)
-  };
-  static constexpr std::uint32_t kCallbackChunkBits = 5;  // 32 per chunk
-  static constexpr std::uint32_t kCallbackChunkSize =
-      1u << kCallbackChunkBits;
-
   Node& node(std::uint32_t idx) {
     return chunks_[idx >> kChunkBits][idx & (kChunkSize - 1)].node;
-  }
-  CallbackSlot& callback_slot(std::uint32_t slot) {
-    const std::uint32_t chunk = slot >> kCallbackChunkBits;
-    return callback_chunks_[chunk][slot & (kCallbackChunkSize - 1)];
   }
 
   std::uint32_t alloc_node();
   void free_node(std::uint32_t idx);
-  std::uint32_t alloc_callback(Callback&& cb);
-  void free_callback(std::uint32_t slot);
 
   // --- wheel mechanics ----------------------------------------------------
   static std::uint32_t near_slot(Time when) {
@@ -278,9 +256,6 @@ class EventQueue {
   std::vector<std::unique_ptr<NodeSlot[]>> chunks_;
   std::uint32_t node_count_ = 0;
   std::uint32_t free_head_ = kNil;
-  std::vector<std::unique_ptr<CallbackSlot[]>> callback_chunks_;
-  std::uint32_t callback_count_ = 0;
-  std::uint32_t callback_free_ = kNil;
 
   std::uint32_t near_[kNearSlots];
   std::uint32_t far_[kFarLevels][kFarSlots];

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "obs/obs.hpp"
 #include "sim/contract.hpp"
@@ -107,9 +108,8 @@ void ParallelEngine::enqueue(int src, Simulation& dst, Time when,
                   "conservative lookahead: a cross-partition event lands at "
                   "or past the current window bound");
   Outbox& out = outbox(src);
-  Mailbox& box = out.to[static_cast<std::size_t>(dst.partition_id())];
-  box.callbacks.push_back(
-      CallbackPost{when, box.packets.size(), std::move(cb)});
+  out.to[static_cast<std::size_t>(dst.partition_id())].emplace_back(
+      when, nullptr, nullptr, 0u, std::move(cb));
   out.earliest = std::min(out.earliest, when);
 }
 
@@ -121,8 +121,8 @@ void ParallelEngine::enqueue_packet(int src, Simulation& dst, Time when,
                   "conservative lookahead: a cross-partition event lands at "
                   "or past the current window bound");
   Outbox& out = outbox(src);
-  out.to[static_cast<std::size_t>(dst.partition_id())].packets.push_back(
-      PacketPost{when, fn, target, aux, packet});
+  out.to[static_cast<std::size_t>(dst.partition_id())].emplace_back(
+      when, fn, target, aux, packet);
   out.earliest = std::min(out.earliest, when);
 }
 
@@ -132,22 +132,17 @@ void ParallelEngine::drain_inbox(int dst, int parity) {
   // *is* the tiebreak — no sort, no thread-dependent interleaving.
   Simulation& sim = partition(dst);
   for (Outbox& out : outboxes_[parity]) {
-    Mailbox& box = out.to[static_cast<std::size_t>(dst)];
-    std::size_t next = 0;
-    const auto deliver_packets_before = [&](std::size_t end) {
-      for (; next < end; ++next) {
-        const PacketPost& post = box.packets[next];
+    std::vector<Post>& box = out.to[static_cast<std::size_t>(dst)];
+    for (Post& post : box) {
+      if (const auto* packet = std::get_if<net::Packet>(&post.payload)) {
         sim.schedule_packet_at(post.when, post.target, post.aux, post.fn,
-                               post.packet);
+                               *packet);
+      } else {
+        auto& cb = std::get<EventQueue::Callback>(post.payload);
+        sim.schedule_at(post.when, std::move(cb));
       }
-    };
-    for (CallbackPost& post : box.callbacks) {
-      deliver_packets_before(post.after);
-      sim.schedule_at(post.when, std::move(post.cb));
     }
-    deliver_packets_before(box.packets.size());
-    box.packets.clear();
-    box.callbacks.clear();
+    box.clear();
   }
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -35,9 +36,10 @@ namespace planck::sim {
 /// conservative/bounded-lag synchronization).
 ///
 /// Cross-partition events ride per-(source, destination) outboxes
-/// (Simulation::post / post_packet), double-buffered by window parity.
-/// Each destination drains what was posted to it in the previous window
-/// at the start of its own run, in (source partition id, FIFO) order.
+/// (Simulation::post / post_packet), double-buffered by window parity:
+/// one FIFO of post records, packets and callbacks alike. Each
+/// destination drains what was posted to it in the previous window at
+/// the start of its own run, in (source partition id, FIFO) order.
 /// Because the timing wheel breaks equal-time ties by push order, that
 /// drain order — a pure function of partition state — makes the whole
 /// schedule independent of thread count: determinism_digest() is
@@ -154,30 +156,22 @@ class ParallelEngine {
   // phase, whose end synchronizes-with each worker's next window.
   static constexpr Time kNever = std::numeric_limits<Time>::max();
 
-  // The typed DeliverPacket path keeps its no-type-erasure property
-  // across the boundary, and a packet record carries no Callback.
-  struct PacketPost {
+  /// One cross-partition event. A packet delivery keeps its typed path
+  /// across the boundary: `fn(target, aux, packet)` at `when`, with no
+  /// closure. A callback leaves `fn` and `target` null.
+  struct Post {
     Time when;
     EventQueue::PacketFn fn;
     void* target;
     std::uint32_t aux;
-    net::Packet packet;
-  };
-  struct CallbackPost {
-    Time when;
-    std::size_t after;  // packets posted before it: the FIFO position
-    EventQueue::Callback cb;
-  };
-  /// One source's posts to one destination within one window.
-  struct Mailbox {
-    std::vector<PacketPost> packets;
-    std::vector<CallbackPost> callbacks;
+    std::variant<net::Packet, EventQueue::Callback> payload;
   };
   /// One source's posts within one window, written only by the thread
   /// running that source.
   struct alignas(64) Outbox {
-    std::vector<Mailbox> to;  // indexed by destination pid
-    Time earliest = kNever;   // smallest `when` posted since the last bound
+    // Indexed by destination pid: each mailbox is one FIFO.
+    std::vector<std::vector<Post>> to;
+    Time earliest = kNever;  // smallest `when` posted since the last bound
   };
 
   Outbox& outbox(int src) {

@@ -21,7 +21,7 @@ namespace planck::sim {
 /// (TcpReceiver::send_ack cancels it).
 ///
 /// The queued event is a typed call on the timer itself, not a closure, so
-/// arming one never touches the scheduler's callback pool.
+/// arming one copies no closure: `on_fire` is stored once, here.
 class Timer {
  public:
   Timer(Simulation& simulation, EventQueue::Callback on_fire)

@@ -224,27 +224,17 @@ void TcpSender::on_congestion_event() {
       static_cast<double>(std::min<std::int64_t>(next_seq_ - snd_una_,
                                                  static_cast<std::int64_t>(
                                                      cwnd_)));
-  if (config_.congestion_control == CongestionControl::kCubic) {
-    const double w_seg = inflight / static_cast<double>(config_.mss);
-    // Fast convergence (RFC 8312 §4.6).
-    cubic_w_max_ = w_seg < cubic_w_max_
-                       ? w_seg * (1.0 + config_.cubic_beta) / 2.0
-                       : w_seg;
-    cubic_epoch_ = -1;
-    ssthresh_ = std::max(inflight * config_.cubic_beta,
-                         static_cast<double>(2 * config_.mss));
-  } else {
-    ssthresh_ = std::max(inflight / 2.0,
-                         static_cast<double>(2 * config_.mss));
-  }
+  const double w_seg = inflight / static_cast<double>(config_.mss);
+  // Fast convergence (RFC 8312 §4.6).
+  cubic_w_max_ = w_seg < cubic_w_max_
+                     ? w_seg * (1.0 + config_.cubic_beta) / 2.0
+                     : w_seg;
+  cubic_epoch_ = -1;
+  ssthresh_ = std::max(inflight * config_.cubic_beta,
+                       static_cast<double>(2 * config_.mss));
 }
 
 void TcpSender::grow_congestion_avoidance(std::int64_t newly_acked) {
-  if (config_.congestion_control == CongestionControl::kReno) {
-    cwnd_ += static_cast<double>(config_.mss) *
-             static_cast<double>(newly_acked) / cwnd_;
-    return;
-  }
   // CUBIC (RFC 8312): window chases W(t) = C*(t-K)^3 + W_max.
   const double mss = static_cast<double>(config_.mss);
   const double cwnd_seg = cwnd_ / mss;

@@ -13,17 +13,13 @@ namespace planck::tcp {
 
 class Host;
 
-/// Congestion-control flavour. The paper's testbed ran Linux 3.5, whose
-/// default is CUBIC; Reno-style AIMD is kept for comparison/tests. CUBIC
-/// matters at 10 Gbps: AIMD recovers a multi-MB window over many seconds,
-/// far slower than the paper's sub-second dynamics.
-enum class CongestionControl { kCubic, kReno };
-
 /// TCP behaviour knobs, defaulted to the Linux 3.5 stack of the paper's
-/// testbed where the choice is visible in the results.
+/// testbed where the choice is visible in the results. Congestion control
+/// is CUBIC, that kernel's default. It matters at 10 Gbps: AIMD recovers a
+/// multi-MB window over many seconds, far slower than the paper's
+/// sub-second dynamics.
 struct TcpConfig {
   std::int64_t mss = net::kMss;
-  CongestionControl congestion_control = CongestionControl::kCubic;
   /// CUBIC constants (RFC 8312): scaling C and multiplicative decrease.
   double cubic_c = 0.4;
   double cubic_beta = 0.7;
@@ -75,10 +71,10 @@ struct FlowStats {
 };
 
 /// One unidirectional bulk TCP transfer: this object is the *sender* state
-/// machine — slow start with HyStart, CUBIC (or Reno) congestion
-/// avoidance, SACK-guided fast retransmit/recovery, RTO with exponential
-/// backoff — plus, on the remote Host, a lightweight receiver created on
-/// SYN arrival (see Host).
+/// machine — slow start with HyStart, CUBIC congestion avoidance,
+/// SACK-guided fast retransmit/recovery, RTO with exponential backoff —
+/// plus, on the remote Host, a lightweight receiver created on SYN arrival
+/// (see Host).
 class TcpSender {
  public:
   using CompletionCallback = std::function<void(const FlowStats&)>;

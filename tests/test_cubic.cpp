@@ -69,18 +69,6 @@ TEST(Cubic, HystartDisabledOvershootsAndLoses) {
   EXPECT_GT(s1.retransmits + s2.retransmits, 0u);
 }
 
-TEST(Cubic, RenoVariantStillDeliversEverything) {
-  workload::TestbedConfig cfg = no_planck();
-  cfg.host_config.tcp.congestion_control = CongestionControl::kReno;
-  Star star(2, cfg);
-  FlowStats result;
-  star.bed.host(0)->start_flow(net::host_ip(1), 5001, 20 * 1024 * 1024,
-                               [&](const FlowStats& s) { result = s; });
-  star.sim.run_until(sim::seconds(5));
-  ASSERT_TRUE(result.complete);
-  EXPECT_GT(result.throughput_bps(), 8e9);
-}
-
 TEST(Cubic, RecoversSharePromptlyAfterJoiningBusyLink) {
   // The TCP-friendly region at datacenter RTTs: a late flow must claw back
   // a meaningful share within a few hundred ms, not the many seconds pure
