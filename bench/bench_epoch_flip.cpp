@@ -208,8 +208,7 @@ int main(int argc, char** argv) {
       {"harsh", 0.15, 10, sim::milliseconds(20)},
   };
   const int trials = bench::runs(2);
-  const sim::Duration bound =
-      controller::ControllerConfig{}.max_blackhole_window;
+  const sim::Duration bound = controller::kMaxBlackholeWindow;
 
   bool all_stable = true;
   bool bound_held = true;

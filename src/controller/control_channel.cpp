@@ -7,6 +7,16 @@
 
 namespace planck::controller {
 
+namespace {
+/// One-way latency of a control-channel message.
+constexpr sim::Duration kLatency = sim::microseconds(150);
+/// Extra latency of a message hit by a spike (ControlChannelConfig's
+/// spike_prob).
+constexpr sim::Duration kSpikeLatency = sim::milliseconds(5);
+/// Exponential backoff factor of the RPC retransmission timeout.
+constexpr double kRpcBackoff = 2.0;
+}  // namespace
+
 void ControlChannel::register_metrics() {
   obs::Telemetry* telemetry = sim_.telemetry();
   if (telemetry == nullptr) return;
@@ -43,10 +53,10 @@ int ControlChannel::deliveries() {
 }
 
 sim::Duration ControlChannel::one_way_latency() {
-  sim::Duration latency = config_.latency;
+  sim::Duration latency = kLatency;
   if (config_.spike_prob > 0.0 && rng_.chance(config_.spike_prob)) {
     ++latency_spikes_;
-    latency += config_.spike_latency;
+    latency += kSpikeLatency;
   }
   return latency;
 }
@@ -107,7 +117,7 @@ void ControlChannel::attempt(std::shared_ptr<RpcState> state,
   sim::Duration timeout = config_.rpc_timeout;
   for (int i = 1; i < attempt_number; ++i) {
     timeout = static_cast<sim::Duration>(static_cast<double>(timeout) *
-                                         config_.rpc_backoff);
+                                         kRpcBackoff);
   }
   sim_.schedule(timeout, [this, state, attempt_number] {
     attempt(state, attempt_number + 1);

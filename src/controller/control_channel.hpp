@@ -14,22 +14,18 @@ namespace planck::controller {
 /// and the switches/collectors. Defaults model the paper's healthy testbed
 /// (a 150 us one-way RPC, no loss); the fault plane turns the knobs up.
 struct ControlChannelConfig {
-  /// One-way latency of a control-channel message.
-  sim::Duration latency = sim::microseconds(150);
   /// Probability a message (request or ack leg) is lost.
   double loss_prob = 0.0;
   /// Probability a delivered message is duplicated (receivers must be
   /// idempotent — rule installs and packet-outs are).
   double dup_prob = 0.0;
-  /// Probability a delivered message takes `spike_latency` extra (a
-  /// management-network congestion spike).
+  /// Probability a delivered message takes 5 ms extra (a management-network
+  /// congestion spike).
   double spike_prob = 0.0;
-  sim::Duration spike_latency = sim::milliseconds(5);
 
-  /// RPC reliability layer: initial retransmission timeout, exponential
-  /// backoff factor, and the attempt ceiling after which the call fails.
+  /// RPC reliability layer: initial retransmission timeout, doubled on
+  /// every retry, and the attempt ceiling after which the call fails.
   sim::Duration rpc_timeout = sim::milliseconds(1);
-  double rpc_backoff = 2.0;
   int rpc_max_attempts = 8;
 
   std::uint64_t seed = 0x7a57c0de;

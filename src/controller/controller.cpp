@@ -11,6 +11,24 @@
 
 namespace planck::controller {
 
+namespace {
+/// TCAM rule-install latency range on the switch control plane; the
+/// dominant cost of OpenFlow-based rerouting (Figure 16: 4-9 ms
+/// responses, median over 7 ms).
+constexpr sim::Duration kOfInstallMin = sim::milliseconds(3);
+constexpr sim::Duration kOfInstallMax = sim::milliseconds(7);
+/// Latency of an OpenFlow packet-out traversing the switch control-plane
+/// CPU before the frame enters the data plane (the ARP reroute path).
+constexpr sim::Duration kPacketOutDelay = sim::milliseconds(1);
+/// Mechanism used when failing flows over dead links/switches. ARP is
+/// the paper's fast path and the right one for repair.
+constexpr RerouteMechanism kFailoverMechanism = RerouteMechanism::kArp;
+/// Reply deadline for query_link_utilization when the caller asks for a
+/// failure callback; both legs are fire-and-forget, so only a timer can
+/// surface a lost query.
+constexpr sim::Duration kQueryTimeout = sim::milliseconds(2);
+}  // namespace
+
 Controller::Controller(sim::Simulation& simulation,
                        const net::TopologyGraph& graph,
                        const ControllerConfig& config)
@@ -157,12 +175,11 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
     arp.src_mac = net::host_mac(dst_host, tree);
     arp.dst_mac = net::host_mac(src_host, 0);
     const int host_port = ingress_in_port;
-    const sim::Duration packet_out_delay = config_.packet_out_delay;
     channel_.call(
-        [this, ingress, arp, host_port, packet_out_delay, key, epoch] {
+        [this, ingress, arp, host_port, key, epoch] {
           if (!ingress->online()) return false;
           if (epochs_.begin_apply(key, epoch)) {
-            sim_.schedule(packet_out_delay, [ingress, arp, host_port] {
+            sim_.schedule(kPacketOutDelay, [ingress, arp, host_port] {
               ingress->inject(arp, host_port);
             });
           }
@@ -179,11 +196,9 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
     ++openflow_reroutes_;
     // Flow-mod: TCAM install time is the dominant latency (Figure 16).
     const sim::Duration install =
-        config_.of_install_min +
-        static_cast<sim::Duration>(rng_.uniform() *
-                                   static_cast<double>(
-                                       config_.of_install_max -
-                                       config_.of_install_min));
+        kOfInstallMin + static_cast<sim::Duration>(
+                            rng_.uniform() *
+                            static_cast<double>(kOfInstallMax - kOfInstallMin));
     switchsim::RuleActions actions;
     actions.set_dst_mac = net::host_mac(dst_host, tree);
     program_flow_rule(ingress_node, key, epoch, actions, install);
@@ -299,7 +314,7 @@ void Controller::maybe_reconcile_flow_rule(const net::FlowKey& key,
                               static_cast<unsigned long long>(rule_it->second),
                               static_cast<unsigned long long>(erase_epoch)));
   program_flow_rule(ingress_node, key, erase_epoch, std::nullopt,
-                    config_.of_install_min);
+                    kOfInstallMin);
 }
 
 void Controller::notify_port_status(int switch_node, int port, bool up) {
@@ -441,13 +456,13 @@ void Controller::enforce_blackhole_bound() {
     }
     const sim::Duration window = sim_.now() - since;
     if (window > max_blackhole_observed_) max_blackhole_observed_ = window;
-    PLANCK_CONTRACT(window <= config_.max_blackhole_window,
+    PLANCK_CONTRACT(window <= kMaxBlackholeWindow,
                     "no-blackholed-flow-longer-than-T: a flow with a live "
                     "alternate tree must be repaired within the bound");
     if (!epochs_.in_flight(key) && alternate != tree_of(key)) {
       // The earlier repair fell back; try again on this heartbeat.
       ++failovers_;
-      reroute_flow(key, alternate, config_.failover_mechanism);
+      reroute_flow(key, alternate, kFailoverMechanism);
     }
   }
 }
@@ -477,7 +492,7 @@ void Controller::failover_dead_paths() {
     const int alternate = first_alive_tree(src, dst);
     if (alternate < 0 || alternate == tree) continue;
     ++failovers_;
-    reroute_flow(key, alternate, config_.failover_mechanism);
+    reroute_flow(key, alternate, kFailoverMechanism);
   }
 }
 
@@ -542,7 +557,7 @@ void Controller::query_link_utilization(int switch_node, int out_port,
     });
   });
   if (!on_failure) return;
-  sim_.schedule(config_.query_timeout,
+  sim_.schedule(kQueryTimeout,
                 [this, answered, on_failure = std::move(on_failure)] {
                   if (*answered) return;
                   *answered = true;

@@ -32,37 +32,23 @@ enum class RerouteMechanism {
   kOpenFlow,
 };
 
+/// Contract bound T (DESIGN.md §10): a flow whose assigned path is dead
+/// while a live alternate tree exists must be repaired within this
+/// window, heartbeat-asserted via PLANCK_CONTRACT. It covers one
+/// fully-exhausted reroute RPC budget (~255 ms of retries against a
+/// freshly-dead target) plus a heartbeat-triggered retry.
+inline constexpr sim::Duration kMaxBlackholeWindow = sim::milliseconds(300);
+
 struct ControllerConfig {
   /// The management network every controller <-> switch/collector message
-  /// crosses: a 150 us one-way RPC by default, with loss/duplication/
-  /// latency-spike knobs and the retry/backoff policy for reliable calls.
+  /// crosses: a 150 us one-way RPC, with loss/duplication/latency-spike
+  /// knobs and the retry/backoff policy for reliable calls.
   ControlChannelConfig channel;
-  /// TCAM rule-install latency range on the switch control plane; the
-  /// dominant cost of OpenFlow-based rerouting (Figure 16: 4-9 ms
-  /// responses, median over 7 ms).
-  sim::Duration of_install_min = sim::milliseconds(3);
-  sim::Duration of_install_max = sim::milliseconds(7);
-  /// Latency of an OpenFlow packet-out traversing the switch control-plane
-  /// CPU before the frame enters the data plane (the ARP reroute path).
-  sim::Duration packet_out_delay = sim::milliseconds(1);
   /// Period of the health monitor that RPC-probes every switch. A switch
   /// whose probe exhausts its retry budget is declared dead and its flows
   /// failed over (counter-staleness detection: a wedged switch sends no
   /// port-status, so liveness must be inferred). 0 disables probing.
   sim::Duration heartbeat_interval = sim::milliseconds(10);
-  /// Mechanism used when failing flows over dead links/switches. ARP is
-  /// the paper's fast path and the right default for repair.
-  RerouteMechanism failover_mechanism = RerouteMechanism::kArp;
-  /// Contract bound T (DESIGN.md §10): a flow whose assigned path is dead
-  /// while a live alternate tree exists must be repaired within this
-  /// window, heartbeat-asserted via PLANCK_CONTRACT. The default covers
-  /// one fully-exhausted reroute RPC budget (~255 ms of retries against a
-  /// freshly-dead target) plus a heartbeat-triggered retry.
-  sim::Duration max_blackhole_window = sim::milliseconds(300);
-  /// Reply deadline for query_link_utilization when the caller asks for a
-  /// failure callback; both legs are fire-and-forget, so only a timer can
-  /// surface a lost query.
-  sim::Duration query_timeout = sim::milliseconds(2);
   std::uint64_t seed = 1;
 };
 
@@ -123,7 +109,7 @@ class Controller {
   /// statistics API of §3.3. Both legs are fire-and-forget and `reply`
   /// runs at most once, even when the channel duplicates it. Without
   /// `on_failure` a lost message silently swallows the query; with it, a
-  /// reply missing after `config.query_timeout` — or an unattached/offline
+  /// reply missing after a 2 ms deadline — or an unattached/offline
   /// collector — fires the failure callback exactly once instead.
   void query_link_utilization(int switch_node, int out_port,
                               std::function<void(double)> reply,
@@ -142,7 +128,7 @@ class Controller {
   /// Heartbeat probe completions discarded for being stale (sequencing).
   std::uint64_t stale_probe_results() const { return stale_probe_results_; }
   /// Longest observed dead-assigned-path window for any flow that had a
-  /// live alternate tree (must stay under config.max_blackhole_window).
+  /// live alternate tree (must stay under kMaxBlackholeWindow).
   sim::Duration max_blackhole_observed() const {
     return max_blackhole_observed_;
   }
@@ -266,7 +252,7 @@ class Controller {
   /// epochs, bringing it to the current epoch.
   void resync_switch(int node);
   /// Heartbeat-time contract check: no flow with a live alternate tree
-  /// stays blackholed past config.max_blackhole_window; retries repairs
+  /// stays blackholed past kMaxBlackholeWindow; retries repairs
   /// that fell back.
   void enforce_blackhole_bound();
 

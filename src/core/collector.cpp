@@ -9,6 +9,11 @@
 
 namespace planck::core {
 
+namespace {
+/// Sample-down backpressure estimates one sample in this many.
+constexpr std::uint64_t kSampleDownFactor = 4;
+}  // namespace
+
 Collector::Collector(sim::Simulation& simulation, std::string name,
                      int switch_node, const CollectorConfig& config)
     : sim_(simulation),
@@ -123,7 +128,7 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
   // sample pays for flow-table and estimator work (the ring above still
   // sees everything — raw capture is cheap, estimation is not).
   if (mode_ >= BackpressureMode::kSampleDown &&
-      ++sample_down_counter_ % config_.backpressure.sample_down_factor != 0) {
+      ++sample_down_counter_ % kSampleDownFactor != 0) {
     ++samples_sampled_down_;
     return;
   }
@@ -291,7 +296,7 @@ void Collector::sweep() {
   // aggregates, and FP subtraction is not associative.
   for (auto& [key, rec] : flows_.mutable_flows()) {
     if (rec.contributing_bps > 0.0 &&
-        now - rec.estimator.estimated_at() > config_.rate_staleness) {
+        now - rec.estimator.estimated_at() > kRateStaleness) {
       release_contribution(rec.out_port, rec.contributing_bps);
       rec.contributing_bps = 0.0;
     }

@@ -61,10 +61,9 @@ struct BackpressureConfig {
   /// controller's ingest-rate model.
   sim::Duration drain_interval = sim::microseconds(200);
   /// Queue depth at which the collector starts decimating its own sample
-  /// stream (only every `sample_down_factor`-th sample feeds the flow
-  /// table / estimators). 0 = never.
+  /// stream (only every 4th sample feeds the flow table / estimators).
+  /// 0 = never.
   std::size_t sample_down_watermark = 0;
-  std::uint32_t sample_down_factor = 4;
   /// Queue depth at which freshly-detected events are shed outright.
   /// 0 = never (the queue still sheds on overflow).
   std::size_t shed_watermark = 0;
@@ -94,9 +93,6 @@ struct CollectorConfig {
   /// Minimum spacing of events per link, so a persistently hot link does
   /// not flood the controller.
   sim::Duration event_debounce = sim::milliseconds(1);
-  /// A flow whose estimate is older than this no longer contributes to
-  /// link utilization.
-  sim::Duration rate_staleness = sim::milliseconds(5);
   /// Idle flows are evicted from the flow table after this long.
   sim::Duration flow_idle_timeout = sim::seconds(1);
   /// Housekeeping sweep period (staleness + eviction).
@@ -173,11 +169,10 @@ class Collector : public net::Node {
   bool online() const { return online_; }
   /// True when the estimates cannot be trusted: the collector is offline,
   /// or it is up but the sample stream has gone quiet for longer than
-  /// `rate_staleness` (e.g. the monitor cable died) while flows may still
+  /// kRateStaleness (e.g. the monitor cable died) while flows may still
   /// be running.
   bool data_stale() const {
-    return !online_ ||
-           sim_.now() - last_sample_at_ > config_.rate_staleness;
+    return !online_ || sim_.now() - last_sample_at_ > kRateStaleness;
   }
   sim::Time last_sample_at() const { return last_sample_at_; }
 
@@ -223,6 +218,10 @@ class Collector : public net::Node {
  private:
   // Single-writer by design: one collector runs on one partition
   // (its switch's); nothing here is touched cross-thread.
+
+  /// A flow whose estimate is older than this no longer contributes to
+  /// link utilization.
+  static constexpr sim::Duration kRateStaleness = sim::milliseconds(5);
 
   /// Per-port link state. `bps` is the incrementally maintained sum of
   /// fresh flow-rate estimates (the sweep removes stale ones); `flows`

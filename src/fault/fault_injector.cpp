@@ -114,21 +114,16 @@ int FaultInjector::plan_random(const ChaosConfig& config) {
       const net::PortRef peer = graph.peer(node, port);
       if (!peer.valid()) continue;
       if (node > peer.node) continue;  // count each cable once
-      if (config.spare_host_links &&
-          (graph.is_host(node) || graph.is_host(peer.node))) {
-        continue;
-      }
+      // Never cut a host's access cable: every shadow tree shares it, so
+      // no failover exists and the host is simply offline for the outage.
+      if (graph.is_host(node) || graph.is_host(peer.node)) continue;
       cables.push_back(net::DirectedLink{node, port});
     }
   }
 
   std::vector<FaultKind> classes;
-  if (config.include_links && !cables.empty()) {
-    classes.push_back(FaultKind::kLinkDown);
-  }
-  if (config.include_switches && !switch_nodes.empty()) {
-    classes.push_back(FaultKind::kSwitchCrash);
-  }
+  if (!cables.empty()) classes.push_back(FaultKind::kLinkDown);
+  if (!switch_nodes.empty()) classes.push_back(FaultKind::kSwitchCrash);
   if (config.include_collectors && !collector_nodes.empty()) {
     classes.push_back(FaultKind::kCollectorCrash);
   }

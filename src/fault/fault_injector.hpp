@@ -33,7 +33,7 @@ struct FaultRecord {
 /// Knobs for a randomized fault schedule (plan_random). All choices come
 /// from the injector's seeded generator over deterministically-ordered
 /// candidate lists, so a (topology, seed) pair always produces the same
-/// schedule.
+/// schedule. Link cuts and switch crashes are always candidates.
 struct ChaosConfig {
   int num_faults = 8;
   /// Faults start uniformly inside [start, start + spread).
@@ -42,12 +42,7 @@ struct ChaosConfig {
   /// Outage duration, uniform in [min_down, max_down].
   sim::Duration min_down = sim::milliseconds(2);
   sim::Duration max_down = sim::milliseconds(15);
-  bool include_links = true;
-  bool include_switches = true;
   bool include_collectors = true;
-  /// Never cut a host's access cable: every shadow tree shares it, so no
-  /// failover exists and the host is simply offline for the outage.
-  bool spare_host_links = true;
 };
 
 /// Deterministic, seed-driven fault injection for a running Testbed.
@@ -84,7 +79,7 @@ class FaultInjector {
 
   /// Draws `config.num_faults` randomized outages over the testbed and
   /// schedules them. Returns the number actually planned (0 when the
-  /// config filters out every candidate class).
+  /// testbed offers no candidate).
   int plan_random(const ChaosConfig& config);
 
   /// Cross-component epoch invariants (DESIGN.md §10), assertable at any

@@ -7,6 +7,19 @@
 
 namespace planck::switchsim {
 
+namespace {
+/// Random delay added to each mirror replica before it competes for the
+/// monitor-port buffer, modelling the ASIC's egress-pipeline/port
+/// arbitration. Without it, a discrete-event simulation phase-locks:
+/// identical-rate input streams have fixed arrival phases and the same
+/// flow wins every freed buffer slot, producing unrealistically long
+/// sample bursts. One MTU-time of jitter makes the admission winner
+/// effectively uniform across contending inputs, matching the
+/// single-MTU bursts the paper measures (Figure 5). Never applied to
+/// the original packet.
+constexpr sim::Duration kMirrorJitter = sim::nanoseconds(1231);
+}  // namespace
+
 Switch::Switch(sim::Simulation& simulation, std::string name, int num_ports,
                const SwitchConfig& config)
     : sim_(simulation),
@@ -221,23 +234,18 @@ void Switch::handle_packet(const net::Packet& packet, int in_port) {
       in_port != monitor_port_) {
     net::Packet replica = pkt;
     replica.dst_mac = routing_mac;
-    if (config_.mirror_jitter > 0) {
-      // Egress-pipeline arbitration jitter; see SwitchConfig. Typed event:
-      // the replica is pooled in the scheduler, the monitor port rides in
-      // the aux word.
-      const auto delay = static_cast<sim::Duration>(rng_.below(
-          static_cast<std::uint64_t>(config_.mirror_jitter)));
-      sim_.schedule_packet(
-          delay, this, static_cast<std::uint32_t>(monitor_port_),
-          [](void* self, std::uint32_t port, const net::Packet& mirrored) {
-            static_cast<Switch*>(self)->enqueue(static_cast<int>(port),
-                                                mirrored,
-                                                /*is_mirror=*/true);
-          },
-          replica);
-    } else {
-      enqueue(monitor_port_, replica, /*is_mirror=*/true);
-    }
+    // Egress-pipeline arbitration jitter; see kMirrorJitter. Typed event:
+    // the replica is pooled in the scheduler, the monitor port rides in
+    // the aux word.
+    const auto delay = static_cast<sim::Duration>(
+        rng_.below(static_cast<std::uint64_t>(kMirrorJitter)));
+    sim_.schedule_packet(
+        delay, this, static_cast<std::uint32_t>(monitor_port_),
+        [](void* self, std::uint32_t port, const net::Packet& mirrored) {
+          static_cast<Switch*>(self)->enqueue(static_cast<int>(port), mirrored,
+                                              /*is_mirror=*/true);
+        },
+        replica);
   }
 
   maybe_sflow_sample(pkt, in_port, out_port);

@@ -39,16 +39,7 @@ struct SwitchConfig {
   double sflow_max_samples_per_sec = 300.0;
   sim::Duration sflow_control_delay = sim::milliseconds(1);
 
-  /// Random delay added to each mirror replica before it competes for the
-  /// monitor-port buffer, modelling the ASIC's egress-pipeline/port
-  /// arbitration. Without it, a discrete-event simulation phase-locks:
-  /// identical-rate input streams have fixed arrival phases and the same
-  /// flow wins every freed buffer slot, producing unrealistically long
-  /// sample bursts. One MTU-time of jitter makes the admission winner
-  /// effectively uniform across contending inputs, matching the
-  /// single-MTU bursts the paper measures (Figure 5). Never applied to
-  /// the original packet.
-  sim::Duration mirror_jitter = sim::nanoseconds(1231);
+  /// Seed of the switch's mirror-jitter generator.
   std::uint64_t seed = 0x9e3779b9;
 };
 

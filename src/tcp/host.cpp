@@ -233,8 +233,7 @@ void Host::handle_tcp(const net::Packet& packet) {
     return;
   }
   if (packet.has_flag(net::kSyn) && !packet.has_flag(net::kAck)) {
-    auto receiver =
-        std::make_unique<TcpReceiver>(sim_, *this, key, config_.tcp);
+    auto receiver = std::make_unique<TcpReceiver>(sim_, *this, key);
     TcpReceiver* raw = receiver.get();
     by_in_key_[key] = raw;
     receivers_.push_back(std::move(receiver));

@@ -11,7 +11,32 @@ namespace planck::tcp {
 
 namespace {
 constexpr double kHugeWindow = 1e18;
-}
+
+// The Linux 3.5 defaults of the paper's testbed.
+/// CUBIC constants (RFC 8312): scaling C and multiplicative decrease.
+constexpr double kCubicC = 0.4;
+constexpr double kCubicBeta = 0.7;
+/// HyStart never fires below this window (segments).
+constexpr int kHystartMinCwndSegments = 16;
+/// Initial congestion window in segments (Linux: 10).
+constexpr int kInitialCwndSegments = 10;
+/// Lower bound on the retransmission timeout (Linux: 200 ms).
+constexpr sim::Duration kMinRto = sim::milliseconds(200);
+/// RTO before any RTT sample exists (RFC 6298 says 1 s).
+constexpr sim::Duration kInitialRto = sim::seconds(1);
+/// Duplicate ACKs before fast retransmit.
+constexpr int kDupackThreshold = 3;
+/// ACK every N-th in-order segment once past quickack (Linux: 2).
+constexpr int kAckEvery = 2;
+/// Delayed-ACK timer (Linux: up to 40 ms for bulk receivers).
+constexpr sim::Duration kDelayedAckTimeout = sim::milliseconds(40);
+/// Number of initial segments ACKed immediately (quickack mode).
+constexpr int kQuickackSegments = 16;
+/// Hard cap on the congestion window in bytes (Linux 3.5 default
+/// tcp_wmem/tcp_rmem max is ~4-6 MB; this also bounds how far slow
+/// start can overshoot a 4 MB switch buffer).
+constexpr sim::Bytes kMaxWindowBytes = sim::mebibytes(6);
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Sender
@@ -26,9 +51,9 @@ TcpSender::TcpSender(sim::Simulation& simulation, Host& host,
       config_(config),
       on_complete_(std::move(on_complete)),
       total_bytes_(sim::Bytes{total_bytes}),
-      cwnd_(static_cast<double>(config.initial_cwnd_segments * config.mss)),
+      cwnd_(static_cast<double>(kInitialCwndSegments * net::kMss)),
       ssthresh_(kHugeWindow),
-      rto_(config.initial_rto),
+      rto_(kInitialRto),
       rto_timer_(simulation, [this] { on_rto(); }) {
   stats_.total_bytes = sim::Bytes{total_bytes};
 }
@@ -97,21 +122,20 @@ void TcpSender::handle_segment(const net::Packet& packet) {
           recovery_retransmit(packet);
           cwnd_ = std::max<double>(
               cwnd_ - static_cast<double>(newly_acked) +
-                  static_cast<double>(config_.mss),
-              static_cast<double>(config_.mss));
+                  static_cast<double>(net::kMss),
+              static_cast<double>(net::kMss));
         }
         break;
       case State::kSlowStart:
         // Appropriate byte counting (RFC 3465, L=2).
         cwnd_ += static_cast<double>(
-            std::min<std::int64_t>(newly_acked, 2 * config_.mss));
+            std::min<std::int64_t>(newly_acked, 2 * net::kMss));
         if (cwnd_ >= ssthresh_) {
           state_ = State::kCongestionAvoidance;
         } else if (config_.hystart_rtt_factor > 0 && srtt_valid_ &&
                    min_rtt_ > 0 &&
-                   cwnd_ >= static_cast<double>(
-                                config_.hystart_min_cwnd_segments *
-                                config_.mss) &&
+                   cwnd_ >= static_cast<double>(kHystartMinCwndSegments *
+                                                net::kMss) &&
                    srtt_ > config_.hystart_rtt_factor * min_rtt_) {
           // HyStart: queueing delay says the pipe is full — stop doubling
           // before a whole window of overshoot hits the switch buffer.
@@ -125,8 +149,7 @@ void TcpSender::handle_segment(const net::Packet& packet) {
       case State::kSynSent:
         break;
     }
-    cwnd_ = std::min(cwnd_,
-                     static_cast<double>(config_.max_window_bytes.count()));
+    cwnd_ = std::min(cwnd_, static_cast<double>(kMaxWindowBytes.count()));
 
     if (snd_una_ >= total_bytes_.count()) {
       finish();
@@ -136,10 +159,10 @@ void TcpSender::handle_segment(const net::Packet& packet) {
     try_send();
   } else if (ack == snd_una_) {
     if (state_ == State::kRecovery) {
-      cwnd_ += static_cast<double>(config_.mss);
+      cwnd_ += static_cast<double>(net::kMss);
       recovery_retransmit(packet);
       try_send();
-    } else if (++dupacks_ == config_.dupack_threshold) {
+    } else if (++dupacks_ == kDupackThreshold) {
       enter_recovery();
     }
   }
@@ -148,12 +171,12 @@ void TcpSender::handle_segment(const net::Packet& packet) {
 void TcpSender::try_send() {
   if (state_ == State::kSynSent || stats_.complete) return;
   const auto wnd = static_cast<std::int64_t>(
-      std::min(cwnd_, static_cast<double>(config_.max_window_bytes.count())));
+      std::min(cwnd_, static_cast<double>(kMaxWindowBytes.count())));
   while (next_seq_ < total_bytes_.count()) {
     const std::int64_t inflight = next_seq_ - snd_una_;
     if (inflight >= wnd) break;
     const std::int64_t len =
-        std::min<std::int64_t>(config_.mss, total_bytes_.count() - next_seq_);
+        std::min<std::int64_t>(net::kMss, total_bytes_.count() - next_seq_);
     const sim::Bytes wire = sim::bytes(len + net::kTcpHeader +
                                        net::kIpHeader + net::kEthernetOverhead);
     if (host_.nic_headroom() < wire) {
@@ -224,35 +247,33 @@ void TcpSender::on_congestion_event() {
       static_cast<double>(std::min<std::int64_t>(next_seq_ - snd_una_,
                                                  static_cast<std::int64_t>(
                                                      cwnd_)));
-  const double w_seg = inflight / static_cast<double>(config_.mss);
+  const double w_seg = inflight / static_cast<double>(net::kMss);
   // Fast convergence (RFC 8312 §4.6).
-  cubic_w_max_ = w_seg < cubic_w_max_
-                     ? w_seg * (1.0 + config_.cubic_beta) / 2.0
-                     : w_seg;
+  cubic_w_max_ =
+      w_seg < cubic_w_max_ ? w_seg * (1.0 + kCubicBeta) / 2.0 : w_seg;
   cubic_epoch_ = -1;
-  ssthresh_ = std::max(inflight * config_.cubic_beta,
-                       static_cast<double>(2 * config_.mss));
+  ssthresh_ = std::max(inflight * kCubicBeta,
+                       static_cast<double>(2 * net::kMss));
 }
 
 void TcpSender::grow_congestion_avoidance(std::int64_t newly_acked) {
   // CUBIC (RFC 8312): window chases W(t) = C*(t-K)^3 + W_max.
-  const double mss = static_cast<double>(config_.mss);
+  const double mss = static_cast<double>(net::kMss);
   const double cwnd_seg = cwnd_ / mss;
   if (cubic_epoch_ < 0) {
     cubic_epoch_ = sim_.now();
     if (cubic_w_max_ < cwnd_seg) cubic_w_max_ = cwnd_seg;
-    cubic_k_ = std::cbrt(cubic_w_max_ * (1.0 - config_.cubic_beta) /
-                         config_.cubic_c);
+    cubic_k_ = std::cbrt(cubic_w_max_ * (1.0 - kCubicBeta) / kCubicC);
   }
   const double rtt_s = srtt_valid_ ? srtt_ / 1e9 : 200e-6;
   const double t =
       static_cast<double>(sim_.now() - cubic_epoch_) / 1e9 + rtt_s;
   double target =
-      config_.cubic_c * (t - cubic_k_) * (t - cubic_k_) * (t - cubic_k_) +
+      kCubicC * (t - cubic_k_) * (t - cubic_k_) * (t - cubic_k_) +
       cubic_w_max_;
   // TCP-friendly region (RFC 8312 §4.2): at small RTTs standard AIMD
   // outgrows the cubic function; CUBIC must never be slower than Reno.
-  const double beta = config_.cubic_beta;
+  const double beta = kCubicBeta;
   const double w_est = cubic_w_max_ * beta +
                        3.0 * (1.0 - beta) / (1.0 + beta) * (t / rtt_s);
   target = std::max(target, w_est);
@@ -270,9 +291,9 @@ void TcpSender::enter_recovery() {
   on_congestion_event();
   recover_ = next_seq_;
   state_ = State::kRecovery;
-  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(config_.mss);
+  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(net::kMss);
   const std::int64_t len =
-      std::min<std::int64_t>(config_.mss, total_bytes_.count() - snd_una_);
+      std::min<std::int64_t>(net::kMss, total_bytes_.count() - snd_una_);
   send_segment(snd_una_, len, /*retransmit=*/true);
   high_rtx_ = snd_una_ + len;
   try_send();
@@ -287,13 +308,13 @@ void TcpSender::recovery_retransmit(const net::Packet& ack_packet) {
     hole_end = std::min<std::int64_t>(
         static_cast<std::int64_t>(ack_packet.sack_start), recover_);
   } else {
-    hole_end = std::min(snd_una_ + config_.mss, recover_);
+    hole_end = std::min(snd_una_ + net::kMss, recover_);
   }
   std::int64_t from = std::max(snd_una_, high_rtx_);
   int budget = 2;  // at most two repairs per ACK keeps the burst bounded
   while (from < hole_end && from < total_bytes_.count() && budget-- > 0) {
     const std::int64_t len = std::min<std::int64_t>(
-        config_.mss, std::min(hole_end - from, total_bytes_.count() - from));
+        net::kMss, std::min(hole_end - from, total_bytes_.count() - from));
     send_segment(from, len, /*retransmit=*/true);
     from += len;
   }
@@ -323,7 +344,7 @@ void TcpSender::on_rto() {
   }
 
   on_congestion_event();
-  cwnd_ = static_cast<double>(config_.mss);
+  cwnd_ = static_cast<double>(net::kMss);
   state_ = State::kSlowStart;
   recover_ = next_seq_;
   high_rtx_ = 0;
@@ -354,8 +375,7 @@ void TcpSender::note_rtt_sample(sim::Duration rtt) {
     srtt_ = (1 - kAlpha) * srtt_ + kAlpha * r;
   }
   const double raw = srtt_ + 4.0 * rttvar_;
-  rto_ = std::max<sim::Duration>(static_cast<sim::Duration>(raw),
-                                 config_.min_rto);
+  rto_ = std::max<sim::Duration>(static_cast<sim::Duration>(raw), kMinRto);
 }
 
 void TcpSender::finish() {
@@ -382,11 +402,10 @@ void TcpSender::finish() {
 // ---------------------------------------------------------------------------
 
 TcpReceiver::TcpReceiver(sim::Simulation& simulation, Host& host,
-                         net::FlowKey key, const TcpConfig& config)
+                         net::FlowKey key)
     : sim_(simulation),
       host_(host),
       key_(key),
-      config_(config),
       delayed_ack_timer_(simulation, [this] { send_ack(); }) {}
 
 void TcpReceiver::handle_segment(const net::Packet& packet) {
@@ -444,11 +463,11 @@ void TcpReceiver::handle_segment(const net::Packet& packet) {
   }
 
   if (had_holes || packet.has_flag(net::kPsh) ||
-      segments_seen_ <= config_.quickack_segments) {
+      segments_seen_ <= kQuickackSegments) {
     send_ack();
     return;
   }
-  if (++unacked_segments_ >= config_.ack_every) {
+  if (++unacked_segments_ >= kAckEvery) {
     send_ack();
   } else {
     arm_delayed_ack();
@@ -477,7 +496,7 @@ void TcpReceiver::send_ack() {
 
 void TcpReceiver::arm_delayed_ack() {
   if (!delayed_ack_timer_.pending()) {
-    delayed_ack_timer_.schedule(config_.delayed_ack_timeout);
+    delayed_ack_timer_.schedule(kDelayedAckTimeout);
   }
 }
 

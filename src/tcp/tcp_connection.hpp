@@ -13,42 +13,18 @@ namespace planck::tcp {
 
 class Host;
 
-/// TCP behaviour knobs, defaulted to the Linux 3.5 stack of the paper's
-/// testbed where the choice is visible in the results. Congestion control
-/// is CUBIC, that kernel's default. It matters at 10 Gbps: AIMD recovers a
-/// multi-MB window over many seconds, far slower than the paper's
-/// sub-second dynamics.
+/// TCP behaviour knobs. The stack is the Linux 3.5 one of the paper's
+/// testbed (its fixed defaults are constants in tcp_connection.cpp).
+/// Congestion control is CUBIC, that kernel's default. It matters at
+/// 10 Gbps: AIMD recovers a multi-MB window over many seconds, far slower
+/// than the paper's sub-second dynamics.
 struct TcpConfig {
-  std::int64_t mss = net::kMss;
-  /// CUBIC constants (RFC 8312): scaling C and multiplicative decrease.
-  double cubic_c = 0.4;
-  double cubic_beta = 0.7;
   /// HyStart-style delay-based slow-start exit (on by default in the
   /// Linux CUBIC of the paper's testbed): leave slow start when the
   /// smoothed RTT exceeds hystart_rtt_factor x the minimum RTT seen —
   /// i.e. when queueing delay shows the pipe is full — instead of
   /// overshooting the switch buffer by a whole window. 0 disables.
   double hystart_rtt_factor = 1.5;
-  /// HyStart never fires below this window (segments).
-  int hystart_min_cwnd_segments = 16;
-  /// Initial congestion window in segments (Linux: 10).
-  int initial_cwnd_segments = 10;
-  /// Lower bound on the retransmission timeout (Linux: 200 ms).
-  sim::Duration min_rto = sim::milliseconds(200);
-  /// RTO before any RTT sample exists (RFC 6298 says 1 s).
-  sim::Duration initial_rto = sim::seconds(1);
-  /// Duplicate ACKs before fast retransmit.
-  int dupack_threshold = 3;
-  /// ACK every N-th in-order segment once past quickack (Linux: 2).
-  int ack_every = 2;
-  /// Delayed-ACK timer (Linux: up to 40 ms for bulk receivers).
-  sim::Duration delayed_ack_timeout = sim::milliseconds(40);
-  /// Number of initial segments ACKed immediately (quickack mode).
-  int quickack_segments = 16;
-  /// Hard cap on the congestion window in bytes (Linux 3.5 default
-  /// tcp_wmem/tcp_rmem max is ~4-6 MB; this also bounds how far slow
-  /// start can overshoot a 4 MB switch buffer).
-  sim::Bytes max_window_bytes = sim::mebibytes(6);
 };
 
 /// Lifetime statistics of one flow.
@@ -165,8 +141,7 @@ class TcpSender {
 /// and quickack behaviour), and counts delivered bytes.
 class TcpReceiver {
  public:
-  TcpReceiver(sim::Simulation& simulation, Host& host, net::FlowKey key,
-              const TcpConfig& config);
+  TcpReceiver(sim::Simulation& simulation, Host& host, net::FlowKey key);
 
   void handle_segment(const net::Packet& packet);
 
@@ -182,7 +157,6 @@ class TcpReceiver {
   sim::Simulation& sim_;
   Host& host_;
   net::FlowKey key_;  // key of the *incoming* direction (sender -> us)
-  TcpConfig config_;
 
   std::int64_t rcv_nxt_ = 0;
   // Out-of-order byte ranges [start, end), keyed by start.

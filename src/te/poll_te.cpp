@@ -7,6 +7,15 @@
 
 namespace planck::te {
 
+namespace {
+/// Only flows above this fraction of line rate are (re)placed — the
+/// Hedera elephant threshold.
+constexpr double kElephantFraction = 0.10;
+/// Placement moves a flow with one OpenFlow rule at its ingress switch.
+constexpr controller::RerouteMechanism kRerouteMechanism =
+    controller::RerouteMechanism::kOpenFlow;
+}  // namespace
+
 PollTe::PollTe(sim::Simulation& simulation,
                controller::Controller& controller,
                std::vector<switchsim::Switch*> switches,
@@ -219,7 +228,7 @@ void PollTe::place_flows(std::vector<KnownFlow> flows) {
         routing.graph()
             .link_spec(routing.graph().host_node(flow.src_host), 0)
             .rate);
-    if (flow.rate_bps < config_.elephant_fraction * line_rate) {
+    if (flow.rate_bps < kElephantFraction * line_rate) {
       add_load(routing.path(flow.src_host, flow.dst_host, flow.tree),
                flow.rate_bps);
       continue;
@@ -245,7 +254,7 @@ void PollTe::place_flows(std::vector<KnownFlow> flows) {
              flow.rate_bps);
     if (chosen != flow.tree) {
       ++reroutes_;
-      controller_.reroute_flow(flow.key, chosen, config_.mechanism);
+      controller_.reroute_flow(flow.key, chosen, kRerouteMechanism);
     }
   }
 }

@@ -20,11 +20,6 @@ struct PollTeConfig {
   /// counter polling takes 75-200 ms per Table 1; a fraction of that here
   /// since our emulated poller, like the paper's, reads a small testbed.
   sim::Duration poll_latency = sim::milliseconds(25);
-  /// Only flows above this fraction of line rate are (re)placed — the
-  /// Hedera elephant threshold.
-  double elephant_fraction = 0.10;
-  controller::RerouteMechanism mechanism =
-      controller::RerouteMechanism::kOpenFlow;
 };
 
 /// The polling traffic-engineering baseline (§7.1 "Poll-1s"/"Poll-0.1s"):

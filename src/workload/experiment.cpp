@@ -3,7 +3,23 @@
 #include <algorithm>
 #include <memory>
 
+#include "te/planck_te.hpp"
+#include "te/poll_te.hpp"
+#include "workload/testbed.hpp"
+
 namespace planck::workload {
+
+namespace {
+/// Every link runs at the paper's 10 GbE.
+constexpr sim::BitsPerSec kLinkRate = sim::gigabits_per_sec(10);
+/// Transfers each shuffle host keeps in flight at a time.
+constexpr int kShuffleConcurrency = 2;
+/// All flows begin at this offset plus a small per-flow jitter.
+constexpr sim::Duration kStartTime = sim::milliseconds(10);
+constexpr sim::Duration kStartJitter = sim::microseconds(100);
+/// Give up after this much simulated time.
+constexpr sim::Duration kMaxSimTime = sim::seconds(600);
+}  // namespace
 
 const char* scheme_name(Scheme scheme) {
   switch (scheme) {
@@ -40,7 +56,7 @@ const char* workload_name(WorkloadKind kind) {
 net::TopologyGraph make_experiment_graph(const ExperimentConfig& config) {
   const int k = config.fat_tree_k;
   net::LinkSpec host_spec;
-  host_spec.rate = config.link_rate;
+  host_spec.rate = kLinkRate;
   host_spec.propagation = config.host_link_propagation;
   if (config.scheme == Scheme::kOptimal) {
     return net::make_star(k * (k / 2) * (k / 2), host_spec);
@@ -54,13 +70,12 @@ net::TopologyGraph make_experiment_graph(const ExperimentConfig& config) {
 
 namespace {
 
-/// Orchestrates a shuffle: each host runs `concurrency` transfers at a
-/// time through its random destination order.
+/// Orchestrates a shuffle: each host runs kShuffleConcurrency transfers
+/// at a time through its random destination order.
 class ShuffleDriver {
  public:
   ShuffleDriver(Testbed& bed, std::vector<std::vector<int>> orders,
-                sim::Bytes bytes, int concurrency, sim::Time t0,
-                ExperimentResult& result)
+                sim::Bytes bytes, sim::Time t0, ExperimentResult& result)
       : bed_(bed),
         orders_(std::move(orders)),
         bytes_(bytes),
@@ -70,7 +85,9 @@ class ShuffleDriver {
     remaining_.resize(orders_.size());
     for (std::size_t h = 0; h < orders_.size(); ++h) {
       remaining_[h] = static_cast<int>(orders_[h].size());
-      for (int c = 0; c < concurrency; ++c) start_next(static_cast<int>(h));
+      for (int c = 0; c < kShuffleConcurrency; ++c) {
+        start_next(static_cast<int>(h));
+      }
     }
   }
 
@@ -115,7 +132,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   const net::TopologyGraph graph = make_experiment_graph(config);
 
-  TestbedConfig bed_config = config.testbed;
+  TestbedConfig bed_config;
   bed_config.enable_planck = config.scheme == Scheme::kPlanckTe;
   bed_config.switch_config.flow_accounting =
       config.scheme == Scheme::kPoll1s || config.scheme == Scheme::kPoll01s;
@@ -129,7 +146,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   switch (config.scheme) {
     case Scheme::kPlanckTe:
       planck_te = std::make_unique<te::PlanckTe>(
-          simulation, bed.controller(), config.planck_te);
+          simulation, bed.controller(), te::PlanckTeConfig{});
       break;
     case Scheme::kPoll1s:
     case Scheme::kPoll01s: {
@@ -148,7 +165,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       break;
   }
 
-  const sim::Time t0 = config.start_time;
+  const sim::Time t0 = kStartTime;
   std::size_t expected_flows = 0;
   std::size_t completed_flows = 0;
   std::unique_ptr<ShuffleDriver> shuffle;
@@ -157,9 +174,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     auto orders = make_shuffle_orders(graph.num_hosts(), rng);
     for (const auto& o : orders) expected_flows += o.size();
     simulation.schedule_at(t0, [&, orders = std::move(orders)]() mutable {
-      shuffle = std::make_unique<ShuffleDriver>(
-          bed, std::move(orders), config.flow_bytes,
-          config.shuffle_concurrency, t0, result);
+      shuffle = std::make_unique<ShuffleDriver>(bed, std::move(orders),
+                                                config.flow_bytes, t0, result);
     });
   } else {
     std::vector<FlowSpec> flows;
@@ -184,11 +200,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
     expected_flows = flows.size();
     for (const FlowSpec& spec : flows) {
-      const sim::Duration jitter =
-          config.start_jitter > 0
-              ? static_cast<sim::Duration>(
-                    rng.below(static_cast<std::uint64_t>(config.start_jitter)))
-              : 0;
+      const auto jitter = static_cast<sim::Duration>(
+          rng.below(static_cast<std::uint64_t>(kStartJitter)));
       simulation.schedule_at(t0 + spec.start_offset + jitter, [&, spec] {
         bed.host(spec.src)->start_flow(
             net::host_ip(spec.dst), 5001, spec.bytes.count(),
@@ -200,7 +213,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
-  simulation.run_until(config.max_sim_time);
+  simulation.run_until(kMaxSimTime);
 
   result.all_complete = result.flows.size() == expected_flows;
   if (!result.flows.empty()) {

@@ -4,10 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "net/topology.hpp"
 #include "tcp/tcp_connection.hpp"
-#include "te/planck_te.hpp"
-#include "te/poll_te.hpp"
-#include "workload/testbed.hpp"
 #include "workload/workloads.hpp"
 
 namespace planck::workload {
@@ -38,27 +36,16 @@ struct ExperimentConfig {
   /// Bytes per flow (for shuffle: bytes per host pair).
   sim::Bytes flow_bytes = sim::mebibytes(100);
   int stride = 8;
-  int shuffle_concurrency = 2;
   std::uint64_t seed = 1;
 
   /// Fat-tree radix for the simulated fabric (k^3/4 hosts). The Optimal
   /// star is sized to the same host count so schemes stay comparable.
   int fat_tree_k = 4;
 
-  sim::BitsPerSec link_rate = sim::gigabits_per_sec(10);
   /// Host-link propagation stands in for end-host kernel/NIC latency so
   /// the base RTT matches the paper's ~180-250 us testbed (§5.4).
   sim::Duration host_link_propagation = sim::microseconds(40);
   sim::Duration switch_link_propagation = sim::microseconds(5);
-
-  /// All flows begin at this offset plus a small per-flow jitter.
-  sim::Duration start_time = sim::milliseconds(10);
-  sim::Duration start_jitter = sim::microseconds(100);
-  /// Give up after this much simulated time.
-  sim::Duration max_sim_time = sim::seconds(600);
-
-  te::PlanckTeConfig planck_te;
-  TestbedConfig testbed;  // scheme-dependent fields are filled by the runner
 };
 
 struct ExperimentResult {

@@ -7,6 +7,12 @@
 
 namespace planck::workload {
 
+namespace {
+/// Propagation of the monitor-port cables; their rate is that of the
+/// switch's first data link.
+constexpr sim::Duration kMonitorPropagation = sim::microseconds(1);
+}  // namespace
+
 Testbed::Testbed(sim::Simulation& simulation, const net::TopologyGraph& graph,
                  const TestbedConfig& config)
     : sim_(simulation), graph_(graph), config_(config),
@@ -120,8 +126,7 @@ void Testbed::build() {
           break;
         }
       }
-      net::Link* monitor_link =
-          make_link(sw_sim, rate, config_.monitor_propagation);
+      net::Link* monitor_link = make_link(sw_sim, rate, kMonitorPropagation);
       monitor_link->connect(collector.get(), 0);
       sw->attach_link(monitor_port, monitor_link);
       controller_->attach_collector(node, collector.get());

@@ -28,9 +28,6 @@ struct TestbedConfig {
   /// Give every switch a monitor port (one extra port beyond the graph's
   /// data ports) wired to its own collector, and enable mirroring.
   bool enable_planck = true;
-  /// Link used for monitor-port cables (defaults to the data-link spec of
-  /// the graph's first host link).
-  sim::Duration monitor_propagation = sim::microseconds(1);
 
   /// Per-link clock tolerance, applied as a random rate skew of up to
   /// +/- this many parts per million (IEEE 802.3 allows +/-100 ppm).

@@ -138,7 +138,7 @@ TEST(Controller, OpenFlowRerouteInstallsFlowRuleAfterDelay) {
   auto* ingress = f.bed.switch_by_node(
       routing.path(0, 15, 0).hops.front().switch_node);
   f.bed.controller().reroute_flow(key, 1, RerouteMechanism::kOpenFlow);
-  // Not yet installed: install latency is at least of_install_min.
+  // Not yet installed: install latency is at least 3 ms.
   f.sim.run_until(sim::microseconds(500));
   EXPECT_EQ(ingress->rules().find_flow(key), nullptr);
   f.sim.run_until(sim::milliseconds(10));

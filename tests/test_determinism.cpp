@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -182,6 +183,15 @@ constexpr std::uint64_t kFig15Digest = 0xcb355472088719ccULL;
 constexpr std::uint64_t kFaultDigest = 0x81c2cea7e4f218caULL;
 constexpr std::uint64_t kTeFailoverDigest = 0xfa4163d4b7c8f235ULL;
 
+// Frozen digests of the sharded engine's event stream at seed 3:
+// run_partitioned at k = 4, 6 and 8, and run_sharded_fig15. Agreement
+// across thread counts alone still passes a change that moves every
+// thread count's schedule alike; these catch it.
+constexpr std::uint64_t kPartitionedK4Digest = 0x72b2ad7b1a2bdf91ULL;
+constexpr std::uint64_t kPartitionedK6Digest = 0xcffbc64e11c5ceb7ULL;
+constexpr std::uint64_t kPartitionedK8Digest = 0xea636f30ad9cdd3fULL;
+constexpr std::uint64_t kPartitionedFig15Digest = 0x461e857d76e8eed6ULL;
+
 TEST(Determinism, Fig15ScenarioIsByteIdenticalAcrossRuns) {
   const RunResult a = run_fig15(3);
   const RunResult b = run_fig15(3);
@@ -247,17 +257,18 @@ ParallelRun run_partitioned(std::uint64_t seed, int k, int threads) {
   te::PlanckTe te(engine.control(), bed.controller(), te::PlanckTeConfig{});
 
   ParallelRun out;
+  // Completions run on each sender's partition, on several threads.
+  std::atomic<int> done{0};
   const int hosts = graph.num_hosts();
   const int hosts_per_pod = hosts / k;
   for (int pod = 0; pod < k; ++pod) {
     const int src = pod * hosts_per_pod;
     const int dst = (src + hosts / 2) % hosts;  // always another pod
     bed.host(src)->start_flow(net::host_ip(dst), 5001, 512 * 1024,
-                              [&out](const tcp::FlowStats&) {
-                                ++out.flows_done;
-                              });
+                              [&done](const tcp::FlowStats&) { ++done; });
   }
   engine.run_until(sim::milliseconds(50));
+  out.flows_done = done.load();
   out.digest = engine.determinism_digest();
   out.events = engine.events_executed();
   return out;
@@ -269,7 +280,13 @@ TEST(Determinism, PartitionedEngineDigestIsThreadCountInvariant) {
   // windows run sequentially or on 2, 3 or 4 worker threads — the drain
   // order of every inbox is a function of partition state, never of
   // thread timing or of which worker a partition was assigned to.
-  for (int k : {4, 6, 8}) {
+  const struct {
+    int k;
+    std::uint64_t frozen;
+  } cases[] = {{4, kPartitionedK4Digest},
+               {6, kPartitionedK6Digest},
+               {8, kPartitionedK8Digest}};
+  for (const auto& [k, frozen] : cases) {
     const ParallelRun t1 = run_partitioned(3, k, 1);
     EXPECT_GT(t1.events, 0u) << "k=" << k;
     EXPECT_GT(t1.flows_done, 0) << "k=" << k;
@@ -278,6 +295,7 @@ TEST(Determinism, PartitionedEngineDigestIsThreadCountInvariant) {
       EXPECT_EQ(t1.digest, tn.digest) << "k=" << k << ", " << threads;
       EXPECT_EQ(t1.events, tn.events) << "k=" << k << ", " << threads;
     }
+    EXPECT_EQ(t1.digest, frozen) << "k=" << k;
     report_digest(("partitioned-k" + std::to_string(k)).c_str(), t1.digest);
   }
 }
@@ -337,6 +355,7 @@ TEST(Determinism, PartitionedFig15CongestionReachesTheController) {
     EXPECT_EQ(r.flows_done, 2);
   }
   EXPECT_EQ(t1.digest, t2.digest);
+  EXPECT_EQ(t1.digest, kPartitionedFig15Digest);
   report_digest("partitioned-fig15", t1.digest);
 }
 
@@ -458,15 +477,19 @@ RingAnswers ring_answers(std::uint64_t seed, int threads) {
   }
 
   RingAnswers out;
-  stats::Samples fct_ms;
+  // Completions run on each sender's partition, on several threads: each
+  // writes only its own flow's slot and counts itself done.
   const int hosts = graph.num_hosts();
   const int per_pod = hosts / 4;
+  std::vector<double> fct(static_cast<std::size_t>(hosts), -1.0);
+  std::atomic<int> done{0};
   for (int h = 0; h < hosts; ++h) {
     bed->host(h)->start_flow(
         net::host_ip((h + per_pod) % hosts), 5001, 4 * 1024 * 1024,
-        [&out, &fct_ms](const tcp::FlowStats& s) {
-          fct_ms.add(sim::to_milliseconds(s.completed_at - s.started_at));
-          ++out.flows_done;
+        [&fct, &done, h](const tcp::FlowStats& s) {
+          fct[static_cast<std::size_t>(h)] =
+              sim::to_milliseconds(s.completed_at - s.started_at);
+          ++done;
         });
   }
   if (engine) {
@@ -477,6 +500,11 @@ RingAnswers ring_answers(std::uint64_t seed, int threads) {
     plain.run_until(sim::seconds(5));
     out.digest = plain.determinism_digest();
     out.events = plain.events_executed();
+  }
+  out.flows_done = done.load();
+  stats::Samples fct_ms;
+  for (const double ms : fct) {
+    if (ms >= 0) fct_ms.add(ms);
   }
   out.fct_p50_ms = fct_ms.percentile(50);
   out.fct_p90_ms = fct_ms.percentile(90);
@@ -517,7 +545,8 @@ TEST(Determinism, PartitionedLeafSpineRunsAndIsThreadCountInvariant) {
     TestbedConfig cfg;
     cfg.seed = 5;
     Testbed bed(engine, map, graph, cfg);
-    int done = 0;
+    // The two senders sit on different partitions.
+    std::atomic<int> done{0};
     bed.host(0)->start_flow(net::host_ip(5), 5001, 256 * 1024,
                             [&done](const tcp::FlowStats&) { ++done; });
     bed.host(4)->start_flow(net::host_ip(13), 5001, 256 * 1024,

@@ -436,11 +436,6 @@ TEST(EpochControl, QueryOfflineCollectorFailsFast) {
   EXPECT_EQ(failures, 1);
 }
 
-// The default repair bound, without materializing a config at each use.
-sim::Duration cfg_bound() {
-  return controller::ControllerConfig{}.max_blackhole_window;
-}
-
 TEST(EpochControl, BlackholedFlowRepairedWithinBound) {
   FatTree f;
   fault::FaultInjector inj(f.sim, f.bed, 1);
@@ -458,7 +453,7 @@ TEST(EpochControl, BlackholedFlowRepairedWithinBound) {
   EXPECT_GE(ctrl.failovers(), 1u);
   // The repair beat the contract bound (the heartbeat contract-asserts
   // this too, when contracts are compiled in) and nothing stayed dark.
-  EXPECT_LE(ctrl.max_blackhole_observed(), cfg_bound());
+  EXPECT_LE(ctrl.max_blackhole_observed(), controller::kMaxBlackholeWindow);
   EXPECT_EQ(ctrl.blackholed_flows(), 0u);
 }
 
@@ -564,7 +559,6 @@ TEST(Backpressure, SampleDownDecimatesTheSampleStream) {
   cfg.event_debounce = sim::microseconds(50);
   cfg.backpressure.queue_capacity = 64;
   cfg.backpressure.sample_down_watermark = 2;
-  cfg.backpressure.sample_down_factor = 4;
   cfg.backpressure.drain_interval = sim::milliseconds(2);
   CollectorBed b(cfg);
   b.feed(sim::milliseconds(5));
@@ -679,7 +673,7 @@ TEST(EpochChaos, SameSeedRunsAreDigestIdentical) {
   EXPECT_EQ(a.commits, b.commits);
   EXPECT_EQ(a.completed, 6);
   EXPECT_GT(a.commits, 0u);
-  EXPECT_LE(a.max_blackhole, cfg_bound());
+  EXPECT_LE(a.max_blackhole, controller::kMaxBlackholeWindow);
   // Absolute digest in the log so two revisions' CI output can be diffed
   // to prove a refactor preserved the exact event stream.
   std::printf("[digest] epoch-chaos %016" PRIx64 "\n", a.digest);
