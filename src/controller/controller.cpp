@@ -138,11 +138,10 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
   const int src_host = net::host_id_of_ip(key.src_ip);
   const int dst_host = net::host_id_of_ip(key.dst_ip);
   assert(src_host >= 0 && dst_host >= 0);
-  // Open the route-program epoch first so it captures the pre-reroute tree
-  // as last-good, then record the assignment optimistically — fail_epoch
-  // reconciles it if the program never survives the channel.
+  // The new epoch captures the pre-reroute tree as last-good and moves the
+  // flow onto `tree` optimistically — fail_epoch reconciles it if the
+  // program never survives the channel.
   const std::uint64_t epoch = epochs_.open(key, tree, tree_of(key));
-  tree_assignment_[key] = tree;
 
   // Ingress switch: the first hop of the source's base path.
   const net::RoutePath base = routing_.path(src_host, dst_host, 0);
@@ -270,12 +269,9 @@ void Controller::switch_op_done(int node) {
 
 void Controller::on_epoch_committed(const net::FlowKey& key,
                                     std::uint64_t epoch, int ingress_node) {
-  const EpochManager::CommitOutcome outcome = epochs_.commit(key, epoch);
-  if (outcome.newest) {
-    // The acked program is authoritative: the assignment (which a
-    // fall-back of an even-newer failed program may have regressed)
-    // follows it, and the flow is no longer blackholed.
-    tree_assignment_[key] = outcome.tree;
+  if (epochs_.commit(key, epoch)) {
+    // The acked program is the flow's newest: the flow is no longer
+    // blackholed.
     blackholed_since_.erase(key);
   }
   maybe_reconcile_flow_rule(key, ingress_node);
@@ -284,7 +280,6 @@ void Controller::on_epoch_committed(const net::FlowKey& key,
 void Controller::fail_epoch(const net::FlowKey& key, std::uint64_t epoch) {
   ++failed_reroutes_;
   if (const std::optional<int> fallback = epochs_.rollback(key, epoch)) {
-    tree_assignment_[key] = *fallback;
     PLANCK_TRACE_ARGS(sim_, "controller", "epoch_fallback",
                       obs::argf("\"epoch\":%llu,\"tree\":%d",
                                 static_cast<unsigned long long>(epoch),
@@ -468,11 +463,11 @@ void Controller::enforce_blackhole_bound() {
 }
 
 void Controller::failover_dead_paths() {
-  // Candidate flows: everything with an explicit assignment plus whatever
-  // the (online) monitoring plane currently sees. Flows only the dead
-  // equipment's own collector knew about stay stuck until restore — the
-  // monitoring plane shares fate with the network, as in the paper.
-  std::map<net::FlowKey, int> candidates = tree_assignment_;
+  // Candidate flows: everything ever rerouted plus whatever the (online)
+  // monitoring plane currently sees. Flows only the dead equipment's own
+  // collector knew about stay stuck until restore — the monitoring plane
+  // shares fate with the network, as in the paper.
+  std::map<net::FlowKey, int> candidates = epochs_.trees();
   for (const SwitchSlot& s : slots_) {
     const core::Collector* collector = s.collector;
     if (collector == nullptr || !collector->online()) continue;

@@ -87,10 +87,7 @@ class Controller {
   const net::TopologyGraph& graph() const { return graph_; }
 
   /// The tree a flow was last routed onto (0 until rerouted).
-  int tree_of(const net::FlowKey& key) const {
-    const auto it = tree_assignment_.find(key);
-    return it == tree_assignment_.end() ? 0 : it->second;
-  }
+  int tree_of(const net::FlowKey& key) const { return epochs_.tree_of(key); }
 
   /// Moves `key` onto `tree` under a fresh route-program epoch (returned).
   /// Destination/source hosts are derived from the flow's addresses. The
@@ -217,9 +214,10 @@ class Controller {
   void probe_switches();
   void mark_switch_dead(int node);
   void mark_switch_alive(int node);
-  /// Scans every flow the control plane knows about (assignments plus the
-  /// online collectors' flow tables) and moves those whose current path
-  /// crosses dead equipment onto the first surviving tree.
+  /// Scans every flow the control plane knows about (every flow ever
+  /// rerouted plus the online collectors' flow tables) and moves those
+  /// whose current path crosses dead equipment onto the first surviving
+  /// tree.
   void failover_dead_paths();
 
   // --- epoch'd control plane (DESIGN.md §10) ----------------------------
@@ -266,7 +264,6 @@ class Controller {
   std::vector<SwitchSlot> slots_;  // by switch index, which is node order
   std::vector<tcp::Host*> hosts_;  // by host index
 
-  std::map<net::FlowKey, int> tree_assignment_;
   std::vector<CongestionHandler> congestion_handlers_;
   std::vector<LinkStatusHandler> link_status_handlers_;
   std::vector<SwitchStatusHandler> switch_status_handlers_;

@@ -39,11 +39,9 @@ bool EpochManager::begin_apply(const net::FlowKey& key, std::uint64_t epoch) {
   return false;
 }
 
-EpochManager::CommitOutcome EpochManager::commit(const net::FlowKey& key,
-                                                 std::uint64_t epoch) {
+bool EpochManager::commit(const net::FlowKey& key, std::uint64_t epoch) {
   FlowRecord* rec = find(key);
-  CommitOutcome outcome;
-  if (rec == nullptr) return outcome;
+  if (rec == nullptr) return false;
   int tree = rec->committed_tree;
   const auto it = std::find_if(
       rec->in_flight.begin(), rec->in_flight.end(),
@@ -57,13 +55,12 @@ EpochManager::CommitOutcome EpochManager::commit(const net::FlowKey& key,
     rec->committed_tree = tree;
   }
   ++committed_;
-  outcome.tree = tree;
-  outcome.newest = epoch == rec->newest;
-  if (!outcome.newest) ++stale_commits_;
+  const bool newest = epoch == rec->newest;
+  if (!newest) ++stale_commits_;
   PLANCK_TRACE_ARGS(
-      sim_, "controller.epochs", outcome.newest ? "commit" : "stale_commit",
+      sim_, "controller.epochs", newest ? "commit" : "stale_commit",
       obs::argf("\"epoch\":%llu", static_cast<unsigned long long>(epoch)));
-  return outcome;
+  return newest;
 }
 
 std::optional<int> EpochManager::rollback(const net::FlowKey& key,
@@ -102,6 +99,26 @@ std::optional<int> EpochManager::rollback(const net::FlowKey& key,
                 static_cast<unsigned long long>(rec->committed),
                 rec->committed_tree));
   return rec->committed_tree;
+}
+
+int EpochManager::FlowRecord::tree() const {
+  for (const Pending& p : in_flight) {
+    if (p.epoch == newest) return p.tree;
+  }
+  return committed_tree;
+}
+
+int EpochManager::tree_of(const net::FlowKey& key) const {
+  const FlowRecord* rec = find(key);
+  return rec == nullptr ? 0 : rec->tree();
+}
+
+std::map<net::FlowKey, int> EpochManager::trees() const {
+  std::map<net::FlowKey, int> out;
+  for (const auto& [key, rec] : flows_) {
+    out.emplace_hint(out.end(), key, rec.tree());
+  }
+  return out;
 }
 
 bool EpochManager::in_flight(const net::FlowKey& key) const {

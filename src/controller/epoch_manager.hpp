@@ -13,16 +13,16 @@ namespace planck::controller {
 /// Controller-side ledger of versioned route programs (DESIGN.md §10).
 ///
 /// Every reroute opens a new, globally monotone *epoch*: a numbered route
-/// program for one flow. The optimistic `tree_assignment_` update made at
-/// open time is reconciled against what actually survived the lossy
-/// channel:
+/// program for one flow. The ledger owns each flow's current tree: the
+/// tree of its newest program, set optimistically at open time and
+/// reconciled against what actually survived the lossy channel:
 ///
 ///   open ──► commit        program acked end-to-end; its tree becomes the
 ///                          flow's last-good.
 ///   open ──► rollback      program failed (partial install, commit
 ///                          timeout, dead switch); if it was the flow's
-///                          newest program the assignment falls back to
-///                          last-good.
+///                          newest program the flow falls back to a newer
+///                          attempt still in flight, or to last-good.
 ///
 /// Staleness is filtered at two points: `begin_apply` drops a program
 /// whose inject is about to run after a newer program was opened (the
@@ -32,14 +32,6 @@ namespace planck::controller {
 /// rule that would outrank newer state).
 class EpochManager {
  public:
-  struct CommitOutcome {
-    /// True when the committed epoch is the flow's newest program: the
-    /// assignment and the data plane agree, and `tree` is authoritative.
-    /// False = stale commit; an obsolete program may be live → reconcile.
-    bool newest = false;
-    int tree = 0;
-  };
-
   explicit EpochManager(sim::Simulation& sim) : sim_(sim) {}
 
   /// Reserves an epoch number without per-flow tracking — the whole-table
@@ -56,15 +48,22 @@ class EpochManager {
   bool begin_apply(const net::FlowKey& key, std::uint64_t epoch);
 
   /// Records end-to-end ack of `epoch`. The highest committed epoch's tree
-  /// becomes the flow's last-good.
-  CommitOutcome commit(const net::FlowKey& key, std::uint64_t epoch);
+  /// becomes the flow's last-good. True when `epoch` is the flow's newest
+  /// program: the ledger and the data plane agree. False = stale commit;
+  /// an obsolete program may be live → reconcile.
+  bool commit(const net::FlowKey& key, std::uint64_t epoch);
 
-  /// Failsafe: `epoch` failed. Returns the tree the assignment should now
-  /// hold — the last-good (or a still-in-flight newer attempt's) tree —
-  /// when the failure invalidates the optimistic assignment, i.e. the
-  /// failed epoch was the flow's newest. nullopt: assignment already
-  /// points at a newer program; nothing to repair.
+  /// Failsafe: `epoch` failed. Returns the flow's tree after the fall-back
+  /// — the last-good (or a still-in-flight newer attempt's) tree — when
+  /// the failure invalidates the optimistic assignment, i.e. the failed
+  /// epoch was the flow's newest. nullopt: the flow already follows a
+  /// newer program; nothing to repair.
   std::optional<int> rollback(const net::FlowKey& key, std::uint64_t epoch);
+
+  /// The tree of the flow's newest program (0 until rerouted).
+  int tree_of(const net::FlowKey& key) const;
+  /// tree_of for every flow ever rerouted, in FlowKey order.
+  std::map<net::FlowKey, int> trees() const;
 
   /// True while any program for `key` is still crossing the channel.
   bool in_flight(const net::FlowKey& key) const;
@@ -90,6 +89,10 @@ class EpochManager {
     std::uint64_t committed = 0;  // highest epoch acked end-to-end
     int committed_tree = 0;       // last-good program
     std::vector<Pending> in_flight;  // a handful at most
+
+    /// The newest program's tree. Once that program leaves in_flight it
+    /// is the committed one: rolling back a newest program moves `newest`.
+    int tree() const;
   };
 
   FlowRecord* find(const net::FlowKey& key);

@@ -57,7 +57,8 @@ void Collector::register_metrics() {
             [this] { return static_cast<double>(events_dispatched_); });
   reg.gauge(comp, "samples_sampled_down",
             [this] { return static_cast<double>(samples_sampled_down_); });
-  evictions_metric_ = &reg.counter(comp, "evictions");
+  reg.gauge(comp, "evictions",
+            [this] { return static_cast<double>(evictions_); });
 }
 
 void Collector::set_online(bool online) {
@@ -316,7 +317,6 @@ void Collector::sweep() {
   }
   if (evicted > 0) {
     evictions_ += evicted;
-    PLANCK_METRIC(evictions_metric_, add(evicted));
     PLANCK_TRACE_ARGS(sim_, "collector." + name_, "evictions",
                       obs::argf("\"count\":%llu",
                                 static_cast<unsigned long long>(evicted)));

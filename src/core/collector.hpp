@@ -14,10 +14,6 @@
 #include "sim/simulation.hpp"
 #include "sim/timer.hpp"
 
-namespace planck::obs {
-class Counter;
-}  // namespace planck::obs
-
 namespace planck::core {
 
 /// A timestamped sample held in the collector's ring buffer (vantage-point
@@ -296,7 +292,6 @@ class Collector : public net::Node {
   bool online_ = true;
   sim::Time last_sample_at_ = 0;
 
-  obs::Counter* evictions_metric_ = nullptr;  // owned by the registry
   std::uint64_t samples_traced_ = 0;  // last samples_received_ put on a
                                       // trace counter track
 

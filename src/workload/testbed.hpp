@@ -56,9 +56,11 @@ class Testbed {
   /// control partition (which sim() then returns). Throws
   /// std::invalid_argument unless `map.num_partitions` equals
   /// `engine.data_partitions()` and, when the map has boundary links,
-  /// `engine.lookahead()` is at most `map.min_cross_propagation`. With one
-  /// data partition this produces the same schedule as the plain
-  /// constructor run sequentially.
+  /// `engine.lookahead()` is at most `map.min_cross_propagation`. For a
+  /// fixed `map` the run is the same at any thread count. It is not the
+  /// plain constructor's run, even with one data partition: the engine
+  /// runs the control partition only at window bounds, so controller
+  /// actions land on the lookahead grid.
   Testbed(sim::ParallelEngine& engine, const net::PartitionMap& map,
           const net::TopologyGraph& graph, const TestbedConfig& config);
 

@@ -1,18 +1,13 @@
 #pragma once
 
-// Dual-mode fuzz entry point (DESIGN.md §7). A harness defines
+// Fuzz entry point (DESIGN.md §7). A harness defines
 //
 //   void planck_fuzz_one(const std::uint8_t* data, std::size_t size);
 //
-// and includes this header last. Two build modes:
-//
-//  - PLANCK_LIBFUZZER defined: exports LLVMFuzzerTestOneInput for
-//    clang's -fsanitize=fuzzer. Used when the toolchain has libFuzzer.
-//  - otherwise: a standalone main() that replays corpus files and, with
-//    --smoke <inputs> [paths...], replays the corpus then feeds that many
-//    deterministic pseudo-random inputs. This is the mode CI's gcc-only
-//    containers run: no libFuzzer dependency, same harness body,
-//    contracts as the oracle (a violation aborts).
+// and includes this header last. It supplies a main() that replays corpus
+// files and, with --smoke <inputs> [paths...], replays the corpus then
+// feeds that many deterministic pseudo-random inputs, with the contracts
+// as the oracle (a violation aborts).
 //
 // Smoke mode is deterministic (fixed splitmix64 seed and a fixed input
 // count), so a ctest run checks the same inputs on any host, and a
@@ -29,16 +24,6 @@
 #include <vector>
 
 void planck_fuzz_one(const std::uint8_t* data, std::size_t size);
-
-#if defined(PLANCK_LIBFUZZER)
-
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
-                                      std::size_t size) {
-  planck_fuzz_one(data, size);
-  return 0;
-}
-
-#else
 
 namespace planck::fuzz {
 
@@ -124,5 +109,3 @@ inline int standalone_main(int argc, char** argv) {
 int main(int argc, char** argv) {
   return planck::fuzz::standalone_main(argc, argv);
 }
-
-#endif  // PLANCK_LIBFUZZER

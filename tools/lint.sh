@@ -1,15 +1,9 @@
 #!/usr/bin/env bash
-# Single entry point for all static analysis (DESIGN.md §7, §12).
+# Single entry point for all static analysis (DESIGN.md §7, §12). It only
+# checks; it never edits a file.
 #
 #   tools/lint.sh                       run everything available here
 #   tools/lint.sh --fast                planck-lint only (no clang tooling)
-#   tools/lint.sh --fix                 rewrite style in place (clang-format -i)
-#   tools/lint.sh --changed-only REF    planck-lint reports findings only for
-#                                       files changed vs git REF (the whole
-#                                       tree is still parsed, so whole-program
-#                                       checks stay sound); implies --fast
-#   tools/lint.sh --json FILE           also write planck-lint findings +
-#                                       cache stats as JSON to FILE
 #   tools/lint.sh --require-clang-tools fail (not skip) when clang tooling
 #                                       is missing — CI uses this so a broken
 #                                       tool install cannot silently pass
@@ -23,7 +17,7 @@
 #                              skipped with a notice when clang-tidy is not
 #                              installed.
 #   4. clang-format          — style drift check, --dry-run only (gated the
-#                              same way; never rewrites files unless --fix).
+#                              same way).
 #
 # Every stage runs even when an earlier one fails; the exit status
 # aggregates all of them and a PASS/FAIL/SKIP summary prints at the end,
@@ -36,28 +30,14 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo_root"
 
 fast=0
-fix=0
 require_clang_tools=0
-changed_base=""
-json_out=""
 while [ "$#" -gt 0 ]; do
   case "$1" in
     --fast) fast=1 ;;
-    --fix) fix=1 ;;
     --require-clang-tools) require_clang_tools=1 ;;
-    --changed-only)
-      [ "$#" -ge 2 ] || { echo "lint.sh: --changed-only needs a git ref" >&2; exit 2; }
-      changed_base="$2"
-      fast=1  # incremental runs are the inner dev loop; clang stages stay full-tree
-      shift
-      ;;
-    --json)
-      [ "$#" -ge 2 ] || { echo "lint.sh: --json needs an output path" >&2; exit 2; }
-      json_out="$2"
-      shift
-      ;;
     -h|--help)
-      sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
+      # The header comment block above, without its '# ' prefixes.
+      awk 'NR == 1 { next } !/^#/ { exit } { sub(/^# ?/, ""); print }' "$0"
       exit 0
       ;;
     *)
@@ -71,13 +51,6 @@ done
 status=0
 stage_names=()
 stage_results=()
-
-# The C++ sources clang-format owns, NUL-separated: one list for the check
-# stage and for --fix. tools/ stays out: the planck-lint selftest fixtures
-# carry `// EXPECT-LINT:` markers tied to their line positions.
-format_files() {
-  find src tests examples bench \( -name '*.cpp' -o -name '*.hpp' \) -print0
-}
 
 note() { printf '\n== %s ==\n' "$1"; }
 
@@ -113,17 +86,6 @@ missing_tool() {
   fi
 }
 
-if [ "$fix" -eq 1 ]; then
-  note "clang-format --fix"
-  if command -v clang-format >/dev/null 2>&1; then
-    format_files | xargs -0 clang-format -i || status=1
-    echo "lint.sh: reformatted in place; review the diff"
-  else
-    missing_tool clang-format-fix clang-format
-  fi
-  exit "$status"
-fi
-
 note "planck-lint selftest"
 if python3 tools/planck_lint/planck_lint.py --selftest; then
   record selftest PASS
@@ -132,10 +94,7 @@ else
 fi
 
 note "planck-lint"
-lint_args=(--stats)
-[ -n "$changed_base" ] && lint_args+=(--changed-only "$changed_base")
-[ -n "$json_out" ] && lint_args+=(--json "$json_out")
-if python3 tools/planck_lint/planck_lint.py "${lint_args[@]}"; then
+if python3 tools/planck_lint/planck_lint.py; then
   record planck-lint PASS
 else
   record planck-lint FAIL
@@ -169,7 +128,10 @@ fi
 
 note "clang-format"
 if command -v clang-format >/dev/null 2>&1; then
-  if format_files | xargs -0 clang-format --dry-run -Werror; then
+  # tools/ stays out: the planck-lint selftest fixtures carry
+  # `// EXPECT-LINT:` markers tied to their line positions.
+  if find src tests examples bench \( -name '*.cpp' -o -name '*.hpp' \) \
+      -print0 | xargs -0 clang-format --dry-run -Werror; then
     record clang-format PASS
   else
     record clang-format FAIL

@@ -1,8 +1,7 @@
 """stale-allowance: allowances must die with the violation they excused.
 
-Runs after exemption/suppression filtering (it needs to know which
-allowances fired) and only with the full check set enabled — a --checks
-subset would make allowances for the disabled checks look dead.
+Runs after exemption/suppression filtering: it needs to know which
+allowances fired.
 """
 
 from . import all_checks

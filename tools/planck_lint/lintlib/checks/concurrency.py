@@ -107,6 +107,15 @@ SET_TELEMETRY_RE = re.compile(r"(?:\.|->)\s*set_telemetry\s*\(")
 ESCAPE_EXEMPT_FUNCTIONS = {"register_metrics"}
 
 
+def event_loop_taint(ctx, paths):
+    """{id(fn): reason} for the functions in `paths` from which a
+    scheduling sink is reachable: they execute inside the event loop."""
+    return ctx.program.reaches(
+        paths,
+        seed=lambda fn: "direct scheduling call" if fn.has_sink else "",
+        via=lambda callee: f"calls {callee}()")
+
+
 def check_partition_escape(ctx):
     """Taint walk from the sim::Simulation/EventQueue entry points: a
     function from which a scheduling sink is reachable through the scanned
@@ -119,7 +128,7 @@ def check_partition_escape(ctx):
     it mid-run, carries an allow(partition-escape) with a rationale."""
     scoped = ctx.scoped_files("partition-escape")
     paths = {sf.path for sf in scoped}
-    tainted = ctx.program.taint("partition-escape", paths)
+    tainted = event_loop_taint(ctx, paths)
 
     for sf in scoped:
         for fn in ctx.ir(sf).functions:
@@ -174,7 +183,7 @@ def check_blocking_in_partition(ctx):
     """Blocking primitives in event-loop-reachable code (the taint walk
     from the scheduling sinks)."""
     paths = {sf.path for sf in ctx.files if sf.path.startswith("src/")}
-    tainted = ctx.program.taint("src-event-loop", paths)
+    tainted = event_loop_taint(ctx, paths)
     for sf in ctx.scoped_files("blocking-in-partition"):
         for fn in ctx.ir(sf).functions:
             via = tainted.get(id(fn))

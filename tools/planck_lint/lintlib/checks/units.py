@@ -97,7 +97,9 @@ def check_unpaired_enqueue(ctx):
     conservation ledger can never be returned, and the DT pool leaks."""
     scoped = ctx.scoped_files("unpaired-enqueue")
     paths = {sf.path for sf in scoped}
-    reaches = ctx.program.reaches("unpaired-enqueue", RELEASE_RE, paths)
+    reaches = ctx.program.reaches(
+        paths, seed=lambda fn: "direct" if RELEASE_RE.search(fn.body) else "",
+        via=lambda callee: "transitive")
     for sf in scoped:
         for fn in ctx.ir(sf).functions:
             if id(fn) in reaches:

@@ -1,29 +1,21 @@
-"""Driver: argument parsing, the check loop, selftest, and JSON export.
+"""Command line: argument parsing, the check loop and the selftest.
 
-The per-file parse (SourceFile + FileIR) comes from the content-hash cache
-(lintlib/cache.py); the whole-program call graph (ProgramIR) is rebuilt
-from the cached per-file facts each run — it is cheap once parsing is
-amortized, and it must see the tree as a whole.
-
-`--changed-only BASE` still parses the full default tree (the call-graph
-checks need every caller/callee, and the warm cache makes that cheap) but
-reports only findings in files that differ from BASE — the pre-push loop.
+Every run parses each file and rebuilds the whole-program call graph
+(ProgramIR): the call-graph checks must see the tree as a whole, and a
+full-tree run takes about two seconds.
 """
 
 import argparse
 import os
 import re
-import subprocess
 import sys
-import time
 
-from .cache import IRCache
 from .checks import all_checks, checks_registry, CheckContext, exempt, \
     suppressed
 from .checks.allowances import check_stale_allowances
-from .ir import ProgramIR
-from .report import Finding, write_findings_json
-from .source import SOURCE_EXTS, collect_files
+from .ir import ProgramIR, build_file_ir
+from .report import Finding
+from .source import collect_files, load_file
 
 REPO_ROOT = os.path.normpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -33,50 +25,35 @@ DEFAULT_PATHS = ["src", "examples", "tests", "bench"]
 EXPECT_RE = re.compile(r"//\s*EXPECT-LINT:\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)")
 
 
-def run_checks(root, paths, checks, cache, scanned_out=None):
-    """Load + parse (through the cache), build the whole-program IR once,
-    run every enabled check, then filter exemptions and allowances and
-    sort into the canonical (file, line, col, check) order."""
-    files, irs = [], {}
-    for rel in collect_files(root, paths):
-        sf, ir = cache.load(root, rel)
-        files.append(sf)
-        irs[sf.path] = ir
-    if scanned_out is not None:
-        scanned_out.extend(files)
-
-    program = ProgramIR(list(irs.values()))
+def run_checks(root, paths):
+    """Parse every file, build the whole-program IR once, run every check,
+    then filter exemptions and allowances and sort into the canonical
+    (file, line, col, check) order."""
+    files = [load_file(root, rel) for rel in collect_files(root, paths)]
+    program = ProgramIR([build_file_ir(sf) for sf in files])
 
     findings = []
     ctx = CheckContext(files, program, findings)
     for name, fn in checks_registry():
-        if name == "stale-allowance" or name not in checks:
-            continue
-        fn(ctx)
+        if name != "stale-allowance":
+            fn(ctx)
 
     by_path = {sf.path: sf for sf in files}
     kept = [f for f in findings
             if not exempt(f.path, f.check)
             and not suppressed(by_path[f.path], f.line, f.check)]
-    # stale-allowance runs after filtering (it needs to know which
-    # allowances fired) and only with the full check set: a --checks
-    # subset would make allowances for the disabled checks look dead.
-    if "stale-allowance" in checks and checks >= set(all_checks()):
-        stale = []
-        check_stale_allowances(files, stale)
-        kept.extend(f for f in stale if not exempt(f.path, f.check))
+    # stale-allowance runs after filtering: it needs to know which
+    # allowances fired.
+    check_stale_allowances(files, kept)
     kept.sort(key=Finding.sort_key)
     return kept
 
 
-def run_selftest(repo_root):
+def run_selftest():
     fixture_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                "..", "selftest")
     fixture_dir = os.path.normpath(fixture_dir)
-    # Fixture parses are cached under the real repo root (content-hashed,
-    # so the entries are path-independent and shared with tree runs).
-    cache = IRCache(repo_root)
-    findings = run_checks(fixture_dir, ["."], set(all_checks()), cache)
+    findings = run_checks(fixture_dir, ["."])
     found = {(f.path.lstrip("./"), f.line, f.check) for f in findings}
 
     expected = set()
@@ -98,7 +75,7 @@ def run_selftest(repo_root):
               file=sys.stderr)
     failures = bool(missing or unexpected)
 
-    # The canonical order is part of the findings-v1 contract: assert it.
+    # Two runs over the same tree print the same lines in the same order.
     keys = [f.sort_key() for f in findings]
     if keys != sorted(keys):
         print("SELFTEST ORDER: findings are not sorted by "
@@ -117,101 +94,32 @@ def run_selftest(repo_root):
     return 0
 
 
-def changed_files(root, base):
-    """Repo-relative source files that differ from `base` (committed,
-    staged, unstaged, or untracked)."""
-    out = set()
-    cmds = [
-        ["git", "-C", root, "diff", "--name-only", base, "--"],
-        ["git", "-C", root, "ls-files", "--others", "--exclude-standard"],
-    ]
-    for cmd in cmds:
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  check=True)
-        except (OSError, subprocess.CalledProcessError) as err:
-            detail = getattr(err, "stderr", "") or str(err)
-            raise SystemExit(f"planck-lint: --changed-only: {' '.join(cmd)} "
-                             f"failed: {detail.strip()}")
-        out.update(line.strip() for line in proc.stdout.splitlines()
-                   if line.strip())
-    return {p for p in out if os.path.splitext(p)[1] in SOURCE_EXTS}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="planck-lint",
         description="determinism-and-invariant static analysis for the "
-                    "Planck repo (see DESIGN.md section 7)",
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("paths", nargs="*", default=None,
-                        help=f"files/dirs to lint (default: {DEFAULT_PATHS})")
-    parser.add_argument("--repo-root", default=REPO_ROOT)
-    parser.add_argument("--checks", default=None,
-                        help="comma-separated subset of checks to run")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write findings as planck-lint-findings-v1"
-                             " JSON (written even when clean; CI uploads it"
-                             " so counts are tracked PR-over-PR)")
-    parser.add_argument("--changed-only", metavar="BASE", default=None,
-                        help="report findings only in files that differ "
-                             "from the given git base ref (the full tree "
-                             "is still parsed for call-graph fidelity)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the .lint-cache content-hash IR cache")
-    parser.add_argument("--stats", action="store_true",
-                        help="print parse/cache timing to stderr")
-    parser.add_argument("--list-checks", action="store_true")
+                    "Planck repo (see DESIGN.md section 7)")
+    parser.add_argument("paths", nargs="*",
+                        help=f"files/dirs to lint, relative to the repo "
+                             f"root (default: {DEFAULT_PATHS})")
+    parser.add_argument("--list-checks", action="store_true",
+                        help="print the check names in catalogue order")
     parser.add_argument("--selftest", action="store_true",
                         help="verify the tool against the seeded-violation "
                              "fixtures in tools/planck_lint/selftest/")
     args = parser.parse_args(argv)
 
     if args.list_checks:
-        for check in all_checks():
-            print(check)
+        print("\n".join(all_checks()))
         return 0
     if args.selftest:
-        return run_selftest(args.repo_root)
+        return run_selftest()
 
-    if args.checks is None:
-        checks = set(all_checks())
-    else:
-        checks = {c.strip() for c in args.checks.split(",") if c.strip()}
-    unknown = checks - set(all_checks())
-    if unknown:
-        print(f"unknown checks: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-
-    paths = args.paths or DEFAULT_PATHS
-    cache = IRCache(args.repo_root, enabled=not args.no_cache)
-    scanned = []
-    t0 = time.monotonic()
-    findings = run_checks(args.repo_root, paths, checks, cache,
-                          scanned_out=scanned)
-    elapsed = time.monotonic() - t0
-
-    report_findings = findings
-    if args.changed_only is not None:
-        changed = changed_files(args.repo_root, args.changed_only)
-        report_findings = [f for f in findings if f.path in changed]
-
-    if args.json:
-        write_findings_json(args.json, checks, report_findings, scanned,
-                            cache_stats=cache.stats())
-    if args.stats:
-        st = cache.stats()
-        print(f"planck-lint: {len(scanned)} files in {elapsed:.2f}s "
-              f"(cache: {st['hits']} hits / {st['misses']} misses, "
-              f"hit rate {st['hit_rate']:.0%})", file=sys.stderr)
-
-    for f in report_findings:
+    findings = run_checks(REPO_ROOT, args.paths or DEFAULT_PATHS)
+    for f in findings:
         print(f.render())
-    if report_findings:
-        print(f"planck-lint: {len(report_findings)} finding(s).",
-              file=sys.stderr)
+    if findings:
+        print(f"planck-lint: {len(findings)} finding(s).", file=sys.stderr)
         return 1
-    scope = (f"changed files vs {args.changed_only}"
-             if args.changed_only is not None else ", ".join(sorted(checks)))
-    print(f"planck-lint: clean ({scope}).")
+    print(f"planck-lint: clean ({', '.join(sorted(all_checks()))}).")
     return 0

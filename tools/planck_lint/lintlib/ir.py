@@ -10,8 +10,8 @@ module scans each file once:
   * call names and scheduling sinks are collected per function body.
 
 ProgramIR then builds the whole-program view: a name-based call graph and
-memoized reachability fixpoints (event-loop taint, release-reachability),
-each computed at most once per (analysis, file-scope) pair per run.
+one reachability fixpoint over it, which the event-loop taint and the
+release-reachability walk both run.
 """
 
 import bisect
@@ -46,7 +46,10 @@ class Function:
     end: int  # offset of matching '}'
     body: str
     has_sink: bool = False
-    calls: set = field(default_factory=set)
+    # Distinct callee names, sorted: the reachability walk credits the
+    # first reaching callee it meets, so a set's hash order would make the
+    # reason it reports vary from run to run.
+    calls: list = field(default_factory=list)
 
 
 @dataclass
@@ -210,8 +213,8 @@ def build_file_ir(sf):
             body = code[i:close + 1]
             fn = Function(name=name, start=i, end=close, body=body)
             fn.has_sink = SINK_RE.search(body) is not None
-            fn.calls = {c for c in CALL_NAME_RE.findall(body)
-                        if c not in CONTROL_KEYWORDS}
+            fn.calls = sorted({c for c in CALL_NAME_RE.findall(body)
+                               if c not in CONTROL_KEYWORDS})
             ir.functions.append(fn)
             ir.braces.append((i, close, "function"))
             skip_until = close + 1
@@ -249,51 +252,22 @@ class ScopeIndex:
 
 
 class ProgramIR:
-    """Whole-program view over the scanned files: call graph + memoized
-    reachability fixpoints."""
+    """Whole-program view over the scanned files: the per-file IR and
+    reachability over the name-based call graph."""
 
     def __init__(self, file_irs):
         self.irs = {ir.path: ir for ir in file_irs}
-        self._taint_cache = {}
-        self._reach_cache = {}
 
-    def functions(self, paths=None):
-        out = []
+    def reaches(self, paths, seed, via):
+        """{id(fn): reason} for the functions in `paths` (a set of
+        repo-relative paths) from which a seed is reachable through the
+        call graph restricted to `paths`. A function is a seed when
+        `seed(fn)` returns a non-empty reason; a function reaching one
+        through a call to `callee` gets `via(callee)`."""
+        funcs = []
         for path, ir in sorted(self.irs.items()):
-            if paths is None or path in paths:
-                out.extend(ir.functions)
-        return out
-
-    def taint(self, scope_key, paths=None):
-        """{id(fn): reason} for functions from which a scheduling sink is
-        reachable through the name-based call graph restricted to `paths`
-        (a set of repo-relative paths, or None for every scanned file)."""
-        if scope_key in self._taint_cache:
-            return self._taint_cache[scope_key]
-        funcs = self.functions(paths)
-        tainted = self._fixpoint(
-            funcs,
-            seed=lambda fn: "direct scheduling call" if fn.has_sink else "",
-            via=lambda callee: f"calls {callee}()")
-        self._taint_cache[scope_key] = tainted
-        return tainted
-
-    def reaches(self, scope_key, body_re, paths=None):
-        """{id(fn): True} for functions from which a body match of
-        `body_re` is reachable through the call graph restricted to
-        `paths`."""
-        if scope_key in self._reach_cache:
-            return self._reach_cache[scope_key]
-        funcs = self.functions(paths)
-        reached = self._fixpoint(
-            funcs,
-            seed=lambda fn: "direct" if body_re.search(fn.body) else "",
-            via=lambda callee: "transitive")
-        self._reach_cache[scope_key] = reached
-        return reached
-
-    @staticmethod
-    def _fixpoint(funcs, seed, via):
+            if path in paths:
+                funcs.extend(ir.functions)
         by_name = {}
         for fn in funcs:
             by_name.setdefault(fn.name, []).append(fn)

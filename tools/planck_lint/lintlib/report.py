@@ -1,6 +1,5 @@
-"""Findings and the planck-lint-findings-v1 JSON report."""
+"""Findings and their canonical order."""
 
-import json
 from dataclasses import dataclass
 
 
@@ -16,41 +15,11 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: [{self.check}] {self.message}"
 
     def sort_key(self):
-        # The canonical finding order (file, line, col, check): CI artifact
-        # diffs stay meaningful across runs because two runs over the same
-        # tree emit byte-identical, stably-ordered reports.
+        # The canonical finding order (file, line, col, check): two runs
+        # over the same tree print byte-identical reports.
         return (self.path, self.line, self.col, self.check)
 
 
 def finding_at(sf, offset, check, message):
     line, col = sf.line_col(offset)
     return Finding(sf.path, line, col, check, message)
-
-
-def write_findings_json(path, checks, findings, files, cache_stats=None):
-    """Machine-readable findings dump (planck-lint-findings-v1), uploaded
-    as a CI artifact so the finding and allowance counts are tracked
-    PR-over-PR. Emitted whether or not the run is clean — a zero-count
-    document is the interesting data point. Findings are sorted
-    (file, line, col, check); everything else is key-sorted, so the
-    artifact is deterministic for a given tree + cache state."""
-    line_allowances = sum(len(cs) for sf in files
-                          for cs in sf.allow_lines.values())
-    file_allowances = sum(len(sf.allow_file) for sf in files)
-    doc = {
-        "schema": "planck-lint-findings-v1",
-        "checks": sorted(checks),
-        "files_scanned": len(files),
-        "finding_count": len(findings),
-        "allowances": {"line": line_allowances, "file": file_allowances},
-        "findings": [
-            {"path": f.path, "line": f.line, "col": f.col, "check": f.check,
-             "message": f.message}
-            for f in sorted(findings, key=Finding.sort_key)
-        ],
-    }
-    if cache_stats is not None:
-        doc["cache"] = cache_stats
-    with open(path, "w", encoding="utf-8") as out:
-        json.dump(doc, out, indent=1, sort_keys=True)
-        out.write("\n")

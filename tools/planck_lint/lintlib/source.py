@@ -12,10 +12,8 @@ Two views of every file:
          structural scanner.
 
 Preprocessor awareness: directive lines (including their backslash
-continuations) are blanked from `code` but recorded — `#include` targets
-and object-/function-like `#define` names land in the symbol table so the
-IR can answer "which macros does this file define" without the checks ever
-re-reading directives.
+continuations) are blanked from `code`; a check that needs a directive
+(unordered-container's `#include` ban) reads it from `raw`.
 """
 
 import bisect
@@ -26,8 +24,6 @@ from dataclasses import dataclass, field
 SOURCE_EXTS = {".cpp", ".hpp", ".h", ".cc", ".cxx", ".hxx"}
 
 SUPPRESS_RE = re.compile(r"planck-lint:\s*allow(-file)?\s*\(([^)]*)\)")
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
-DEFINE_RE = re.compile(r"^\s*#\s*define\s+([A-Za-z_]\w*)")
 
 
 @dataclass
@@ -36,8 +32,6 @@ class SourceFile:
     raw: str
     code: str = ""
     line_starts: list = field(default_factory=list)  # offset of each line
-    includes: list = field(default_factory=list)  # header names, in order
-    defines: list = field(default_factory=list)  # (lineno, macro name)
     allow_lines: dict = field(default_factory=dict)  # line -> set(checks)
     allow_file: dict = field(default_factory=dict)  # check -> decl line
     used_allowances: set = field(default_factory=set)  # (line, check)
@@ -47,9 +41,6 @@ class SourceFile:
         """1-based (line, col) of a `code`/`raw` offset."""
         line = bisect.bisect_right(self.line_starts, offset)
         return line, offset - self.line_starts[line - 1] + 1
-
-    def line_of(self, offset):
-        return bisect.bisect_right(self.line_starts, offset)
 
 
 def strip_comments_and_strings(text):
@@ -100,10 +91,9 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
-def mask_preprocessor(code, sf):
+def mask_preprocessor(code):
     """Blanks preprocessor directive lines (with continuations) from a
-    comment-stripped buffer, recording includes and macro definitions on
-    `sf`. Returns the masked buffer."""
+    comment-stripped buffer. Returns the masked buffer."""
     out = list(code)
     n = len(code)
     for start in iter_line_starts(code):
@@ -127,14 +117,6 @@ def mask_preprocessor(code, sf):
                 continue
             end = nl
             break
-        directive = code[start:end]
-        lineno = bisect.bisect_right(sf.line_starts, start)
-        m = INCLUDE_RE.match(directive)
-        if m:
-            sf.includes.append(m.group(1))
-        m = DEFINE_RE.match(directive)
-        if m:
-            sf.defines.append((lineno, m.group(1)))
         for k in range(start, end):
             if out[k] != "\n":
                 out[k] = " "
@@ -162,7 +144,7 @@ def load_file(root, relpath):
                     sf.allow_file.setdefault(check, lineno)
             else:
                 sf.allow_lines.setdefault(lineno, set()).update(checks)
-    sf.code = mask_preprocessor(strip_comments_and_strings(raw), sf)
+    sf.code = mask_preprocessor(strip_comments_and_strings(raw))
     return sf
 
 

@@ -8,13 +8,14 @@ file:
   lintlib/source.py     preprocessor-aware tokenizer (two buffer views:
                         raw bytes and comment/string/directive-masked code)
   lintlib/ir.py         structural scanner -> per-file function/class IR,
-                        whole-program call graph + taint fixpoint
-  lintlib/cache.py      content-hash IR cache (.lint-cache/)
+                        whole-program call graph + reachability fixpoint
   lintlib/checks/       the check catalogue (DESIGN.md section 7)
-  lintlib/cli.py        driver, selftest, --changed-only, JSON export
+  lintlib/cli.py        command line, check loop and selftest
 
-Run `planck_lint.py --list-checks` for the catalogue, `--selftest` for the
-fixture suite; tools/lint.sh wraps this with the Clang-based stages.
+Run `planck_lint.py [paths...]` to lint paths relative to the repo root
+(default: src examples tests bench), `--list-checks` for the catalogue,
+`--selftest` for the fixture suite; tools/lint.sh wraps this with the
+Clang-based stages.
 """
 
 import os
