@@ -10,8 +10,8 @@
 // slab high-water beside its peak live events: exact counts, which CI gates
 // on (cancel must free the node at once, so the slab never outgrows the
 // live set). The fat-tree row reports the wheel's work counts (far files,
-// re-files, far-slot nodes walked by a peek), and CI bounds its re-files by
-// its events.
+// re-files, far-ring nodes a peek or a re-file walked without moving them
+// near), and CI bounds its re-files and its far-walked nodes by its events.
 
 #include <algorithm>
 #include <chrono>
@@ -286,16 +286,16 @@ int main(int argc, char** argv) {
   report.metrics().gauge("fat_tree_end_to_end", "callback_events")
       .set(static_cast<double>(by_kind.callbacks));
   // The wheel's work beyond filing each event once (exact counts).
-  std::printf("  %-22s %llu far files, %llu re-files, %llu peek-walked\n",
+  std::printf("  %-22s %llu far files, %llu re-files, %llu far-walked\n",
               "", static_cast<unsigned long long>(work.far_files),
               static_cast<unsigned long long>(work.refiles),
-              static_cast<unsigned long long>(work.peek_walked));
+              static_cast<unsigned long long>(work.far_walked));
   report.metrics().gauge("fat_tree_end_to_end", "far_files")
       .set(static_cast<double>(work.far_files));
   report.metrics().gauge("fat_tree_end_to_end", "refiles")
       .set(static_cast<double>(work.refiles));
-  report.metrics().gauge("fat_tree_end_to_end", "peek_walked")
-      .set(static_cast<double>(work.peek_walked));
+  report.metrics().gauge("fat_tree_end_to_end", "far_walked")
+      .set(static_cast<double>(work.far_walked));
 
   // Telemetry A/B: same run with a Telemetry installed (metrics live,
   // tracing off). The delta vs the row above is the plane's whole cost.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <initializer_list>
 #include <new>
 #include <utility>
 
@@ -38,7 +39,7 @@ void clear_bit(std::uint64_t* bits, std::uint32_t i) {
 
 EventQueue::EventQueue() {
   std::fill(std::begin(near_), std::end(near_), kNil);
-  for (auto& level : far_) std::fill(std::begin(level), std::end(level), kNil);
+  std::fill(std::begin(far_), std::end(far_), kNil);
 }
 
 EventQueue::~EventQueue() {
@@ -118,39 +119,18 @@ EventId EventQueue::push_call(Time when, void* target, std::uint32_t aux,
   return commit(idx);
 }
 
-int EventQueue::far_level(Time when) const {
-  for (int level = 0; level < kFarLevels; ++level) {
-    const int page = kFarShift[level] + kFarBits;
-    if ((when >> page) == (cursor_ >> page)) return level;
-  }
-  return kFarLevels;
-}
-
 bool EventQueue::file(std::uint32_t idx) {
-  Node& n = node(idx);
-  // The near ring holds the cursor's block and the next one (when >=
-  // cursor_, so the block difference is never negative).
-  if ((n.when >> kBlockBits) - (cursor_ >> kBlockBits) > 1) {
-    file_far(idx);
+  // The near ring holds the cursor's block and the next one; every later
+  // block's events share the far slot of their block mod 256.
+  const Time when = node(idx).when;
+  if (is_far(when)) {
+    const std::uint32_t s = far_slot(when >> kBlockBits);
+    link(far_[s], far_bits_, s, idx);
     return false;
   }
-  const std::uint32_t s = near_slot(n.when);
-  n.level = 0;
+  const std::uint32_t s = near_slot(when);
   link(near_[s], near_bits_, s, idx);
   return true;
-}
-
-void EventQueue::file_far(std::uint32_t idx) {
-  Node& n = node(idx);
-  const int level = far_level(n.when);
-  if (level == kFarLevels) {
-    n.level = kOverflowLevel;
-    overflow_.emplace(n.when, idx);  // after every equal key: push order
-    return;
-  }
-  const std::uint32_t s = far_slot(level, n.when);
-  n.level = static_cast<std::uint8_t>(level + 1);
-  link(far_[level][s], far_bits_[level], s, idx);
 }
 
 void EventQueue::link(std::uint32_t& head, std::uint64_t* bits,
@@ -171,45 +151,33 @@ void EventQueue::link(std::uint32_t& head, std::uint64_t* bits,
   first.prev = idx;
 }
 
-void EventQueue::unlink(std::uint32_t idx) {
-  // A wheel node's slot follows from its level and time: file() placed it
-  // by exactly these bits, and a re-file re-places (and re-tags) it.
+void EventQueue::unlink(std::uint32_t& head, std::uint64_t* bits,
+                        std::uint32_t slot, std::uint32_t idx) {
   Node& n = node(idx);
-  std::uint32_t* head = nullptr;
-  std::uint64_t* bits = nullptr;
-  std::uint32_t s = 0;
-  if (n.level == 0) {
-    s = near_slot(n.when);
-    head = &near_[s];
-    bits = near_bits_;
-  } else {
-    const int level = n.level - 1;
-    s = far_slot(level, n.when);
-    head = &far_[level][s];
-    bits = far_bits_[level];
-  }
   PLANCK_CONTRACT(node(n.prev).next == idx && node(n.next).prev == idx,
                   "an unlinked node's neighbours in its slot ring name it");
   if (n.next == idx) {  // the slot's only node
-    PLANCK_CONTRACT(*head == idx, "a slot's only node is its head");
-    *head = kNil;
-    clear_bit(bits, s);
+    PLANCK_CONTRACT(head == idx, "a slot's only node is its head");
+    head = kNil;
+    clear_bit(bits, slot);
     return;
   }
   node(n.prev).next = n.next;
   node(n.next).prev = n.prev;
-  if (*head == idx) *head = n.next;
+  if (head == idx) head = n.next;
 }
 
-void EventQueue::erase_overflow(std::uint32_t idx) {
-  const auto [lo, hi] = overflow_.equal_range(node(idx).when);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == idx) {
-      overflow_.erase(it);
-      return;
-    }
+void EventQueue::unlink(std::uint32_t idx) {
+  // A pending node sits where a push at this moment would file it, so its
+  // slot follows from its time and the cursor.
+  const Time when = node(idx).when;
+  if (is_far(when)) {
+    const std::uint32_t s = far_slot(when >> kBlockBits);
+    unlink(far_[s], far_bits_, s, idx);
+  } else {
+    const std::uint32_t s = near_slot(when);
+    unlink(near_[s], near_bits_, s, idx);
   }
-  PLANCK_CONTRACT(false, "an overflow node is in the overflow map");
 }
 
 // --- cancellation ---------------------------------------------------------
@@ -224,11 +192,7 @@ void EventQueue::cancel(EventId id) {
   if (n.kind == Kind::kCallback) n.u.cb.~Callback();  // release promptly
   --live_;
   if (cached_ == idx) cached_ = kNil;  // any other memo is still the minimum
-  if (n.level == kOverflowLevel) {
-    erase_overflow(idx);
-  } else {
-    unlink(idx);
-  }
+  unlink(idx);
   free_node(idx);
 }
 
@@ -251,7 +215,7 @@ void EventQueue::run_top(Time* when) {
 
   // Entering the block filed every event of it in the near ring, and the
   // earliest is its slot's head.
-  assert(n.level == 0 && near_[near_slot(t)] == idx);
+  assert(near_[near_slot(t)] == idx);
   unlink(idx);
   cached_ = kNil;
   --live_;
@@ -299,79 +263,72 @@ std::uint32_t EventQueue::peek() {
 }
 
 std::uint32_t EventQueue::far_min() {
-  // Level containment makes this a short walk: every event resident in a
-  // far level is strictly later than every event one level below (the
-  // cursor entering a page re-files that page's slot first), so the first
-  // level with an event holds the minimum, and within a level the first
-  // occupied slot does. The slots at and behind the cursor's are empty.
-  for (int level = 0; level < kFarLevels; ++level) {
-    const std::uint32_t fs =
-        scan_bits(far_bits_[level], kFarWords, far_slot(level, cursor_));
-    if (fs == kNotFound) continue;
-    // A far slot spans many nanoseconds; walk its ring for the minimum.
-    // Equal times sit in push order, so the first one met wins.
-    const std::uint32_t head = far_[level][fs];
-    std::uint32_t best = head;
-    ++work_.peek_walked;
-    for (std::uint32_t h = node(head).next; h != head; h = node(h).next) {
-      ++work_.peek_walked;
-      if (node(h).when < node(best).when) best = h;
+  // Read the far slots in block order from two blocks past the cursor's
+  // (the near ring covers the two before), each standing for its block of
+  // this round. Every event of a slot's own block is earlier than every
+  // later-round event there and than every event of a later slot, so the
+  // first slot whose minimum is of its own block holds the earliest
+  // event. Else every event lies a round or more ahead, in distinct
+  // blocks per slot, and the earliest slot minimum wins. Equal times sit
+  // in push order within a slot, so a walk keeps the first one met.
+  const Time first = (cursor_ >> kBlockBits) + 2;
+  const std::uint32_t from = far_slot(first);
+  std::uint32_t best = kNil;
+  for (const auto& [lo, hi] :
+       {std::pair{from, kFarSlots}, std::pair{0u, from}}) {
+    for (std::uint32_t s = scan_bits(far_bits_, kFarWords, lo); s < hi;
+         s = scan_bits(far_bits_, kFarWords, s + 1)) {
+      const std::uint32_t head = far_[s];
+      std::uint32_t slot_min = head;
+      ++work_.far_walked;
+      for (std::uint32_t h = node(head).next; h != head; h = node(h).next) {
+        ++work_.far_walked;
+        if (node(h).when < node(slot_min).when) slot_min = h;
+      }
+      const Time block = first + ((s - from) & (kFarSlots - 1));
+      if ((node(slot_min).when >> kBlockBits) == block) return slot_min;
+      if (best == kNil || node(slot_min).when < node(best).when) {
+        best = slot_min;
+      }
     }
-    return best;
   }
-  assert(!overflow_.empty());
-  return overflow_.begin()->second;
+  assert(best != kNil);
+  return best;
 }
 
 void EventQueue::enter_block(Time when) {
   // The cursor moves only forward and only to the earliest event, so
-  // nothing is behind it, and each far wheel holds events of the cursor's
-  // own page only. Re-file top down, so every event re-files straight to
-  // the level the new cursor calls for: first the overflow's events of
-  // the cursor's L3 page, then the slot holding the cursor at each far
-  // level, which is occupied only when the cursor entered that slot's page.
+  // nothing is behind it. Stepping into the next block, whose events the
+  // near ring already holds, leaves one block newly covered: the one after
+  // it. A jump (the near ring was empty) covers the cursor's own block
+  // too, and re-files it first.
+  const Time block = when >> kBlockBits;
+  const bool jump = block - (cursor_ >> kBlockBits) > 1;
   cursor_ = when;
-  pull_overflow(((when >> kOverflowShift) + 1) << kOverflowShift);
-  for (int level = kFarLevels - 1; level >= 0; --level) {
-    refile(level, far_slot(level, when));
-  }
-  // Then the slot holding the next block, which the near ring now covers.
-  // A level-1 slot is that block alone. A level-2 or -3 slot is re-filed
-  // whole; its events past the next block go back into it.
-  const Time next = ((when >> kBlockBits) + 1) << kBlockBits;
-  const int level = far_level(next);
-  if (level == kFarLevels) {
-    pull_overflow(next + kBlock);
-  } else {
-    refile(level, far_slot(level, next));
-  }
+  if (jump) refile(block);
+  refile(block + 1);
 }
 
-void EventQueue::refile(int level, std::uint32_t slot) {
-  std::uint32_t& head = far_[level][slot];
+void EventQueue::refile(Time block) {
+  const std::uint32_t s = far_slot(block);
+  std::uint32_t& head = far_[s];
   if (head == kNil) return;
-  const std::uint32_t first = head;
-  const std::uint32_t last = node(first).prev;
-  head = kNil;
-  clear_bit(far_bits_[level], slot);
-  // In list order: equal times keep their push order in the slot they
-  // land in, which holds none of those times yet.
-  for (std::uint32_t h = first;;) {
+  // In list order: equal times keep their push order in the near slot
+  // they land in, which holds none of those times yet. An event of a
+  // later round stays where it is.
+  const std::uint32_t last = node(head).prev;
+  for (std::uint32_t h = head;;) {
     const std::uint32_t next = node(h).next;
-    ++work_.refiles;
-    file(h);
-    if (h == last) break;
+    const bool done = h == last;
+    if ((node(h).when >> kBlockBits) == block) {
+      unlink(head, far_bits_, s, h);
+      file(h);
+      ++work_.refiles;
+    } else {
+      ++work_.far_walked;
+    }
+    if (done) return;
     h = next;
-  }
-}
-
-void EventQueue::pull_overflow(Time end) {
-  // In key order: time, then push order.
-  while (!overflow_.empty() && overflow_.begin()->first < end) {
-    const std::uint32_t idx = overflow_.begin()->second;
-    overflow_.erase(overflow_.begin());
-    ++work_.refiles;
-    file(idx);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -17,38 +16,38 @@ namespace planck::sim {
 /// never need to track whether a timer fired before cancelling it.
 using EventId = std::uint64_t;
 
-/// The simulator's scheduler: a hierarchical timing wheel backed by a
-/// generation-tagged slab, so schedule, cancel and pop are all O(1).
-/// Every wheel slot is a circular doubly-linked list named by one 32-bit
-/// head (the head's `prev` is the tail), so cancel() unlinks its node and
-/// returns it to the free list at once: the slab holds only live events
-/// plus the one executing.
+/// The simulator's scheduler: a timing wheel backed by a generation-tagged
+/// slab, so schedule, cancel and pop are all O(1). Every wheel slot is a
+/// circular doubly-linked list named by one 32-bit head (the head's `prev`
+/// is the tail), so cancel() unlinks its node and returns it to the free
+/// list at once: the slab holds only live events plus the one executing.
 ///
 /// Geometry (nanosecond timestamps; a "block" is 8,192 ns):
-///   near ring 16384 slots x 1 ns      — the cursor's block and the next
-///   level 1    256 slots x 8.192 us  — one block per slot, ~2.1 ms page
-///   level 2    256 slots x ~2.1 ms   — covers ~537 ms
-///   level 3    256 slots x ~537 ms   — covers ~137 s
-///   overflow   std::multimap on time — events further out than that
+///   near ring 16384 slots x 1 ns     — the cursor's block and the next
+///   far ring    256 slots x 1 block  — every later block, slot = block
+///                                      mod 256, one "round" per 256 blocks
 ///
 /// An event at most one block ahead of the cursor's block goes straight
 /// into the near ring slot it pops from; that is every link delivery
 /// (1,231 ns of serialization plus 5 us of propagation) and every end of
-/// serialization. A later event lands in the lowest far level whose current
-/// page contains its timestamp. When the cursor enters a new block, by pop
-/// or by jump, run_top re-files, top down, each far slot whose page the
-/// cursor entered, then the slot holding the next block, before the popped
-/// event runs; so every event always sits where a push at that moment would
-/// file it. Per-level occupancy bitmaps make "find the next non-empty slot"
-/// a couple of word scans.
+/// serialization. A later event is appended to the far slot of its block,
+/// one list holding, in push order, the events of every round that maps
+/// to the slot, so a far push or cancel is an O(1) link or unlink. When
+/// the cursor enters a new block, run_top moves the next block's events
+/// out of its far slot into the near ring (and, after a jump, the cursor's
+/// own block's too), leaving later rounds in place, before the popped
+/// event runs; so every event always sits where a push at that moment
+/// would file it. A peek of an empty near ring reads the far slots in
+/// block order from two blocks past the cursor's and takes this round's
+/// earliest event, or else the earliest far event overall. Occupancy
+/// bitmaps make "find the next non-empty slot" a couple of word scans.
 ///
 /// Determinism: events pop in (time, push-order) order exactly — FIFO at
 /// equal timestamps — which discrete-event simulations rely on. Events of
 /// one timestamp always share one slot (the filing depends on nothing but
-/// the time and the cursor), lists append in push order, a re-file moves a
-/// whole slot in list order, and the overflow inserts equal keys at their
-/// upper bound; so no event carries a sequence number. See DESIGN.md
-/// "Simulation engine".
+/// the time and the cursor), lists append in push order, and a re-file
+/// walks its far slot in list order; so no event carries a sequence
+/// number. See DESIGN.md "Simulation engine".
 ///
 /// Events come in three kinds:
 ///  - DeliverPacket: a first-class typed event for link delivery — the
@@ -112,14 +111,15 @@ class EventQueue {
   const Executed& executed() const { return executed_; }
 
   /// The wheel's work beyond filing each event once, exact. All three
-  /// happen only on rare paths: an event more than one block ahead, and a
-  /// near ring with nothing in it.
+  /// happen only on the far ring's paths: a push more than one block
+  /// ahead, the re-file on entering a block, and a peek of an empty near
+  /// ring.
   struct WheelWork {
-    std::uint64_t far_files = 0;    // pushes filed in a far wheel or the
-                                    // overflow
-    std::uint64_t refiles = 0;      // events moved out of a far slot or
-                                    // the overflow as the cursor advanced
-    std::uint64_t peek_walked = 0;  // far-slot nodes walked by a peek
+    std::uint64_t far_files = 0;   // pushes filed in the far ring
+    std::uint64_t refiles = 0;     // far events moved into the near ring
+                                   // as the cursor advanced
+    std::uint64_t far_walked = 0;  // far-ring nodes a peek or a re-file
+                                   // visited without moving them near
   };
   const WheelWork& wheel_work() const { return work_; }
 
@@ -148,22 +148,12 @@ class EventQueue {
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
   static constexpr int kBlockBits = 13;  // a block: 8,192 ns
-  static constexpr Time kBlock = Time{1} << kBlockBits;
   // The near ring: one-nanosecond slots for two blocks.
   static constexpr std::uint32_t kNearSlots = 2u << kBlockBits;
   static constexpr int kNearWords = kNearSlots / 64;
-  static constexpr int kFarBits = 8;  // 256 slots per far wheel
-  static constexpr std::uint32_t kFarSlots = 1u << kFarBits;
+  // The far ring: one-block slots, one round per 256 blocks.
+  static constexpr std::uint32_t kFarSlots = 256;
   static constexpr int kFarWords = kFarSlots / 64;
-  static constexpr int kFarLevels = 3;
-  // Bit position where each far level's slot index starts; level i spans
-  // [kFarShift[i], kFarShift[i] + kFarBits). A level-1 slot is one block.
-  static constexpr int kFarShift[kFarLevels] = {kBlockBits, 21, 29};
-  static constexpr int kOverflowShift = 37;  // beyond the L3 page: multimap
-  // Node::level of an event in the overflow; 0 is the near ring and
-  // 1..kFarLevels the far wheels.
-  static constexpr auto kOverflowLevel =
-      static_cast<std::uint8_t>(kFarLevels + 1);
 
   enum class Kind : std::uint8_t { kCallback, kPacket, kCall };
   enum class State : std::uint8_t { kFree, kPending, kExecuting };
@@ -186,7 +176,6 @@ class EventQueue {
     std::uint32_t aux = 0;      // a typed event's aux
     State state = State::kFree;
     Kind kind = Kind::kCallback;
-    std::uint8_t level = 0;     // which wheel (or the overflow) holds it
     // The active member follows `kind`; the queue constructs and
     // destroys a Callback explicitly (DeliverPacket and Call are trivial).
     union Payload {
@@ -225,46 +214,44 @@ class EventQueue {
   static std::uint32_t near_slot(Time when) {
     return static_cast<std::uint32_t>(when) & (kNearSlots - 1);
   }
-  static std::uint32_t far_slot(int level, Time when) {
-    return static_cast<std::uint32_t>(when >> kFarShift[level]) &
-           (kFarSlots - 1);
+  static std::uint32_t far_slot(Time block) {  // block = time >> kBlockBits
+    return static_cast<std::uint32_t>(block) & (kFarSlots - 1);
   }
-  // The lowest far level whose page (the cursor's) holds `when`, or
-  // kFarLevels for the overflow.
-  int far_level(Time when) const;
+  // True when `when` (never before the cursor) lies past the near ring,
+  // in the far ring.
+  bool is_far(Time when) const {
+    return (when >> kBlockBits) - (cursor_ >> kBlockBits) > 1;
+  }
 
   // A push: prepare() allocates a node and stamps its time (clamped to the
   // cursor), kind and aux; commit() files it and returns its id.
   std::uint32_t prepare(Time when, Kind kind, std::uint32_t aux);
   EventId commit(std::uint32_t idx);
   // Files a pending node where a push at this moment belongs; false when
-  // that is past the near ring (file_far).
+  // that is the far ring.
   bool file(std::uint32_t idx);
-  void file_far(std::uint32_t idx);
   void link(std::uint32_t& head, std::uint64_t* bits, std::uint32_t slot,
             std::uint32_t idx);
-  void unlink(std::uint32_t idx);  // remove a wheel node from its slot
-  void erase_overflow(std::uint32_t idx);
+  void unlink(std::uint32_t& head, std::uint64_t* bits, std::uint32_t slot,
+              std::uint32_t idx);
+  void unlink(std::uint32_t idx);  // remove a pending node from its slot
   std::uint32_t peek();     // earliest live node; cursor_ untouched
   std::uint32_t far_min();  // peek() when the near ring is empty
-  // Moves cursor_ into a new block and re-files what the near ring and
-  // each far level now cover (DESIGN.md section 6).
+  // Moves cursor_ into a new block and re-files the far events the near
+  // ring now covers (DESIGN.md section 6).
   void enter_block(Time when);
-  void refile(int level, std::uint32_t slot);  // no-op on an empty slot
-  void pull_overflow(Time end);  // re-file overflow events before `end`
+  // Moves block `block`'s events out of its far slot into the near ring,
+  // in list order; later rounds stay.
+  void refile(Time block);
 
   std::vector<std::unique_ptr<NodeSlot[]>> chunks_;
   std::uint32_t node_count_ = 0;
   std::uint32_t free_head_ = kNil;
 
   std::uint32_t near_[kNearSlots];
-  std::uint32_t far_[kFarLevels][kFarSlots];
+  std::uint32_t far_[kFarSlots];
   std::uint64_t near_bits_[kNearWords] = {};
-  std::uint64_t far_bits_[kFarLevels][kFarWords] = {};
-  // Events past the L3 page: node index by time, equal times in push
-  // order (a multimap inserts equal keys at their upper bound), so the
-  // first entry is the earliest.
-  std::multimap<Time, std::uint32_t> overflow_;
+  std::uint64_t far_bits_[kFarWords] = {};
 
   // Time of the last popped event. Only run_top() moves it: next_time() is
   // a pure peek, so probing the queue (e.g. run_until breaking on a far

@@ -21,7 +21,7 @@ namespace planck::sim {
 /// Conservative-lookahead parallel event engine (DESIGN.md §14).
 ///
 /// The fabric is sharded into `data_partitions` topology partitions (one
-/// Simulation each — its own hierarchical timing wheel and packet slab)
+/// Simulation each — its own timing wheel and packet slab)
 /// plus one *control* partition (controller, TE, control channel). Time
 /// advances in windows: every window, each data partition independently
 /// runs its events up to a shared bound

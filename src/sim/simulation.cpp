@@ -29,8 +29,8 @@ void Simulation::set_telemetry(obs::Telemetry* telemetry) {
     telemetry_->metrics().gauge(component_, "refiles", [this] {
       return static_cast<double>(queue_.wheel_work().refiles);
     });
-    telemetry_->metrics().gauge(component_, "peek_walked", [this] {
-      return static_cast<double>(queue_.wheel_work().peek_walked);
+    telemetry_->metrics().gauge(component_, "far_walked", [this] {
+      return static_cast<double>(queue_.wheel_work().far_walked);
     });
     telemetry_->metrics().gauge(component_, "slab_nodes", [this] {
       return static_cast<double>(slab_nodes());

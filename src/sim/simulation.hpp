@@ -124,8 +124,8 @@ class Simulation {
     return queue_.executed();
   }
 
-  /// The scheduler's work beyond filing each event once (far-wheel
-  /// files, re-files, far-slot nodes walked by a peek). Exact counts.
+  /// The scheduler's work beyond filing each event once (far-ring files,
+  /// re-files, far-ring nodes walked without moving near). Exact counts.
   const EventQueue::WheelWork& wheel_work() const {
     return queue_.wheel_work();
   }

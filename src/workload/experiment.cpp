@@ -12,6 +12,14 @@ namespace planck::workload {
 namespace {
 /// Every link runs at the paper's 10 GbE.
 constexpr sim::BitsPerSec kLinkRate = sim::gigabits_per_sec(10);
+/// Fat-tree radix of the simulated fabric (k^3/4 hosts). The Optimal star
+/// is sized to the same host count so schemes stay comparable.
+constexpr int kFatTreeK = 4;
+/// Host-link propagation stands in for end-host kernel/NIC latency so the
+/// base RTT matches the paper's ~180-250 us testbed (§5.4); the fabric's
+/// links carry cable latency.
+constexpr sim::Duration kHostLinkPropagation = sim::microseconds(40);
+constexpr sim::Duration kSwitchLinkPropagation = sim::microseconds(5);
 /// Transfers each shuffle host keeps in flight at a time.
 constexpr int kShuffleConcurrency = 2;
 /// All flows begin at this offset plus a small per-flow jitter.
@@ -54,17 +62,17 @@ const char* workload_name(WorkloadKind kind) {
 }
 
 net::TopologyGraph make_experiment_graph(const ExperimentConfig& config) {
-  const int k = config.fat_tree_k;
+  constexpr int k = kFatTreeK;
   net::LinkSpec host_spec;
   host_spec.rate = kLinkRate;
-  host_spec.propagation = config.host_link_propagation;
+  host_spec.propagation = kHostLinkPropagation;
   if (config.scheme == Scheme::kOptimal) {
     return net::make_star(k * (k / 2) * (k / 2), host_spec);
   }
   // Fat-tree with distinct host vs inter-switch propagation: host links
   // carry the host-latency stand-in, the fabric carries cable latency.
   net::LinkSpec fabric_spec = host_spec;
-  fabric_spec.propagation = config.switch_link_propagation;
+  fabric_spec.propagation = kSwitchLinkPropagation;
   return net::make_fat_tree(k, host_spec, fabric_spec);
 }
 

@@ -37,15 +37,6 @@ struct ExperimentConfig {
   sim::Bytes flow_bytes = sim::mebibytes(100);
   int stride = 8;
   std::uint64_t seed = 1;
-
-  /// Fat-tree radix for the simulated fabric (k^3/4 hosts). The Optimal
-  /// star is sized to the same host count so schemes stay comparable.
-  int fat_tree_k = 4;
-
-  /// Host-link propagation stands in for end-host kernel/NIC latency so
-  /// the base RTT matches the paper's ~180-250 us testbed (§5.4).
-  sim::Duration host_link_propagation = sim::microseconds(40);
-  sim::Duration switch_link_propagation = sim::microseconds(5);
 };
 
 struct ExperimentResult {

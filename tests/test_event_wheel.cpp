@@ -1,13 +1,14 @@
 // Property test for the timing-wheel scheduler: drive EventQueue and a
 // naive sorted-vector reference model through randomized push / cancel /
 // pop / run_until interleavings and require identical pop order — including
-// FIFO tie-breaks at equal timestamps. Horizons are drawn from every wheel
-// level (the near ring, the three far wheels, and the overflow heap) and
-// from the block edges, so re-files and page advances are exercised, and
-// pushes use all three event kinds so the typed paths share the ordering
-// proof. Some events cancel another live event while they run, so cancels
-// also land inside run_top. Directed tests put the cursor in a page's last
-// block and count the wheel's work for events within a block.
+// FIFO tie-breaks at equal timestamps. Horizons are drawn from the near
+// ring, from this round of the far ring and from many rounds on, and from
+// the block edges, so re-files and slots shared by several rounds are
+// exercised, and pushes use all three event kinds so the typed paths share
+// the ordering proof. Some events cancel another live event while they
+// run, so cancels also land inside run_top. Directed tests put the cursor
+// in a round's last block, stack several rounds in one far slot, and count
+// the wheel's work for events within a block.
 //
 // The slab tests below pin the memory side: cancel frees a node at once,
 // so the slab holds live events, not cancelled timers.
@@ -110,18 +111,19 @@ class ReferenceQueue {
   Time floor_ = 0;
 };
 
-/// One offset drawn from a horizon class chosen to hit a specific wheel
-/// level: same-tick, near ring, each far wheel, and the overflow heap; and
-/// the block edges, one block (8,192 ns) and two blocks from the cursor,
-/// where the near ring's two blocks end.
+/// One offset drawn from a horizon class chosen to hit a specific part of
+/// the wheel: same-tick, the near ring, this round of the far ring (256
+/// blocks, 2^21 ns), up to 256 rounds, and up to 2^16 and 2^19 rounds
+/// ahead; and the block edges, one block (8,192 ns) and two blocks from
+/// the cursor, where the near ring's two blocks end.
 Duration random_offset(Rng& rng) {
   switch (rng.below(11)) {
     case 0: return 0;                                            // same ns
     case 1: return static_cast<Duration>(rng.below(8192));       // near
-    case 2: return static_cast<Duration>(rng.below(1u << 21));   // level 1
-    case 3: return static_cast<Duration>(rng.below(1u << 29));   // level 2
-    case 4: return static_cast<Duration>(rng.below(1ull << 37)); // level 3
-    case 5: return static_cast<Duration>(rng.below(1ull << 40)); // overflow
+    case 2: return static_cast<Duration>(rng.below(1u << 21));   // a round
+    case 3: return static_cast<Duration>(rng.below(1u << 29));   // rounds
+    case 4: return static_cast<Duration>(rng.below(1ull << 37));
+    case 5: return static_cast<Duration>(rng.below(1ull << 40));
     case 6: return 8191;
     case 7: return 8192;
     case 8: return 8193;
@@ -256,11 +258,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventWheelProperty,
                          ::testing::Values(1u, 42u, 20260805u));
 
 // A directed FIFO burst: many events on one nanosecond, across kinds and
-// cascade boundaries, must drain in exact push order.
+// a re-file out of the far ring, must drain in exact push order.
 TEST(EventWheelProperty, MassiveTieBreakIsFifo) {
   EventQueue q;
   std::vector<int> order;
-  const Time when = milliseconds(3);  // lands in a far wheel, cascades down
+  const Time when = milliseconds(3);  // filed far, re-filed near
   const auto call_fn = [](void* target, std::uint32_t aux) {
     static_cast<std::vector<int>*>(target)->push_back(static_cast<int>(aux));
   };
@@ -278,82 +280,177 @@ TEST(EventWheelProperty, MassiveTieBreakIsFifo) {
   }
 }
 
-// The cursor in the last block of an L1, an L2 and an L3 page (the 2^21,
-// 2^29 and 2^37 ns boundaries): the near ring's next block lies in the
-// next page, so entering the last block re-files a far slot of the level
-// above (or the overflow), and entering the next page re-files the rest.
-// Events filed from a cursor at 0, and then by the event that moves the
-// cursor into the last block, while it runs, into the next block and
-// beyond, pop in the reference model's order, equal times in push order.
-TEST(EventWheelEdges, CursorInTheLastBlockOfAPage) {
-  struct Run {
-    EventQueue q;
-    ReferenceQueue model;
-    std::vector<int> popped;
-    int next_tag = 0;
-    std::vector<Time> on_first_run;  // pushed by the first event to run
+constexpr Time kBlock = 8192;           // a far-ring slot's span
+constexpr Time kRound = Time{1} << 21;  // 256 blocks: one far-ring round
 
-    void push(Time when) {
-      const int tag = next_tag++;
-      q.push_call(when, this, static_cast<std::uint32_t>(tag), &Run::fire);
-      model.push(when, tag);
+/// A wheel and the reference model fed the same typed pushes. pop() pops
+/// both and requires the same time and tag; drain() pops to the end.
+struct Mirrored {
+  EventQueue q;
+  ReferenceQueue model;
+  std::vector<int> popped;
+  std::vector<std::pair<EventId, std::uint64_t>> ids;  // by tag
+  std::vector<Time> on_first_run;  // pushed by the first event to run
+
+  int push(Time when) {
+    const int tag = static_cast<int>(ids.size());
+    const EventId id = q.push_call(when, this, static_cast<std::uint32_t>(tag),
+                                   &Mirrored::fire);
+    ids.emplace_back(id, model.push(when, tag));
+    return tag;
+  }
+  void cancel(int tag) {
+    q.cancel(ids[static_cast<std::size_t>(tag)].first);
+    model.cancel(ids[static_cast<std::size_t>(tag)].second);
+  }
+  static void fire(void* target, std::uint32_t tag) {
+    auto& run = *static_cast<Mirrored*>(target);
+    run.popped.push_back(static_cast<int>(tag));
+    for (const Time when : std::exchange(run.on_first_run, {})) {
+      run.push(when);
     }
-    static void fire(void* target, std::uint32_t tag) {
-      auto& run = *static_cast<Run*>(target);
-      run.popped.push_back(static_cast<int>(tag));
-      for (const Time when : std::exchange(run.on_first_run, {})) {
-        run.push(when);
-      }
+  }
+  void pop() {
+    ASSERT_FALSE(q.empty());
+    ASSERT_EQ(q.next_time(), model.next_time());
+    const auto [ref_when, ref_tag] = model.pop();
+    Time when = 0;
+    q.run_top(&when);
+    ASSERT_EQ(when, ref_when);
+    ASSERT_EQ(popped.back(), ref_tag);
+  }
+  void drain() {
+    while (!q.empty()) {
+      pop();
+      if (::testing::Test::HasFatalFailure()) return;
     }
-  };
+    ASSERT_TRUE(model.empty());
+  }
+};
+
+// The cursor in the last block of a round, at the 2^21, 2^29 and 2^37 ns
+// boundaries: the block after it maps to far slot 0, so entering the last
+// block re-files slot 0 while it also holds later rounds, and entering the
+// next round re-files slot 1. Events filed from a cursor at 0, and then by
+// the event that moves the cursor into the last block, while it runs, into
+// the next block and beyond, pop in the reference model's order, equal
+// times in push order.
+TEST(EventWheelEdges, CursorInTheLastBlockOfARound) {
   for (const int bits : {21, 29, 37}) {
     SCOPED_TRACE(bits);
-    const Time page = Time{1} << bits;
-    const Time entry = page - 8192 + 3;  // in the page's last block
+    const Time edge = Time{1} << bits;
+    const Time entry = edge - 8192 + 3;  // in the last block before `edge`
     const std::vector<Time> times = {entry,
-                                     page - 1,
-                                     page,
-                                     page + 1,
-                                     page + 8191,
-                                     page + 8192,
-                                     page + 16384,
-                                     page + (Time{1} << 21),
-                                     2 * page - 1,
-                                     2 * page,
-                                     2 * page + 8192};
-    Run run;
-    // Filed from a cursor at 0: far wheels and the overflow, twice each
-    // so equal times test FIFO.
+                                     edge - 1,
+                                     edge,
+                                     edge + 1,
+                                     edge + 8191,
+                                     edge + 8192,
+                                     edge + 16384,
+                                     edge + (Time{1} << 21),
+                                     2 * edge - 1,
+                                     2 * edge,
+                                     2 * edge + 8192};
+    Mirrored run;
+    // Filed from a cursor at 0, twice each so equal times test FIFO.
     for (int round = 0; round < 2; ++round) {
       for (const Time when : times) run.push(when);
     }
     // The event at `entry` runs first. It pushes every time once more,
     // after the two copies filed far, and then the block edges from its
-    // own time: the rest of its block, the next block (the next page),
+    // own time: the rest of its block, the next block (the next round),
     // two blocks on and further.
     run.on_first_run = times;
     for (const Duration offset :
          {Duration{0}, Duration{8188}, Duration{8189}, Duration{8191},
           Duration{8192}, Duration{8193}, Duration{16383}, Duration{16384},
-          Duration{16385}, Duration{1} << 21, page, page + 8189}) {
+          Duration{16385}, Duration{1} << 21, edge, edge + 8189}) {
       run.on_first_run.push_back(entry + offset);
     }
-    while (!run.q.empty()) {
-      ASSERT_EQ(run.q.next_time(), run.model.next_time());
-      const auto [ref_when, ref_tag] = run.model.pop();
-      Time when = 0;
-      run.q.run_top(&when);
-      ASSERT_EQ(when, ref_when);
-      ASSERT_EQ(run.popped.back(), ref_tag);
-    }
-    ASSERT_TRUE(run.model.empty());
+    run.drain();
     ASSERT_EQ(run.popped.size(), 3 * times.size() + 12);
   }
 }
 
+// Events one, two and three rounds ahead share far slot 5 with an event of
+// this round, and lead its list, being pushed first. Slot 3 ahead of it
+// holds only a later round. The peek skips slot 3, the jump into block 5
+// re-files only this round's event, and the later rounds pop after it and
+// after every event between, the one-round tie in push order.
+TEST(EventWheelRounds, LaterRoundsInASlotPopAfterEverythingBetween) {
+  Mirrored run;
+  const Time t = 5 * kBlock + 100;
+  for (const Time n : {3, 1, 2}) run.push(t + n * kRound);
+  run.push(3 * kBlock + 2 * kRound);
+  run.push(t);
+  for (Time between = t + 1; between < t + 4 * kRound; between += kRound / 3) {
+    run.push(between);
+  }
+  run.push(t + kRound);
+  run.drain();
+  EXPECT_EQ(run.popped.size(), 19u);
+}
+
+// Cancelling a later-round event leaves this round's events in its slot
+// intact: the slot's head and a node mid-list while the slot holds both
+// rounds, and a later round left behind after this round's re-file.
+TEST(EventWheelRounds, CancellingALaterRoundKeepsThisRound) {
+  Mirrored run;
+  const Time t = 7 * kBlock;
+  const int head = run.push(t + kRound + 5);
+  run.push(t + 10);
+  const int mid = run.push(t + 2 * kRound);
+  run.push(t + 10);
+  const int behind = run.push(t + kRound + 20);
+  run.push(t + 3 * kRound);
+  run.cancel(head);
+  run.cancel(mid);
+  run.pop();  // the jump into block 7: both events at t + 10 come near
+  if (::testing::Test::HasFatalFailure()) return;
+  run.cancel(behind);
+  run.drain();
+  EXPECT_EQ(run.popped.size(), 3u);
+}
+
+// A jump over an empty stretch into block 200, whose far slot also holds
+// block 456 (a round on) at an offset between two of block 200's events,
+// and whose next block's slot holds block 457. The jump re-files blocks
+// 200 and 201 only; the later rounds pop last, in order.
+TEST(EventWheelRounds, JumpIntoASlotHoldingALaterRound) {
+  Mirrored run;
+  run.push(100);  // the cursor's block 0; the near ring then runs empty
+  run.push(456 * kBlock + 100);
+  run.push(457 * kBlock);
+  run.push(200 * kBlock + 50);
+  run.push(201 * kBlock + 2);
+  run.push(200 * kBlock + 3000);
+  run.push(200 * kBlock + 50);
+  run.drain();
+  EXPECT_EQ(run.popped.size(), 7u);
+}
+
+// With the near ring empty and nothing within 256 blocks, every far slot
+// holds only later rounds, and the peek takes the earliest far event
+// overall: block 300 in slot 44, though slot 2, met first from the
+// cursor, holds block 770, slot 44 also holds block 556, and slot 88,
+// met last, holds block 600.
+TEST(EventWheelRounds, PeekFallbackFindsTheEarliestEvent) {
+  Mirrored run;
+  run.push(770 * kBlock);
+  run.push(556 * kBlock + 1);
+  run.push(300 * kBlock + 7);
+  run.push(600 * kBlock + 9);
+  run.push(770 * kBlock);
+  run.push(300 * kBlock + 7);
+  EXPECT_EQ(run.q.next_time(), 300 * kBlock + 7);
+  run.drain();
+  EXPECT_EQ(run.popped.size(), 6u);
+}
+
 // Delays of at most one block (8,192 ns) file every event in the near
 // ring, which holds the cursor's block and the next: under churn with
-// cancels, no event is ever filed far, re-filed or walked by a peek.
+// cancels, no event is ever filed far, re-filed or walked past in the far
+// ring.
 TEST(EventWheel, EventsWithinABlockAreFiledOnce) {
   EventQueue q;
   Rng rng(5);
@@ -382,7 +479,7 @@ TEST(EventWheel, EventsWithinABlockAreFiledOnce) {
   EXPECT_EQ(fired, 200000u);
   EXPECT_EQ(q.wheel_work().far_files, 0u);
   EXPECT_EQ(q.wheel_work().refiles, 0u);
-  EXPECT_EQ(q.wheel_work().peek_walked, 0u);
+  EXPECT_EQ(q.wheel_work().far_walked, 0u);
 }
 
 // A TCP receiver cancels and re-arms its 40 ms delayed-ACK timer on every
@@ -413,12 +510,12 @@ TEST(EventWheelSlab, CancelledTimersDoNotAccumulate) {
   EXPECT_EQ(q.slab_nodes(), live_hwm + 1);
 }
 
-// At the near wheel and at each far wheel, push -> cancel -> push reuses the
-// cancelled node. The stale id stays a no-op although its node now holds
-// the new event, and the new event fires.
-TEST(EventWheelSlab, CancelReusesTheNodeAtEveryWheelLevel) {
-  // From a cursor at 0: the near wheel, then the far wheels of 8.192 us,
-  // ~2.1 ms and ~537 ms slots, then the overflow past ~137 s.
+// In the near ring and in the far ring, this round and later ones, push ->
+// cancel -> push reuses the cancelled node. The stale id stays a no-op
+// although its node now holds the new event, and the new event fires.
+TEST(EventWheelSlab, CancelReusesTheNodeInEveryRound) {
+  // From a cursor at 0: the near ring, then the far ring this round
+  // (block 12), 4 and 476 rounds on, and ~95,000 rounds on.
   for (const Duration offset : {nanoseconds(100), microseconds(100),
                                 milliseconds(10), seconds(1), seconds(200)}) {
     SCOPED_TRACE(offset);

@@ -188,9 +188,10 @@ TEST(EventQueue, CallbackStateIsReleasedAfterRunAndByDestructor) {
 
 TEST(EventQueue, LargeCaptureCallbackRunsFromTheHeap) {
   // A 256-byte capture is far past std::function's local buffer. Its heap
-  // copy keeps its contents wherever the event is filed (near wheel, a far
-  // level, the overflow heap) and through a cross-partition post, which
-  // moves the callback into a mailbox and then into the destination wheel.
+  // copy keeps its contents wherever the event is filed (the near ring,
+  // the far ring a few and ~95,000 rounds ahead) and through a
+  // cross-partition post, which moves the callback into a mailbox and then
+  // into the destination wheel.
   struct Big {
     char data[256] = {};
   };
@@ -258,20 +259,21 @@ TEST(EventQueue, TypedEventsAreCancellable) {
 }
 
 TEST(EventQueue, FarHorizonEventsPopInOrder) {
-  // Exercise every wheel level plus the overflow heap: delays from a few ns
-  // to minutes, pushed out of order.
+  // The near ring, this round of the far ring (256 blocks of 8,192 ns)
+  // and rounds up to ~95,000 ahead: delays from a few ns to minutes,
+  // pushed out of order.
   EventQueue q;
   std::vector<Time> popped;
   const Time horizons[] = {
-      3,                       // near wheel
-      microseconds(50),        // level 1
-      milliseconds(7),         // level 2
-      milliseconds(900),       // level 3
-      seconds(20),             // level 3
-      seconds(200),            // overflow heap
-      seconds(100) + 1,        // overflow heap (same far page)
+      3,                       // near ring
+      microseconds(50),        // far ring, this round
+      milliseconds(7),         // 3 rounds ahead
+      milliseconds(900),       // ~430 rounds ahead
+      seconds(20),             // ~9,500 rounds ahead
+      seconds(200),            // ~95,000 rounds ahead
+      seconds(100) + 1,        // ~48,000 rounds ahead
       5,
-      microseconds(50),        // FIFO tie at a far horizon
+      microseconds(50),        // FIFO tie in the far ring
   };
   for (const Time t : horizons) q.push(t, [] {});
   while (!q.empty()) {
@@ -285,7 +287,9 @@ TEST(EventQueue, FarHorizonEventsPopInOrder) {
   EXPECT_EQ(popped.back(), seconds(200));
 }
 
-TEST(EventQueue, CancelAcrossWheelLevels) {
+// Cancels in the near ring and in the far ring, this round (block 12)
+// and 9, 953 and ~143,000 rounds on, each beside a survivor 1 ns later.
+TEST(EventQueue, CancelAcrossRounds) {
   EventQueue q;
   int ran = 0;
   std::vector<EventId> doomed;

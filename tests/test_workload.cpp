@@ -195,34 +195,25 @@ TEST(Testbed, NodeLookupsAtTheEdges) {
 TEST(Experiment, GraphSelectionByScheme) {
   ExperimentConfig cfg;
   cfg.scheme = Scheme::kOptimal;
-  EXPECT_EQ(make_experiment_graph(cfg).num_switches(), 1);
+  const auto star = make_experiment_graph(cfg);
+  EXPECT_EQ(star.num_switches(), 1);
   cfg.scheme = Scheme::kStatic;
-  EXPECT_EQ(make_experiment_graph(cfg).num_switches(), 20);
+  const auto fat_tree = make_experiment_graph(cfg);
+  EXPECT_EQ(fat_tree.num_switches(), 20);
+  EXPECT_EQ(fat_tree.shape().kind, net::FabricKind::kFatTree);
+  // The Optimal star matches the k=4 fat-tree's host count.
+  EXPECT_EQ(fat_tree.num_hosts(), 16);
+  EXPECT_EQ(star.num_hosts(), fat_tree.num_hosts());
 }
 
 TEST(Experiment, FatTreeUsesPerTierPropagation) {
   ExperimentConfig cfg;
   cfg.scheme = Scheme::kStatic;
-  cfg.host_link_propagation = sim::microseconds(40);
-  cfg.switch_link_propagation = sim::microseconds(5);
   const auto g = make_experiment_graph(cfg);
   EXPECT_EQ(g.link_spec(g.host_node(0), 0).propagation, sim::microseconds(40));
   // An aggregation uplink uses the switch value.
   const int agg = g.switch_node(g.shape().agg_switch_index(0, 0));
   EXPECT_EQ(g.link_spec(agg, 2).propagation, sim::microseconds(5));
-}
-
-TEST(Experiment, FatTreeRadixKnobScalesTheFabric) {
-  ExperimentConfig cfg;
-  cfg.scheme = Scheme::kStatic;
-  cfg.fat_tree_k = 6;
-  const auto g = make_experiment_graph(cfg);
-  EXPECT_EQ(g.num_hosts(), 54);
-  EXPECT_EQ(g.num_switches(), 45);
-  EXPECT_EQ(g.shape().kind, net::FabricKind::kFatTree);
-  // The Optimal star matches the fat-tree's host count at any radix.
-  cfg.scheme = Scheme::kOptimal;
-  EXPECT_EQ(make_experiment_graph(cfg).num_hosts(), 54);
 }
 
 TEST(Experiment, NamesAreStable) {

@@ -7,11 +7,13 @@
 // demands byte-identical pop order and timestamps; any divergence aborts
 // with the step at which the schedulers disagreed.
 //
-// Time deltas are generated as base << shift with shift up to 39 bits so
-// inputs exercise every wheel level — the near ring, all three far wheels,
-// re-file boundaries, and the >137 s overflow heap — or drawn from the
-// block edges: one block (8,192 ns) and two blocks from the cursor, where
-// the near ring's two blocks end.
+// Time deltas are generated as base << shift with shift up to 39 bits, so
+// inputs reach the near ring, this round of the far ring and up to 2^26
+// rounds ahead; or drawn from the block edges, one block (8,192 ns) and
+// two blocks from the cursor, where the near ring's two blocks end; or
+// drawn as 1-8 rounds (2^21 ns, 256 blocks) plus or minus one block, so
+// several rounds share a far slot with the cursor's block and its
+// neighbours and re-files must leave the later rounds in place.
 // Cancels come three ways: of a live event, of a stale id (one already
 // popped or cancelled), and from inside a popped callback.
 
@@ -127,12 +129,19 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
     if (op <= 1) {  // push (weighted 2x: keeps the queues populated)
       const std::uint64_t base = in.u8();
       const std::uint8_t horizon = in.u8();
-      // 200 of 256 horizons shift base by up to 39 bits (~2^39 ns spans
-      // the overflow); the other 56 pick a block edge.
+      // 200 of 256 horizons shift base by up to 39 bits; 28 pick a block
+      // edge, and 28 alias a far slot a few rounds on.
       constexpr planck::sim::Time kEdges[] = {8191, 8192, 8193, 16383, 16384};
-      const planck::sim::Time delta =
-          horizon < 200 ? static_cast<planck::sim::Time>(base << (horizon % 40))
-                        : kEdges[horizon % 5];
+      constexpr planck::sim::Time kRound = planck::sim::Time{1} << 21;
+      planck::sim::Time delta = 0;
+      if (horizon < 200) {
+        delta = static_cast<planck::sim::Time>(base << (horizon % 40));
+      } else if (horizon < 228) {
+        delta = kEdges[horizon % 5];
+      } else {
+        delta = static_cast<planck::sim::Time>(1 + base % 8) * kRound +
+                (horizon % 3 - 1) * 8192;
+      }
       const planck::sim::Time when = now + delta;
       const std::uint64_t seq = next_seq++;
       const auto wheel_id = wheel.push(when, [seq, &wheel] {
