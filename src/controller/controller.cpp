@@ -94,13 +94,13 @@ void Controller::attach_host(int host_index, tcp::Host* host) {
 
 void Controller::install_routes() {
   // The MAC program and the ARP answers are closed forms of the routing
-  // (§6.2): each switch asks its oracle, each host resolves every other
-  // fabric host to its base MAC, and each collector asks Routing::ports_at
-  // for a flow's ports. Routing is immutable once built, so switches and
-  // collectors on data partitions may call it directly. The installed
-  // program is stamped as epoch 1 on every switch (synchronously —
-  // installation models out-of-band setup, not channel traffic); runtime
-  // reroutes version from here.
+  // (§6.2): each switch asks its Routing::mac_oracle, each host resolves
+  // every other fabric host to its base MAC, and each collector asks
+  // Routing::ports_at for a flow's ports. Routing is immutable once built,
+  // so switches and collectors on data partitions may call it directly.
+  // The installed program is stamped as epoch 1 on every switch
+  // (synchronously — installation models out-of-band setup, not channel
+  // traffic); runtime reroutes version from here.
   const std::uint64_t install_epoch = epochs_.allocate_program();
   for (int i = 0; i < graph_.num_switches(); ++i) {
     const SwitchSlot& s = slots_[static_cast<std::size_t>(i)];
@@ -495,33 +495,21 @@ void Controller::subscribe_congestion(CongestionHandler handler) {
   congestion_handlers_.push_back(std::move(handler));
   if (congestion_handlers_.size() == 1) {
     // First subscriber: hook every collector in node order, relaying with
-    // one control-channel latency.
+    // one control-channel latency. Under the sharded engine the collector
+    // fires on its switch's data partition, so the event first hops to
+    // the control partition and takes the channel latency from there.
     for (const SwitchSlot& s : slots_) {
       core::Collector* collector = s.collector;
       if (collector == nullptr) continue;
       sim::Simulation& collector_sim = collector->sim();
-      if (&collector_sim != &sim_) {
-        // Sharded engine: the collector fires on its switch's data
-        // partition. Hop to the control partition first (one lookahead
-        // grid step, merged at the window barrier), then take the usual
-        // control-channel latency from there.
-        collector->subscribe_congestion(
-            [this, &collector_sim](const core::CongestionEvent& e) {
-              collector_sim.post(sim_, collector_sim.cross_lookahead(),
-                                 [this, e] {
-                                   channel_.send([this, e] {
-                                     for (const auto& h : congestion_handlers_)
-                                       h(e);
-                                   });
-                                 });
+      collector->subscribe_congestion(
+          [this, &collector_sim](const core::CongestionEvent& e) {
+            collector_sim.call_on(sim_, [this, e] {
+              channel_.send([this, e] {
+                for (const auto& h : congestion_handlers_) h(e);
+              });
             });
-        continue;
-      }
-      collector->subscribe_congestion([this](const core::CongestionEvent& e) {
-        channel_.send([this, e] {
-          for (const auto& h : congestion_handlers_) h(e);
-        });
-      });
+          });
     }
   }
 }

@@ -76,8 +76,8 @@ class Controller {
   void attach_collector(int graph_node, core::Collector* collector);
   void attach_host(int host_index, tcp::Host* host);
 
-  /// Pushes routing state everywhere (§4.1): each switch's MAC oracle,
-  /// which answers Routing::mac_rule_at on demand for every tree
+  /// Pushes routing state everywhere (§4.1): each switch's MAC oracle
+  /// (Routing::mac_oracle), which answers on demand for every tree
   /// (including shadow trees and egress rewrites), mirror configuration,
   /// base-tree ARP resolution on every host, and each collector's link
   /// capacities plus a port oracle that asks Routing::ports_at on demand.

@@ -6,20 +6,12 @@
 namespace planck::controller {
 
 Routing::Routing(const net::TopologyGraph& graph)
-    : graph_(graph), num_hosts_(graph.num_hosts()) {
-  const net::TopologyShape& shape = graph.shape();
-  switch (shape.kind) {
-    case net::FabricKind::kFatTree:
-    case net::FabricKind::kLeafSpine:
-      num_trees_ = shape.provisioned_trees;
-      break;
-    case net::FabricKind::kStar:
-      num_trees_ = 1;
-      break;
-    case net::FabricKind::kUnknown:
-      throw std::invalid_argument(
-          "Routing needs a graph built by net::make_fat_tree, "
-          "net::make_leaf_spine, or net::make_star");
+    : graph_(graph),
+      num_trees_(graph.shape().provisioned_trees),
+      num_hosts_(graph.num_hosts()) {
+  if (graph.shape().kind == net::FabricKind::kUnknown) {
+    throw std::invalid_argument(
+        "Routing needs a graph from net::make_fat_tree or net::make_star");
   }
 }
 
@@ -28,14 +20,10 @@ net::RoutePath Routing::path(int src_host, int dst_host, int tree) const {
   assert(dst_host >= 0 && dst_host < num_hosts_);
   assert(tree >= 0 && tree < num_trees_);
   if (src_host == dst_host) return net::RoutePath{src_host, dst_host, tree, {}};
-  switch (graph_.shape().kind) {
-    case net::FabricKind::kFatTree:
-      return compute_fat_tree_path(src_host, dst_host, tree);
-    case net::FabricKind::kLeafSpine:
-      return compute_leaf_spine_path(src_host, dst_host, tree);
-    default:
-      return compute_star_path(src_host, dst_host);
+  if (graph_.shape().kind == net::FabricKind::kFatTree) {
+    return compute_fat_tree_path(src_host, dst_host, tree);
   }
+  return compute_star_path(src_host, dst_host);
 }
 
 net::SwitchPorts Routing::ports_at(int switch_node, net::MacAddress src_mac,
@@ -60,11 +48,6 @@ bool Routing::decode_mac(net::MacAddress mac, int* dst, int* tree) const {
   *tree = 0;
   if (!net::is_shadow_mac(mac, tree, dst)) *dst = net::host_id_of_mac(mac);
   return *dst >= 0 && *dst < num_hosts_ && *tree < num_trees_;
-}
-
-std::optional<switchsim::RuleActions> Routing::mac_rule_at(
-    int switch_node, net::MacAddress dst_mac) const {
-  return mac_rule(site_of(switch_node), dst_mac);
 }
 
 switchsim::MacOracle Routing::mac_oracle(int switch_node) const {
@@ -101,16 +84,6 @@ Routing::Site Routing::site_of(int switch_node) const {
       }
       break;
     }
-    case net::FabricKind::kLeafSpine:
-      if (idx < sh.num_leaves) {
-        site.tier = Site::Tier::kLeaf;
-        site.first_host = idx * sh.hosts_per_leaf;
-        site.host_span = sh.hosts_per_leaf;
-      } else {
-        site.tier = Site::Tier::kSpine;
-        site.root = idx - sh.num_leaves;
-      }
-      break;
     case net::FabricKind::kStar:
       site.tier = Site::Tier::kStar;
       site.host_span = num_hosts_;
@@ -130,8 +103,7 @@ std::optional<switchsim::RuleActions> Routing::mac_rule(
   }
   switchsim::RuleActions actions;
   const int below = dst - site.first_host;
-  if (site.tier == Site::Tier::kEdge || site.tier == Site::Tier::kLeaf ||
-      site.tier == Site::Tier::kStar) {
+  if (site.tier == Site::Tier::kEdge || site.tier == Site::Tier::kStar) {
     if (below >= 0 && below < site.host_span) {
       // The destination's own switch, the last hop of every other host's
       // path to it: out the host port, restoring the base MAC on a shadow
@@ -144,21 +116,16 @@ std::optional<switchsim::RuleActions> Routing::mac_rule(
   }
   if (site.tier == Site::Tier::kStar) return std::nullopt;
 
-  // Relative tree -> absolute core (spine) for this destination, as in
-  // path(). tree < num_roots, so one subtraction replaces the modulus.
+  // Relative tree -> absolute core for this destination, as in path().
+  // tree < num_core, so one subtraction replaces the modulus.
   const net::TopologyShape& sh = graph_.shape();
-  const bool leaf_spine = sh.kind == net::FabricKind::kLeafSpine;
-  const int num_roots = leaf_spine ? sh.num_spines : sh.num_core;
-  int root = base_core(dst, num_roots) + tree;
-  if (root >= num_roots) root -= num_roots;
+  int root = base_core(dst, sh.num_core) + tree;
+  if (root >= sh.num_core) root -= sh.num_core;
 
   switch (site.tier) {
     case Site::Tier::kEdge:
       // First hop of the hosts below: up to the agg that reaches the core.
       actions.out_port = sh.edge_port_for_agg(sh.agg_for_core(root));
-      return actions;
-    case Site::Tier::kLeaf:
-      actions.out_port = sh.leaf_port_for_spine(root);
       return actions;
     case Site::Tier::kAgg:
       // On the tree only if it reaches the tree's core: down to the
@@ -173,11 +140,6 @@ std::optional<switchsim::RuleActions> Routing::mac_rule(
     case Site::Tier::kCore:
       if (root != site.root) return std::nullopt;
       actions.out_port = sh.pod_of_host(dst);
-      return actions;
-    case Site::Tier::kSpine:
-      // Only hosts on another leaf cross a spine.
-      if (root != site.root || sh.num_leaves < 2) return std::nullopt;
-      actions.out_port = sh.leaf_of_ls_host(dst);
       return actions;
     default:
       return std::nullopt;
@@ -225,37 +187,6 @@ net::RoutePath Routing::compute_fat_tree_path(int src, int dst,
   p.hops.push_back({core, ps, pd});
   p.hops.push_back({agg_d, sh.agg_port_for_core(core_idx), ed});
   p.hops.push_back({edge_d, sh.edge_port_for_agg(a), leaf_d});
-  return p;
-}
-
-net::RoutePath Routing::compute_leaf_spine_path(int src, int dst,
-                                                int tree) const {
-  const net::TopologyShape& sh = graph_.shape();
-  net::RoutePath p;
-  p.src_host = src;
-  p.dst_host = dst;
-  p.tree = tree;
-  p.hops.reserve(3);  // leaf-spine-leaf at most
-
-  const int ls = sh.leaf_of_ls_host(src);
-  const int ld = sh.leaf_of_ls_host(dst);
-  const int port_s = sh.leaf_port_of_ls_host(src);
-  const int port_d = sh.leaf_port_of_ls_host(dst);
-  const int leaf_s = graph_.switch_node(sh.leaf_switch_index(ls));
-
-  if (ls == ld) {
-    p.hops.push_back({leaf_s, port_s, port_d});
-    return p;
-  }
-  // Each spine defines one tree; the base spine is hashed per destination
-  // exactly like fat-tree base cores.
-  const int spine_idx =
-      (base_core(dst, sh.num_spines) + tree) % sh.num_spines;
-  const int leaf_d = graph_.switch_node(sh.leaf_switch_index(ld));
-  const int spine = graph_.switch_node(sh.spine_switch_index(spine_idx));
-  p.hops.push_back({leaf_s, port_s, sh.leaf_port_for_spine(spine_idx)});
-  p.hops.push_back({spine, ls, ld});
-  p.hops.push_back({leaf_d, sh.leaf_port_for_spine(spine_idx), port_d});
   return p;
 }
 

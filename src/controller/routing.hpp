@@ -13,9 +13,9 @@ namespace planck::controller {
 /// Multipath route computation (§6.2): PAST-style per-address spanning
 /// trees. On a k-ary fat-tree each core switch defines one spanning tree,
 /// giving up to (k/2)^2 pre-installable paths per destination (the base
-/// tree plus shadow-MAC trees, capped by the fabric's provisioned-trees
-/// knob). On a leaf-spine each spine defines a tree; on a star topology
-/// there is a single trivial tree.
+/// tree plus shadow-MAC trees, as many as the address plane encodes:
+/// net::kMaxProvisionedTrees). On a star topology there is a single
+/// trivial tree.
 ///
 /// Every answer is computed on demand in closed form from the graph's
 /// TopologyShape: Routing holds no per-host or per-pair state, and it is
@@ -23,16 +23,15 @@ namespace planck::controller {
 /// partitions may query it concurrently.
 class Routing {
  public:
-  /// The graph must carry a TopologyShape from one of the net::make_*
-  /// builders (fat-tree, leaf-spine, or star); hand-wired graphs are
-  /// rejected.
+  /// The graph must carry a TopologyShape from net::make_fat_tree or
+  /// net::make_star; hand-wired graphs are rejected.
   explicit Routing(const net::TopologyGraph& graph);
 
   /// Tree indices are *relative to the destination*: tree 0 (the base
   /// MAC's tree) maps to a pseudo-random core per destination, spreading
   /// base routes the way PAST/ECMP hashing does (§6.2); trees 1..T-1 are
-  /// the shadow-MAC alternates on the remaining cores (spines, for
-  /// leaf-spine). The absolute core used by (dst, tree) is
+  /// the shadow-MAC alternates on the remaining cores. The absolute core
+  /// used by (dst, tree) is
   /// (base_core(dst, num_cores) + tree) % num_cores.
   static int base_core(int dst_host, int num_cores) {
     // splitmix64-style mix so consecutive hosts land on unrelated cores.
@@ -58,18 +57,15 @@ class Routing {
   net::SwitchPorts ports_at(int switch_node, net::MacAddress src_mac,
                             net::MacAddress dst_mac) const;
 
-  /// The L2 rule the PAST program holds for `dst_mac` (a base or shadow
-  /// MAC) at `switch_node` (§6.2): the out port toward the destination on
-  /// that MAC's tree, plus the rewrite to the base MAC at a shadow tree's
-  /// egress switch. Empty when no other host's path to that destination
-  /// on that tree crosses the switch, or the MAC names no routed host and
-  /// tree.
-  std::optional<switchsim::RuleActions> mac_rule_at(
-      int switch_node, net::MacAddress dst_mac) const;
-
-  /// mac_rule_at bound to one switch, whose tier, pod and index are
-  /// resolved once: the switch's forwarding oracle. It reads only this
-  /// immutable Routing, which must outlive it.
+  /// The forwarding oracle of `switch_node`, whose tier, pod and index
+  /// are resolved once. Asked for `dst_mac` (a base or shadow MAC), it
+  /// returns the L2 rule the PAST program holds at that switch (§6.2):
+  /// the out port toward the destination on that MAC's tree, plus the
+  /// rewrite to the base MAC at a shadow tree's egress switch. Empty when
+  /// no other host's path to that destination on that tree crosses the
+  /// switch, the MAC names no routed host and tree, or `switch_node` is
+  /// not a switch. It reads only this immutable Routing, which must
+  /// outlive it.
   switchsim::MacOracle mac_oracle(int switch_node) const;
 
   const net::TopologyGraph& graph() const { return graph_; }
@@ -77,16 +73,13 @@ class Routing {
  private:
   /// Where one switch sits in its fabric, resolved once per switch.
   struct Site {
-    enum class Tier : std::uint8_t {
-      kNone, kEdge, kAgg, kCore, kLeaf, kSpine, kStar
-    };
+    enum class Tier : std::uint8_t { kNone, kEdge, kAgg, kCore, kStar };
     Tier tier = Tier::kNone;
-    /// Hosts [first_host, first_host + host_span) hang off an edge, leaf
-    /// or star switch; for an aggregation switch they are its pod's hosts.
+    /// Hosts [first_host, first_host + host_span) hang off an edge or star
+    /// switch; for an aggregation switch they are its pod's hosts.
     int first_host = 0;
     int host_span = 0;
-    /// Aggregation switch: the first core it reaches. Core or spine: its
-    /// index.
+    /// Aggregation switch: the first core it reaches. Core: its index.
     int root = -1;
   };
 
@@ -98,7 +91,6 @@ class Routing {
   bool decode_mac(net::MacAddress mac, int* dst, int* tree) const;
 
   net::RoutePath compute_fat_tree_path(int src, int dst, int tree) const;
-  net::RoutePath compute_leaf_spine_path(int src, int dst, int tree) const;
   net::RoutePath compute_star_path(int src, int dst) const;
 
   const net::TopologyGraph& graph_;

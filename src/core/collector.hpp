@@ -170,7 +170,6 @@ class Collector : public net::Node {
   bool data_stale() const {
     return !online_ || sim_.now() - last_sample_at_ > kRateStaleness;
   }
-  sim::Time last_sample_at() const { return last_sample_at_; }
 
   const FlowTable& flow_table() const { return flows_; }
 
@@ -243,7 +242,6 @@ class Collector : public net::Node {
     return out_port >= 0 && static_cast<std::size_t>(out_port) < ports_.size();
   }
 
-  void on_rate_update(FlowRecord& rec, double old_rate);
   /// Threshold + debounce check for `out_port`; `from_sweep` bypasses the
   /// sweep-only suppression (the sweep is the one allowed to fire then).
   void maybe_fire_event(int out_port, bool from_sweep = false);

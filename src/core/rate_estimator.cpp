@@ -52,8 +52,6 @@ bool BurstRateEstimator::add_sample(sim::Time t, std::uint64_t seq,
     produced = true;
     window_start_seq_ = burst_start_seq_;
     window_end_seq_ = seq;
-    window_start_time_ = burst_start_time_;
-    window_end_time_ = t;
     burst_start_time_ = t;
     burst_start_seq_ = seq;
   }

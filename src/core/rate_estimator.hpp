@@ -42,13 +42,11 @@ class BurstRateEstimator {
   /// When the most recent estimate was produced.
   sim::Time estimated_at() const { return estimated_at_; }
 
-  /// The window of the most recent estimate: sequence range and sample
-  /// times it was computed over. Lets callers re-derive ground truth over
-  /// exactly the same byte range (Figure 11's methodology).
+  /// The sequence range the most recent estimate was computed over. Lets
+  /// callers re-derive ground truth over exactly the same byte range
+  /// (Figure 11's methodology).
   std::uint64_t window_start_seq() const { return window_start_seq_; }
   std::uint64_t window_end_seq() const { return window_end_seq_; }
-  sim::Time window_start_time() const { return window_start_time_; }
-  sim::Time window_end_time() const { return window_end_time_; }
 
   std::uint64_t samples_seen() const { return samples_; }
   std::uint64_t samples_ignored() const { return ignored_; }
@@ -70,8 +68,6 @@ class BurstRateEstimator {
   sim::Time estimated_at_ = 0;
   std::uint64_t window_start_seq_ = 0;
   std::uint64_t window_end_seq_ = 0;
-  sim::Time window_start_time_ = 0;
-  sim::Time window_end_time_ = 0;
 
   std::uint64_t samples_ = 0;
   std::uint64_t ignored_ = 0;

@@ -50,9 +50,6 @@ class Link {
     remote_sim_ = destination_sim == &sim_ ? nullptr : destination_sim;
   }
 
-  /// True when the receiving end lives in another partition.
-  bool crosses_partition() const { return remote_sim_ != nullptr; }
-
   bool connected() const { return dst_ != nullptr; }
   sim::BitsPerSec rate() const { return rate_; }
   sim::Duration propagation() const { return propagation_; }
@@ -144,8 +141,6 @@ class Link {
   sim::Packets packets_sent() const { return packets_sent_; }
   sim::Bytes bytes_sent() const { return bytes_sent_; }
   sim::Bytes bytes_delivered() const { return bytes_delivered_; }
-  /// Bytes put on the wire but lost mid-flight to an admin-down.
-  sim::Bytes bytes_lost() const { return bytes_lost_; }
   /// Bytes currently between the two ends of the wire.
   sim::Bytes bytes_in_flight() const { return bytes_in_flight_; }
   /// Frames lost to the wire being administratively down (at transmit time

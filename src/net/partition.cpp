@@ -20,13 +20,6 @@ int partition_of_node(const TopologyShape& shape, const TopologyGraph& graph,
       if (sw < edges + aggs) return (sw - edges) / shape.agg_per_pod;
       return shape.num_pods;  // core layer
     }
-    case FabricKind::kLeafSpine: {
-      if (graph.is_host(node)) {
-        return shape.leaf_of_ls_host(graph.host_index(node));
-      }
-      const int sw = graph.switch_index(node);
-      return sw < shape.num_leaves ? sw : shape.num_leaves;  // spine layer
-    }
     case FabricKind::kStar:
     case FabricKind::kUnknown:
       return 0;

@@ -16,9 +16,6 @@ namespace planck::net {
 ///   fat-tree    pod p (its hosts, edge and agg switches) -> partition p;
 ///               all core switches -> partition num_pods. Boundary links
 ///               are exactly the agg<->core cables.
-///   leaf-spine  leaf l (and its hosts) -> partition l; all spines ->
-///               partition num_leaves. Boundary links are the leaf<->spine
-///               cables.
 ///   star/unknown  everything -> partition 0 (no boundary; the engine
 ///               degenerates to a sequential schedule plus the serial
 ///               control partition).

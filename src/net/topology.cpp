@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -48,18 +49,6 @@ void TopologyGraph::connect(PortRef a, PortRef b, LinkSpec spec) {
 
 namespace {
 
-/// Resolve the tree-provisioning knob against what the fabric supports and
-/// what the address plane can encode (shadow-MAC strides).
-int resolve_provisioned_trees(int requested, int max_trees) {
-  if (requested < 0) {
-    throw std::invalid_argument("provisioned_trees must be >= 0");
-  }
-  const int cap = max_trees < kMaxProvisionedTrees ? max_trees
-                                                   : kMaxProvisionedTrees;
-  if (requested == 0 || requested > cap) return cap;
-  return requested;
-}
-
 void check_addressable(long long hosts, const char* what) {
   if (hosts > kMaxAddressableHosts) {
     throw std::length_error(
@@ -71,14 +60,12 @@ void check_addressable(long long hosts, const char* what) {
 
 }  // namespace
 
-TopologyGraph make_fat_tree(int k, const LinkSpec& spec,
-                            int provisioned_trees) {
-  return make_fat_tree(k, spec, spec, provisioned_trees);
+TopologyGraph make_fat_tree(int k, const LinkSpec& spec) {
+  return make_fat_tree(k, spec, spec);
 }
 
 TopologyGraph make_fat_tree(int k, const LinkSpec& host_spec,
-                            const LinkSpec& fabric_spec,
-                            int provisioned_trees) {
+                            const LinkSpec& fabric_spec) {
   if (k < 2 || k % 2 != 0) {
     throw std::invalid_argument("fat-tree radix k must be even and >= 2");
   }
@@ -121,8 +108,8 @@ TopologyGraph make_fat_tree(int k, const LinkSpec& host_spec,
   shape.agg_per_pod = half;
   shape.hosts_per_edge = half;
   shape.num_core = num_core;
-  shape.provisioned_trees =
-      resolve_provisioned_trees(provisioned_trees, shape.max_trees());
+  // One tree per core, as many as the shadow-MAC strides encode.
+  shape.provisioned_trees = std::min(num_core, kMaxProvisionedTrees);
 
   // Hosts to edge switches: edge ports 0..k/2-1 face down.
   for (int h = 0; h < num_hosts; ++h) {
@@ -146,63 +133,6 @@ TopologyGraph make_fat_tree(int k, const LinkSpec& host_spec,
         g.connect({aggs[p][a], half + j}, {cores[a * half + j], p},
                   fabric_spec);
       }
-    }
-  }
-
-  g.set_shape(shape);
-  return g;
-}
-
-TopologyGraph make_leaf_spine(int leaves, int spines, int hosts_per_leaf,
-                              const LinkSpec& spec, int provisioned_trees) {
-  return make_leaf_spine(leaves, spines, hosts_per_leaf, spec, spec,
-                         provisioned_trees);
-}
-
-TopologyGraph make_leaf_spine(int leaves, int spines, int hosts_per_leaf,
-                              const LinkSpec& host_spec,
-                              const LinkSpec& fabric_spec,
-                              int provisioned_trees) {
-  if (leaves < 1 || spines < 1 || hosts_per_leaf < 1) {
-    throw std::invalid_argument(
-        "leaf-spine needs >= 1 leaf, spine, and host per leaf");
-  }
-  const long long num_hosts_ll =
-      static_cast<long long>(leaves) * hosts_per_leaf;
-  check_addressable(num_hosts_ll, "leaf-spine");
-  const int num_hosts = static_cast<int>(num_hosts_ll);
-
-  TopologyGraph g;
-  std::vector<int> hosts(static_cast<std::size_t>(num_hosts));
-  for (int h = 0; h < num_hosts; ++h) hosts[h] = g.add_host();
-
-  std::vector<int> leaf_sw(static_cast<std::size_t>(leaves));
-  std::vector<int> spine_sw(static_cast<std::size_t>(spines));
-  for (int l = 0; l < leaves; ++l) {
-    leaf_sw[l] = g.add_switch(hosts_per_leaf + spines);
-  }
-  for (int s = 0; s < spines; ++s) spine_sw[s] = g.add_switch(leaves);
-
-  TopologyShape shape;
-  shape.kind = FabricKind::kLeafSpine;
-  shape.num_hosts = num_hosts;
-  shape.num_switches = g.num_switches();
-  shape.num_leaves = leaves;
-  shape.num_spines = spines;
-  shape.hosts_per_leaf = hosts_per_leaf;
-  shape.provisioned_trees =
-      resolve_provisioned_trees(provisioned_trees, shape.max_trees());
-
-  for (int h = 0; h < num_hosts; ++h) {
-    g.connect({hosts[h], 0},
-              {leaf_sw[shape.leaf_of_ls_host(h)],
-               shape.leaf_port_of_ls_host(h)},
-              host_spec);
-  }
-  for (int l = 0; l < leaves; ++l) {
-    for (int s = 0; s < spines; ++s) {
-      g.connect({leaf_sw[l], hosts_per_leaf + s}, {spine_sw[s], l},
-                fabric_spec);
     }
   }
 

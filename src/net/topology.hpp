@@ -29,7 +29,7 @@ struct LinkSpec {
 
 /// What family of fabric a TopologyGraph was built as. Hand-wired graphs
 /// stay kUnknown; routing only understands the named fabrics.
-enum class FabricKind : std::uint8_t { kUnknown, kFatTree, kLeafSpine, kStar };
+enum class FabricKind : std::uint8_t { kUnknown, kFatTree, kStar };
 
 /// Structural facts about a built fabric: counts, tier geometry, and the
 /// index/coordinate conventions the builder used. This is the descriptor
@@ -40,8 +40,9 @@ struct TopologyShape {
   int num_hosts = 0;
   int num_switches = 0;
   /// How many spanning trees routing provisions for this fabric: tree 0 is
-  /// the base tree, trees 1..provisioned_trees-1 are shadow trees. Builders
-  /// clamp this to min(max_trees(), addresses' kMaxProvisionedTrees).
+  /// the base tree, trees 1..provisioned_trees-1 are shadow trees. A
+  /// fat-tree provisions one per core, at most addresses'
+  /// kMaxProvisionedTrees; a star provisions 1.
   int provisioned_trees = 1;
 
   // --- fat-tree geometry (kind == kFatTree) ---
@@ -51,23 +52,6 @@ struct TopologyShape {
   int agg_per_pod = 0;    ///< k/2
   int hosts_per_edge = 0; ///< k/2
   int num_core = 0;       ///< (k/2)^2
-
-  // --- leaf-spine geometry (kind == kLeafSpine) ---
-  int num_leaves = 0;
-  int num_spines = 0;
-  int hosts_per_leaf = 0;
-
-  /// Distinct spanning trees this fabric can support (one per core for a
-  /// fat-tree, one per spine for leaf-spine, 1 for a star).
-  int max_trees() const {
-    switch (kind) {
-      case FabricKind::kFatTree:   return num_core;
-      case FabricKind::kLeafSpine: return num_spines;
-      case FabricKind::kStar:      return 1;
-      case FabricKind::kUnknown:   return 0;
-    }
-    return 0;
-  }
 
   // Fat-tree coordinates. Host ids are dense, pod-major:
   //   host = pod*(k/2)^2 + edge*(k/2) + leaf.
@@ -96,16 +80,6 @@ struct TopologyShape {
   int agg_port_for_core(int c) const { return k / 2 + (c % (k / 2)); }
   /// Edge uplink port that reaches agg a of the pod.
   int edge_port_for_agg(int a) const { return hosts_per_edge + a; }
-
-  // Leaf-spine coordinates. Host ids: host = leaf*hosts_per_leaf + i.
-  // Switch indices: leaves first, then spines. Leaf ports
-  // 0..hosts_per_leaf-1 face down, hosts_per_leaf.. face spines; spine s
-  // port l connects to leaf l.
-  int leaf_of_ls_host(int host) const { return host / hosts_per_leaf; }
-  int leaf_port_of_ls_host(int host) const { return host % hosts_per_leaf; }
-  int leaf_switch_index(int leaf) const { return leaf; }
-  int spine_switch_index(int s) const { return num_leaves + s; }
-  int leaf_port_for_spine(int s) const { return hosts_per_leaf + s; }
 };
 
 /// Abstract topology: hosts and switches connected by bidirectional cables.
@@ -188,32 +162,16 @@ class TopologyGraph {
 ///          (agg a reaches cores a*(k/2)..a*(k/2)+k/2-1)
 ///   core:  port p connects to pod p
 /// Host ids: pod*(k/2)^2 + edge*(k/2) + leaf.
-/// `provisioned_trees` caps how many routing trees the fabric advertises
-/// (0 = as many as the fabric supports, clamped to kMaxProvisionedTrees).
+/// Routing gets min((k/2)^2, kMaxProvisionedTrees) trees: one per core,
+/// as many as the shadow-MAC strides encode.
 /// Throws std::invalid_argument for bad k and std::length_error when the
 /// host count exceeds kMaxAddressableHosts.
-TopologyGraph make_fat_tree(int k, const LinkSpec& spec,
-                            int provisioned_trees = 0);
+TopologyGraph make_fat_tree(int k, const LinkSpec& spec);
 
 /// Same, with distinct cables for host-facing links (host_spec) and the
 /// switch-to-switch fabric (fabric_spec).
 TopologyGraph make_fat_tree(int k, const LinkSpec& host_spec,
-                            const LinkSpec& fabric_spec,
-                            int provisioned_trees = 0);
-
-/// 2-tier leaf-spine: `leaves` leaf switches each with `hosts_per_leaf`
-/// hosts, fully meshed to `spines` spine switches. Leaf ports
-/// 0..hosts_per_leaf-1 face down, hosts_per_leaf.. face spines; spine s
-/// port l connects to leaf l. Host ids: leaf*hosts_per_leaf + i.
-TopologyGraph make_leaf_spine(int leaves, int spines, int hosts_per_leaf,
-                              const LinkSpec& spec,
-                              int provisioned_trees = 0);
-
-/// Same, with distinct host-facing and fabric cables.
-TopologyGraph make_leaf_spine(int leaves, int spines, int hosts_per_leaf,
-                              const LinkSpec& host_spec,
-                              const LinkSpec& fabric_spec,
-                              int provisioned_trees = 0);
+                            const LinkSpec& fabric_spec);
 
 /// Non-blocking "Optimal" topology (§7.1): all hosts on one big switch.
 TopologyGraph make_star(int num_hosts, const LinkSpec& spec);

@@ -93,6 +93,19 @@ class Simulation {
   void post_packet(Simulation& dst, Duration delay, void* target,
                    std::uint32_t aux, PacketFn fn, const net::Packet& packet);
 
+  /// Runs `fn` on `dst`, the simulation that owns what `fn` touches: at
+  /// once when `dst` is this simulation, so an unsharded caller adds no
+  /// event; otherwise posted cross_lookahead() ahead, the hop from a data
+  /// partition to the control partition that the window barrier merges.
+  template <typename Fn>
+  void call_on(Simulation& dst, Fn&& fn) {
+    if (&dst == this) {
+      fn();
+      return;
+    }
+    post(dst, cross_lookahead_, std::forward<Fn>(fn));
+  }
+
   /// Cancels a pending event. O(1); safe no-op if the event already ran.
   void cancel(EventId id) { queue_.cancel(id); }
 

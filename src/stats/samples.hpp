@@ -89,11 +89,6 @@ class Samples {
     return out;
   }
 
-  const std::vector<double>& sorted_values() const {
-    ensure_sorted();
-    return values_;
-  }
-
   void merge(const Samples& other) {
     values_.insert(values_.end(), other.values_.begin(), other.values_.end());
     sorted_ = false;

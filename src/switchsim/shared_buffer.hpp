@@ -118,9 +118,6 @@ class SharedBuffer {
     port_cap_[static_cast<std::size_t>(port)] = cap;
     check_conservation();
   }
-  sim::Bytes port_cap(int port) const {
-    return port_cap_[static_cast<std::size_t>(port)];
-  }
 
   const BufferConfig& config() const { return config_; }
 

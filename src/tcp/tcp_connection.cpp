@@ -36,6 +36,19 @@ constexpr int kQuickackSegments = 16;
 /// tcp_wmem/tcp_rmem max is ~4-6 MB; this also bounds how far slow
 /// start can overshoot a 4 MB switch buffer).
 constexpr sim::Bytes kMaxWindowBytes = sim::mebibytes(6);
+
+/// A segment carrying `key`'s 5-tuple and `flags`; the caller fills in
+/// sequence numbers and payload.
+net::Packet make_segment(const net::FlowKey& key, std::uint8_t flags) {
+  net::Packet pkt;
+  pkt.src_ip = key.src_ip;
+  pkt.dst_ip = key.dst_ip;
+  pkt.src_port = key.src_port;
+  pkt.dst_port = key.dst_port;
+  pkt.proto = key.proto;
+  pkt.flags = flags;
+  return pkt;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -60,15 +73,8 @@ TcpSender::TcpSender(sim::Simulation& simulation, Host& host,
 
 void TcpSender::start() {
   stats_.started_at = sim_.now();
-  net::Packet syn;
-  syn.src_ip = key_.src_ip;
-  syn.dst_ip = key_.dst_ip;
-  syn.src_port = key_.src_port;
-  syn.dst_port = key_.dst_port;
-  syn.proto = key_.proto;
-  syn.flags = net::kSyn;
   probe_sent_ = sim_.now();  // handshake RTT sample
-  host_.send(syn);
+  host_.send(make_segment(key_, net::kSyn));
   ++stats_.packets_sent;
   restart_rto();
 }
@@ -201,13 +207,7 @@ void TcpSender::on_nic_writable() {
 
 void TcpSender::send_segment(std::int64_t seq, std::int64_t len,
                              bool retransmit) {
-  net::Packet pkt;
-  pkt.src_ip = key_.src_ip;
-  pkt.dst_ip = key_.dst_ip;
-  pkt.src_port = key_.src_port;
-  pkt.dst_port = key_.dst_port;
-  pkt.proto = key_.proto;
-  pkt.flags = net::kAck;
+  net::Packet pkt = make_segment(key_, net::kAck);
   // Final segment of the transfer carries PSH, prompting an immediate ACK
   // at the receiver (as real stacks do), so an odd-sized tail does not sit
   // behind the delayed-ACK timer.
@@ -329,14 +329,7 @@ void TcpSender::on_rto() {
   dupacks_ = 0;
 
   if (state_ == State::kSynSent) {
-    net::Packet syn;
-    syn.src_ip = key_.src_ip;
-    syn.dst_ip = key_.dst_ip;
-    syn.src_port = key_.src_port;
-    syn.dst_port = key_.dst_port;
-    syn.proto = key_.proto;
-    syn.flags = net::kSyn;
-    host_.send(syn);
+    host_.send(make_segment(key_, net::kSyn));
     ++stats_.packets_sent;
     ++stats_.retransmits;
     restart_rto();
@@ -383,13 +376,7 @@ void TcpSender::finish() {
   stats_.completed_at = sim_.now();
   rto_timer_.cancel();
 
-  net::Packet fin;
-  fin.src_ip = key_.src_ip;
-  fin.dst_ip = key_.dst_ip;
-  fin.src_port = key_.src_port;
-  fin.dst_port = key_.dst_port;
-  fin.proto = key_.proto;
-  fin.flags = net::kFin | net::kAck;
+  net::Packet fin = make_segment(key_, net::kFin | net::kAck);
   fin.seq = static_cast<std::uint64_t>(total_bytes_.count());
   host_.send(fin);
   ++stats_.packets_sent;
@@ -410,14 +397,7 @@ TcpReceiver::TcpReceiver(sim::Simulation& simulation, Host& host,
 
 void TcpReceiver::handle_segment(const net::Packet& packet) {
   if (packet.has_flag(net::kSyn)) {
-    net::Packet synack;
-    synack.src_ip = key_.dst_ip;
-    synack.dst_ip = key_.src_ip;
-    synack.src_port = key_.dst_port;
-    synack.dst_port = key_.src_port;
-    synack.proto = key_.proto;
-    synack.flags = net::kSyn | net::kAck;
-    host_.send(synack);
+    host_.send(make_segment(key_.reversed(), net::kSyn | net::kAck));
     return;
   }
   if (packet.has_flag(net::kFin)) {
@@ -477,19 +457,13 @@ void TcpReceiver::handle_segment(const net::Packet& packet) {
 void TcpReceiver::send_ack() {
   delayed_ack_timer_.cancel();
   unacked_segments_ = 0;
-  net::Packet ack;
+  net::Packet ack = make_segment(key_.reversed(), net::kAck);
   if (!ooo_.empty()) {
     PLANCK_CONTRACT(ooo_.begin()->first > rcv_nxt_ && rcv_nxt_ >= 0,
                     "sack-nonzero: the lowest out-of-order block starts "
                     "above rcv_nxt >= 0, so a present block is never 0");
     ack.sack_start = static_cast<std::uint64_t>(ooo_.begin()->first);
   }
-  ack.src_ip = key_.dst_ip;
-  ack.dst_ip = key_.src_ip;
-  ack.src_port = key_.dst_port;
-  ack.dst_port = key_.src_port;
-  ack.proto = key_.proto;
-  ack.flags = net::kAck;
   ack.ack = static_cast<std::uint64_t>(rcv_nxt_);
   host_.send(ack);
 }

@@ -136,18 +136,12 @@ void Testbed::build() {
     // Loss-of-signal notifications flow to the controller over its (lossy)
     // control channel. Under the sharded engine the switch fires on its
     // data partition, so the notification first hops to the control
-    // partition (one lookahead grid step, merged at the window barrier).
-    if (&sw_sim != &sim_) {
-      sw->set_port_status_handler([this, node, &sw_sim](int port, bool up) {
-        sw_sim.post(sim_, sw_sim.cross_lookahead(), [this, node, port, up] {
-          controller_->notify_port_status(node, port, up);
-        });
-      });
-    } else {
-      sw->set_port_status_handler([this, node](int port, bool up) {
+    // partition.
+    sw->set_port_status_handler([this, node, &sw_sim](int port, bool up) {
+      sw_sim.call_on(sim_, [this, node, port, up] {
         controller_->notify_port_status(node, port, up);
       });
-    }
+    });
   }
 
   controller_->install_routes();

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -535,27 +536,95 @@ TEST(Determinism, LoadedRingAnswersAgreeAcrossEngines) {
   }
 }
 
-TEST(Determinism, PartitionedLeafSpineRunsAndIsThreadCountInvariant) {
-  const auto build = [](int threads) {
-    const auto graph = net::make_leaf_spine(
-        4, 2, 4,
-        net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
-    const net::PartitionMap map = net::make_partition_map(graph);
-    sim::ParallelEngine engine(map.num_partitions, map.lookahead(), threads);
-    TestbedConfig cfg;
-    cfg.seed = 5;
-    Testbed bed(engine, map, graph, cfg);
-    // The two senders sit on different partitions.
-    std::atomic<int> done{0};
-    bed.host(0)->start_flow(net::host_ip(5), 5001, 256 * 1024,
-                            [&done](const tcp::FlowStats&) { ++done; });
-    bed.host(4)->start_flow(net::host_ip(13), 5001, 256 * 1024,
-                            [&done](const tcp::FlowStats&) { ++done; });
-    engine.run_until(sim::milliseconds(50));
-    EXPECT_EQ(done, 2);
-    return engine.determinism_digest();
-  };
-  EXPECT_EQ(build(1), build(4));
+/// What a cut cable tells the controller: when its link-status handler
+/// saw each direction go down, the tree every rerouted flow ends on, when
+/// the cut flow completed, and the engine's digest.
+struct CableCutAnswers {
+  sim::Duration lookahead = 0;
+  std::vector<sim::Time> link_down_at;
+  std::map<net::FlowKey, int> trees;
+  std::uint64_t failovers = 0;
+  sim::Time completed_at = -1;
+  std::uint64_t digest = 0;
+};
+
+/// Host 0 sends 4 MiB to host 4 in the next pod. At 2 ms, an event on
+/// pod 0's own partition cuts the edge<->agg cable that the flow's first
+/// hop takes, and the controller fails the flow over to another tree. The
+/// cable is intra-pod: an agg<->core cable is a partition boundary, where
+/// an admin-down kills frames only at transmit (DESIGN.md section 14). On
+/// the plain Simulation (`threads` == 0) or the partitioned engine with
+/// `threads` workers, where the switch's loss-of-signal report hops from
+/// pod 0 to the control partition.
+CableCutAnswers cable_cut_answers(int threads) {
+  const auto graph = net::make_fat_tree(4,
+      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  TestbedConfig cfg;
+  cfg.seed = 3;
+  sim::Simulation plain;
+  std::optional<sim::ParallelEngine> engine;
+  std::optional<Testbed> bed;
+  if (threads == 0) {
+    bed.emplace(plain, graph, cfg);
+  } else {
+    engine.emplace(map.num_partitions, map.lookahead(), threads);
+    bed.emplace(*engine, map, graph, cfg);
+  }
+
+  CableCutAnswers out;
+  out.lookahead = map.lookahead();
+  sim::Simulation& control = bed->sim();
+  bed->controller().subscribe_link_status([&out, &control](int, int, bool up) {
+    if (!up) out.link_down_at.push_back(control.now());
+  });
+  // The completion runs on pod 0's partition and writes only this slot.
+  bed->host(0)->start_flow(net::host_ip(4), 5001, 4 * 1024 * 1024,
+                           [&out](const tcp::FlowStats& s) {
+                             out.completed_at = s.completed_at;
+                           });
+  const net::PathHop uplink = bed->controller().routing().path(0, 4, 0).hops[0];
+  sim::Simulation& pod =
+      engine ? engine->partition(map.partition_of(uplink.switch_node)) : plain;
+  pod.schedule_at(sim::milliseconds(2), [&bed, uplink] {
+    bed->set_link_state(uplink.switch_node, uplink.out_port, false);
+  });
+  if (engine) {
+    engine->run_until(sim::seconds(1));
+    out.digest = engine->determinism_digest();
+  } else {
+    plain.run_until(sim::seconds(1));
+    out.digest = plain.determinism_digest();
+  }
+  out.trees = bed->controller().epochs().trees();
+  out.failovers = bed->controller().failovers();
+  return out;
+}
+
+TEST(Determinism, PartitionedCableCutHopsToTheController) {
+  const CableCutAnswers plain = cable_cut_answers(0);
+  // Both directions of the cable go down, each reported by its switch.
+  ASSERT_EQ(plain.link_down_at.size(), 2u);
+  ASSERT_GE(plain.failovers, 1u);
+  ASSERT_FALSE(plain.trees.empty());
+  EXPECT_GT(plain.completed_at, sim::milliseconds(2));
+  std::optional<std::uint64_t> digest;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const CableCutAnswers sharded = cable_cut_answers(threads);
+    // The report reaches the controller one hop late, and no later.
+    EXPECT_EQ(sharded.lookahead, sim::microseconds(5));
+    ASSERT_EQ(sharded.link_down_at.size(), plain.link_down_at.size());
+    for (std::size_t i = 0; i < plain.link_down_at.size(); ++i) {
+      const sim::Duration lag = sharded.link_down_at[i] - plain.link_down_at[i];
+      EXPECT_EQ(lag, sharded.lookahead) << "report " << i;
+    }
+    EXPECT_EQ(sharded.failovers, plain.failovers);
+    EXPECT_EQ(sharded.trees, plain.trees);
+    EXPECT_GT(sharded.completed_at, sim::milliseconds(2));
+    if (!digest) digest = sharded.digest;
+    EXPECT_EQ(sharded.digest, *digest);
+  }
 }
 
 }  // namespace

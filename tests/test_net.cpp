@@ -332,7 +332,6 @@ TEST(Topology, ShapeDescribesLegacyFatTree) {
   EXPECT_EQ(sh.agg_per_pod, 2);
   EXPECT_EQ(sh.num_core, 4);
   EXPECT_EQ(sh.provisioned_trees, 4);
-  EXPECT_EQ(sh.max_trees(), 4);
   // Spot-check the index helpers against the historical dense layout.
   EXPECT_EQ(sh.pod_of_host(13), 3);
   EXPECT_EQ(sh.edge_of_host(13), 0);
@@ -366,33 +365,11 @@ TEST(Topology, FatTreeRejectsUnaddressableScale) {
   // k=64 would be 65,536 hosts — past the 10.0.x.y plan, so the builder
   // must refuse rather than alias IPs.
   EXPECT_THROW(make_fat_tree(64, LinkSpec{}), std::length_error);
-  EXPECT_THROW(make_leaf_spine(300, 4, 250, LinkSpec{}), std::length_error);
+  // So must a star past the plan, before it allocates a host.
+  EXPECT_THROW(make_star(kMaxAddressableHosts + 1, LinkSpec{}),
+               std::length_error);
   // The paper's §9.1 64-port datapoint (k=62, 59'582 hosts) still builds.
   EXPECT_NO_THROW(make_fat_tree(62, LinkSpec{}));
-}
-
-TEST(Topology, LeafSpineWiring) {
-  const TopologyGraph g = make_leaf_spine(3, 2, 4, LinkSpec{});
-  const TopologyShape& sh = g.shape();
-  EXPECT_EQ(sh.kind, FabricKind::kLeafSpine);
-  EXPECT_EQ(g.num_hosts(), 12);
-  EXPECT_EQ(g.num_switches(), 5);
-  EXPECT_EQ(sh.max_trees(), 2);
-  for (int h = 0; h < g.num_hosts(); ++h) {
-    const PortRef up = g.peer(g.host_node(h), 0);
-    EXPECT_EQ(up.node,
-              g.switch_node(sh.leaf_switch_index(sh.leaf_of_ls_host(h))));
-    EXPECT_EQ(up.port, sh.leaf_port_of_ls_host(h));
-  }
-  for (int l = 0; l < sh.num_leaves; ++l) {
-    for (int s = 0; s < sh.num_spines; ++s) {
-      const PortRef peer =
-          g.peer(g.switch_node(sh.leaf_switch_index(l)),
-                 sh.leaf_port_for_spine(s));
-      EXPECT_EQ(peer.node, g.switch_node(sh.spine_switch_index(s)));
-      EXPECT_EQ(peer.port, l);
-    }
-  }
 }
 
 TEST(Topology, HandWiredGraphHasUnknownShape) {
@@ -400,7 +377,6 @@ TEST(Topology, HandWiredGraphHasUnknownShape) {
   g.add_host();
   g.add_switch(1);
   EXPECT_EQ(g.shape().kind, FabricKind::kUnknown);
-  EXPECT_EQ(g.shape().max_trees(), 0);
 }
 
 TEST(Topology, LinkSpecStored) {

@@ -1,7 +1,7 @@
 // Tests for multipath routing (§6.2): PAST spanning trees on the fat-tree,
 // shadow-tree alternates, path validity against the physical wiring,
 // destination-consistency (a tree is a tree), path diversity, the
-// per-switch port oracle (ports_at) and the MAC oracle (mac_rule_at)
+// per-switch port oracle (ports_at) and the MAC oracle (mac_oracle)
 // against the tables they replaced.
 
 #include <gtest/gtest.h>
@@ -387,78 +387,6 @@ TEST_P(FatTreeRadixTest, PortsAtMatchesReferenceTables) {
 INSTANTIATE_TEST_SUITE_P(Radix, FatTreeRadixTest, ::testing::Values(4, 6, 8));
 
 // ---------------------------------------------------------------------------
-// Leaf-spine
-// ---------------------------------------------------------------------------
-
-struct LeafSpineFixture {
-  LeafSpineFixture()
-      : graph(net::make_leaf_spine(4, 4, 4, net::LinkSpec{})),
-        routing(graph) {}
-  TopologyGraph graph;
-  Routing routing;
-};
-
-TEST(RoutingLeafSpine, ShapeAndTreeCount) {
-  LeafSpineFixture f;
-  EXPECT_EQ(f.graph.shape().kind, net::FabricKind::kLeafSpine);
-  EXPECT_EQ(f.routing.num_hosts(), 16);
-  EXPECT_EQ(f.graph.num_switches(), 8);
-  EXPECT_EQ(f.routing.num_trees(), 4);  // one tree per spine
-}
-
-TEST(RoutingLeafSpine, PathHopLengthsByLocality) {
-  LeafSpineFixture f;
-  // Same leaf: 1 hop. Different leaves: leaf-spine-leaf = 3 hops.
-  EXPECT_EQ(f.routing.path(0, 1, 0).hops.size(), 1u);
-  EXPECT_EQ(f.routing.path(0, 5, 0).hops.size(), 3u);
-}
-
-TEST(RoutingLeafSpine, AllPathsValidLoopFreeAndSpineDisjoint) {
-  LeafSpineFixture f;
-  for (int s = 0; s < 16; ++s) {
-    for (int d = 0; d < 16; ++d) {
-      if (s == d) continue;
-      std::set<int> spines;
-      for (int t = 0; t < f.routing.num_trees(); ++t) {
-        const net::RoutePath& p = f.routing.path(s, d, t);
-        check_path_physical(f.graph, p);
-        std::set<int> visited;
-        for (const net::PathHop& hop : p.hops) {
-          ASSERT_TRUE(visited.insert(hop.switch_node).second);
-        }
-        if (p.hops.size() == 3u) spines.insert(p.hops[1].switch_node);
-      }
-      if (f.graph.shape().leaf_of_ls_host(s) !=
-          f.graph.shape().leaf_of_ls_host(d)) {
-        EXPECT_EQ(spines.size(), 4u) << "s=" << s << " d=" << d;
-      }
-    }
-  }
-}
-
-TEST(RoutingLeafSpine, TreesAreDestinationConsistent) {
-  LeafSpineFixture f;
-  for (int d = 0; d < 16; ++d) {
-    for (int t = 0; t < f.routing.num_trees(); ++t) {
-      std::map<int, int> out_port_at_switch;
-      for (int s = 0; s < 16; ++s) {
-        if (s == d) continue;
-        for (const net::PathHop& hop : f.routing.path(s, d, t).hops) {
-          const auto [it, inserted] =
-              out_port_at_switch.emplace(hop.switch_node, hop.out_port);
-          ASSERT_EQ(it->second, hop.out_port);
-        }
-      }
-    }
-  }
-}
-
-TEST(RoutingLeafSpine, PortsAtMatchesReferenceTables) {
-  LeafSpineFixture f;
-  check_ports_match_reference(f.graph, f.routing);
-}
-
-// ---------------------------------------------------------------------------
 // Port oracle (ports_at) edge cases
 // ---------------------------------------------------------------------------
 
@@ -494,7 +422,7 @@ TEST(RoutingPorts, MissesAnswerUnknown) {
 }
 
 // ---------------------------------------------------------------------------
-// MAC oracle (mac_rule_at) against the MAC program it replaced
+// MAC oracle (mac_oracle) against the MAC program it replaced
 // ---------------------------------------------------------------------------
 
 /// One switch's MAC program, keyed by routing MAC.
@@ -506,7 +434,7 @@ bool same_actions(const switchsim::RuleActions& a,
 }
 
 /// The controller's former install loop, rebuilt here only as the
-/// reference for Routing::mac_rule_at: every switch on the path of every
+/// reference for Routing::mac_oracle: every switch on the path of every
 /// (src, dst, tree) maps the routing MAC to the hop's out port, and a
 /// shadow tree's egress switch restores the base MAC. `conflicts` counts
 /// writes that disagree with an earlier write for the same (switch, MAC).
@@ -545,9 +473,9 @@ std::string describe(const std::optional<switchsim::RuleActions>& rule) {
   return out + "}";
 }
 
-/// mac_rule_at, and each switch's mac_oracle, agree with the reference at
-/// every switch for every routing MAC one past the hosts and trees, and
-/// miss for the null, broadcast and a foreign MAC.
+/// Each switch's mac_oracle agrees with the reference for every routing MAC
+/// one past the hosts and trees, and misses for the null, broadcast and a
+/// foreign MAC.
 void check_mac_rules_match_reference(const TopologyGraph& g,
                                      const Routing& routing) {
   int conflicts = 0;
@@ -574,16 +502,12 @@ void check_mac_rules_match_reference(const TopologyGraph& g,
           it == program.end() ? std::nullopt
                               : std::optional<switchsim::RuleActions>(
                                     it->second);
-      const std::optional<switchsim::RuleActions> got =
-          routing.mac_rule_at(sw, mac);
-      ASSERT_EQ(describe(got), describe(want))
-          << "switch " << sw << " mac " << net::mac_to_string(mac);
       ASSERT_EQ(describe(oracle(mac)), describe(want))
-          << "oracle at switch " << sw << " mac " << net::mac_to_string(mac);
+          << "switch " << sw << " mac " << net::mac_to_string(mac);
     }
   }
   // Hosts carry no MAC program.
-  EXPECT_FALSE(routing.mac_rule_at(g.host_node(0), net::host_mac(0)));
+  EXPECT_FALSE(routing.mac_oracle(g.host_node(0))(net::host_mac(0)));
 }
 
 struct FabricCase {
@@ -612,24 +536,10 @@ INSTANTIATE_TEST_SUITE_P(
                    [] { return net::make_fat_tree(6, net::LinkSpec{}); }},
         FabricCase{"FatTree8",
                    [] { return net::make_fat_tree(8, net::LinkSpec{}); }},
-        FabricCase{"FatTree4TwoTrees",
-                   [] { return net::make_fat_tree(4, net::LinkSpec{}, 2); }},
-        FabricCase{"LeafSpine444",
-                   [] {
-                     return net::make_leaf_spine(4, 4, 4, net::LinkSpec{});
-                   }},
-        FabricCase{"LeafSpine444TwoTrees",
-                   [] {
-                     return net::make_leaf_spine(4, 4, 4, net::LinkSpec{}, 2);
-                   }},
-        FabricCase{"LeafSpine123",
-                   [] {
-                     return net::make_leaf_spine(1, 2, 3, net::LinkSpec{});
-                   }},
-        FabricCase{"LeafSpine321",
-                   [] {
-                     return net::make_leaf_spine(3, 2, 1, net::LinkSpec{});
-                   }},
+        // 25 cores but 16 trees: the address plane caps the trees below
+        // the core count, as on fabric_build_k10's route plane.
+        FabricCase{"FatTree10",
+                   [] { return net::make_fat_tree(10, net::LinkSpec{}); }},
         FabricCase{"Star8", [] { return net::make_star(8, net::LinkSpec{}); }},
         FabricCase{"Star1",
                    [] { return net::make_star(1, net::LinkSpec{}); }}),
@@ -637,16 +547,19 @@ INSTANTIATE_TEST_SUITE_P(
       return fabric.param.name;
     });
 
-TEST(RoutingProvisioning, TreeKnobCapsShadowTrees) {
-  // A k=8 fabric supports 16 trees but can be provisioned for fewer.
-  const TopologyGraph g =
-      net::make_fat_tree(8, net::LinkSpec{}, /*provisioned_trees=*/4);
-  Routing r(g);
-  EXPECT_EQ(r.num_trees(), 4);
-  // And the cap never exceeds what the address plane can encode.
-  const TopologyGraph full = net::make_fat_tree(8, net::LinkSpec{});
-  EXPECT_EQ(full.shape().provisioned_trees, 16);
-  EXPECT_LE(full.shape().provisioned_trees, net::kMaxProvisionedTrees);
+TEST(RoutingProvisioning, OneTreePerCoreUpToTheAddressPlaneCap) {
+  // A fat-tree routes on one tree per core, as many as the shadow-MAC
+  // strides encode: k=4's 4 cores, and 16 of k=8's 16 and k=10's 25.
+  const struct {
+    int k;
+    int trees;
+  } cases[] = {{4, 4}, {8, 16}, {10, 16}};
+  for (const auto& [k, trees] : cases) {
+    const TopologyGraph g = net::make_fat_tree(k, net::LinkSpec{});
+    EXPECT_EQ(g.shape().provisioned_trees, trees) << "k=" << k;
+    EXPECT_EQ(Routing(g).num_trees(), trees) << "k=" << k;
+  }
+  EXPECT_EQ(net::kMaxProvisionedTrees, 16);
 }
 
 }  // namespace
